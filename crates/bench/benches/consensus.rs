@@ -16,7 +16,12 @@ use ff_spec::{Bound, Input};
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn faulty_ensemble(objects: usize, faulty: usize, rate: f64, seed: u64) -> Arc<FaultyCasArray> {
+fn faulty_ensemble(
+    objects: usize,
+    faulty: usize,
+    rate: f64,
+    seed: u64,
+) -> Arc<FaultyCasArray<ProbabilisticPolicy>> {
     Arc::new(
         FaultyCasArray::builder(objects)
             .faulty_first(faulty)

@@ -15,7 +15,7 @@ use ff_spec::{Bound, Input};
 use std::hint::black_box;
 use std::sync::Arc;
 
-fn faulty(f: u64, t: u64, seed: u64) -> Arc<FaultyCasArray> {
+fn faulty(f: u64, t: u64, seed: u64) -> Arc<FaultyCasArray<ProbabilisticPolicy>> {
     Arc::new(
         FaultyCasArray::builder(f as usize)
             .faulty_first(f as usize)

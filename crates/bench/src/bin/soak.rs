@@ -23,8 +23,11 @@
 //! `--recover` to rebuild the store from the WAL files already in the
 //! directory before soaking (CI kill-9s a durable soak and restarts it
 //! exactly like this). `--durability-ab` runs in-memory then durable in
-//! one process and exits nonzero if the durable arm drops below 0.7×
-//! the in-memory throughput — the group-commit cost budget.
+//! one process, prints and records the durable ÷ in-memory throughput
+//! ratio, and exits nonzero only if an arm diverged or refused
+//! recovery: a ratio fails whenever the *in-memory* arm gets faster, so
+//! the regression gate for what durability costs is the repo
+//! benchmark's `wal-write` row (`BENCHMARK.json`), not this smoke.
 
 use ff_bench::{run_substrate_sweep, substrate_sweep_json, substrate_table, SubstrateArm};
 use ff_store::{try_run_soak, DurabilityConfig, SoakConfig, SoakReport};
@@ -230,12 +233,9 @@ fn run_ab(mut config: SoakConfig, json_out: &str) {
     }
 }
 
-/// The durability cost budget: same configuration, purely in-memory
-/// then with the WAL on, in one process. Fails unless both arms verify
-/// consistent and the durable arm kept at least [`MIN_DURABLE_RATIO`]
-/// of the in-memory throughput.
-const MIN_DURABLE_RATIO: f64 = 0.7;
-
+/// The durability smoke: same configuration, purely in-memory then
+/// with the WAL on, in one process. Fails unless both arms verify
+/// consistent; the throughput ratio is reported, not gated.
 fn run_durability_ab(mut config: SoakConfig, json_out: &str) {
     let durability = config.durability.clone();
     config.durability = DurabilityConfig::default();
@@ -247,9 +247,7 @@ fn run_durability_ab(mut config: SoakConfig, json_out: &str) {
     let base = memory.metrics.total_ops_per_sec();
     let with = durable.metrics.total_ops_per_sec();
     let ratio = if base > 0.0 { with / base } else { 0.0 };
-    println!(
-        "\nA/B: in-memory {base:.0} ops/sec, durable {with:.0} ops/sec (×{ratio:.2}, budget ≥{MIN_DURABLE_RATIO})"
-    );
+    println!("\nA/B: in-memory {base:.0} ops/sec, durable {with:.0} ops/sec (×{ratio:.2})");
 
     write_json(
         json_out,
@@ -258,21 +256,11 @@ fn run_durability_ab(mut config: SoakConfig, json_out: &str) {
             ("memory".into(), memory.to_json()),
             ("durable".into(), durable.to_json()),
             ("durable_ratio".into(), JsonValue::Number(ratio)),
-            (
-                "min_durable_ratio".into(),
-                JsonValue::Number(MIN_DURABLE_RATIO),
-            ),
         ]),
     );
 
     check_consistent(&memory);
     check_consistent(&durable);
-    if ratio < MIN_DURABLE_RATIO {
-        eprintln!(
-            "REGRESSION: durable arm below the {MIN_DURABLE_RATIO}× throughput budget (×{ratio:.2})"
-        );
-        std::process::exit(1);
-    }
 }
 
 fn write_json(path: &str, json: JsonValue) {

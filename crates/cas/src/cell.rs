@@ -35,6 +35,19 @@ pub trait CasEnsemble: Send + Sync {
     fn cas(&self, obj: ObjectId, exp: Word, new: Word) -> Word;
 }
 
+/// A shared ensemble is an ensemble: protocols own their ensemble by
+/// value, so one that must outlive them (or be inspected afterwards) is
+/// handed over as an `Arc`.
+impl<E: CasEnsemble + ?Sized> CasEnsemble for Arc<E> {
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn cas(&self, obj: ObjectId, exp: Word, new: Word) -> Word {
+        (**self).cas(obj, exp, new)
+    }
+}
+
 /// A [`CasCell`] view of one object of a shared ensemble.
 #[derive(Clone)]
 pub struct EnsembleCell<E: CasEnsemble + ?Sized> {

@@ -19,7 +19,7 @@
 //! anyway — is refunded to the budget.
 
 use crate::atomic::AtomicCas;
-use crate::budget::NativeBudget;
+use crate::budget::{NativeBudget, INLINE_OBJECTS};
 use crate::cell::CasEnsemble;
 use crate::policy::{splitmix64, FaultPolicy, NeverPolicy};
 use crate::raw::RawCas;
@@ -48,6 +48,52 @@ pub fn thread_process_id() -> ProcessId {
     THREAD_PID.with(|c| c.get())
 }
 
+/// The inner objects of an ensemble. One ensemble is built per
+/// consensus cell, so the common case — a handful of fresh native words
+/// — lives inside the ensemble itself instead of behind one heap
+/// allocation per object.
+enum Cells {
+    /// Up to [`INLINE_OBJECTS`] fresh [`AtomicCas`] words (`len` in use).
+    Inline {
+        len: usize,
+        words: [AtomicCas; INLINE_OBJECTS],
+    },
+    /// Larger ensembles, and caller-supplied inner objects
+    /// ([`FaultyCasArrayBuilder::over_cells`]).
+    Heap(Vec<Arc<dyn RawCas>>),
+}
+
+impl Cells {
+    fn fresh(count: usize) -> Self {
+        if count <= INLINE_OBJECTS {
+            Cells::Inline {
+                len: count,
+                words: std::array::from_fn(|_| AtomicCas::new()),
+            }
+        } else {
+            Cells::Heap(
+                (0..count)
+                    .map(|_| Arc::new(AtomicCas::new()) as Arc<dyn RawCas>)
+                    .collect(),
+            )
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Cells::Inline { len, .. } => *len,
+            Cells::Heap(cells) => cells.len(),
+        }
+    }
+
+    fn get(&self, obj: ObjectId) -> &dyn RawCas {
+        match self {
+            Cells::Inline { len, words } => &words[..*len][obj.0],
+            Cells::Heap(cells) => &*cells[obj.0],
+        }
+    }
+}
+
 /// A CAS ensemble whose designated faulty objects inject functional
 /// faults, within an `(f, t)` budget.
 ///
@@ -55,21 +101,27 @@ pub fn thread_process_id() -> ProcessId {
 /// [`RawCas`] implementation can be wrapped instead
 /// ([`FaultyCasArrayBuilder::over_cells`]) — that is how the robust
 /// constructions are composed over the weaker-primitive substrates.
-pub struct FaultyCasArray {
-    cells: Vec<Arc<dyn RawCas>>,
+///
+/// The policy `P` is held by value, which together with the inline
+/// words and budget makes a small ensemble one flat value; pass a
+/// `Box<dyn FaultPolicy>` where the policy is only known at run time.
+pub struct FaultyCasArray<P> {
+    cells: Cells,
     kind: FaultKind,
     budget: NativeBudget,
-    policy: Box<dyn FaultPolicy>,
+    policy: P,
     stats: Arc<EnsembleStats>,
     history: Option<Mutex<History>>,
 }
 
-impl FaultyCasArray {
+impl FaultyCasArray<NeverPolicy> {
     /// Start building an ensemble of `count` objects (all `⊥`).
-    pub fn builder(count: usize) -> FaultyCasArrayBuilder {
+    pub fn builder(count: usize) -> FaultyCasArrayBuilder<NeverPolicy> {
         FaultyCasArrayBuilder::new(count)
     }
+}
 
+impl<P> FaultyCasArray<P> {
     /// The fault kind this ensemble's faulty objects exhibit.
     pub fn kind(&self) -> FaultKind {
         self.kind
@@ -115,13 +167,13 @@ impl FaultyCasArray {
     }
 }
 
-impl CasEnsemble for FaultyCasArray {
+impl<P: FaultPolicy> CasEnsemble for FaultyCasArray<P> {
     fn len(&self) -> usize {
         self.cells.len()
     }
 
     fn cas(&self, obj: ObjectId, exp: Word, new: Word) -> Word {
-        let cell = &self.cells[obj.0];
+        let cell = self.cells.get(obj);
         let op_index = self.stats.record_op(obj);
 
         let attempt = self.budget.is_faulty_object(obj)
@@ -210,34 +262,44 @@ impl CasEnsemble for FaultyCasArray {
     }
 }
 
+/// Which objects of an ensemble under construction may fault.
+enum FaultySet {
+    /// Objects `0 … f-1`.
+    First(usize),
+    /// An explicit set.
+    Listed(Vec<ObjectId>),
+}
+
 /// Builder for [`FaultyCasArray`].
-pub struct FaultyCasArrayBuilder {
+pub struct FaultyCasArrayBuilder<P> {
     count: usize,
     kind: FaultKind,
-    faulty_set: Vec<ObjectId>,
+    faulty_set: FaultySet,
     per_object: Bound,
-    policy: Box<dyn FaultPolicy>,
+    policy: P,
     record_history: bool,
     shared_stats: Option<Arc<EnsembleStats>>,
     inner_cells: Option<Vec<Arc<dyn RawCas>>>,
 }
 
-impl FaultyCasArrayBuilder {
+impl FaultyCasArrayBuilder<NeverPolicy> {
     /// Defaults: no faulty objects, overriding kind, never-fault policy,
     /// history recording on.
     pub fn new(count: usize) -> Self {
         FaultyCasArrayBuilder {
             count,
             kind: FaultKind::Overriding,
-            faulty_set: Vec::new(),
+            faulty_set: FaultySet::First(0),
             per_object: Bound::Finite(0),
-            policy: Box::new(NeverPolicy),
+            policy: NeverPolicy,
             record_history: true,
             shared_stats: None,
             inner_cells: None,
         }
     }
+}
 
+impl<P: FaultPolicy> FaultyCasArrayBuilder<P> {
     /// Set the fault kind.
     pub fn kind(mut self, kind: FaultKind) -> Self {
         self.kind = kind;
@@ -246,13 +308,13 @@ impl FaultyCasArrayBuilder {
 
     /// Designate an explicit faulty set.
     pub fn faulty_objects(mut self, objs: impl IntoIterator<Item = ObjectId>) -> Self {
-        self.faulty_set = objs.into_iter().collect();
+        self.faulty_set = FaultySet::Listed(objs.into_iter().collect());
         self
     }
 
     /// Designate the first `f` objects as the faulty set.
     pub fn faulty_first(mut self, f: usize) -> Self {
-        self.faulty_set = (0..f).map(ObjectId).collect();
+        self.faulty_set = FaultySet::First(f);
         self
     }
 
@@ -263,9 +325,17 @@ impl FaultyCasArrayBuilder {
     }
 
     /// The fault policy.
-    pub fn policy(mut self, policy: impl FaultPolicy + 'static) -> Self {
-        self.policy = Box::new(policy);
-        self
+    pub fn policy<Q: FaultPolicy>(self, policy: Q) -> FaultyCasArrayBuilder<Q> {
+        FaultyCasArrayBuilder {
+            count: self.count,
+            kind: self.kind,
+            faulty_set: self.faulty_set,
+            per_object: self.per_object,
+            policy,
+            record_history: self.record_history,
+            shared_stats: self.shared_stats,
+            inner_cells: self.inner_cells,
+        }
     }
 
     /// Enable/disable history recording (disable for throughput benches).
@@ -321,14 +391,18 @@ impl FaultyCasArrayBuilder {
     }
 
     /// Build the ensemble.
-    pub fn build(self) -> FaultyCasArray {
-        let budget = NativeBudget::new(self.count, &self.faulty_set, self.per_object);
+    pub fn build(self) -> FaultyCasArray<P> {
+        let budget = match self.faulty_set {
+            FaultySet::First(f) => {
+                NativeBudget::new(self.count, (0..f).map(ObjectId), self.per_object)
+            }
+            FaultySet::Listed(objs) => NativeBudget::new(self.count, objs, self.per_object),
+        };
         FaultyCasArray {
-            cells: self.inner_cells.unwrap_or_else(|| {
-                (0..self.count)
-                    .map(|_| Arc::new(AtomicCas::new()) as Arc<dyn RawCas>)
-                    .collect()
-            }),
+            cells: match self.inner_cells {
+                Some(cells) => Cells::Heap(cells),
+                None => Cells::fresh(self.count),
+            },
             kind: self.kind,
             budget,
             policy: self.policy,
@@ -355,6 +429,97 @@ mod tests {
         assert_eq!(a.cas(ObjectId(0), 5, 9), 5);
         assert_eq!(a.stats().total_observable(), 0);
         assert_eq!(a.history().len(), 3);
+    }
+
+    /// Drive every object of an ensemble through the same script —
+    /// a correct CAS, a mismatching CAS under an always-fault policy,
+    /// a probe — and return everything observable about it.
+    fn run_script<P: FaultPolicy>(a: &FaultyCasArray<P>) -> (Vec<Word>, Vec<crate::ObjectStats>) {
+        let mut returned = Vec::new();
+        for i in 0..a.len() {
+            let obj = ObjectId(i);
+            let base = 10 * i as Word;
+            returned.push(a.cas(obj, BOTTOM, base + 1));
+            returned.push(a.cas(obj, BOTTOM, base + 2));
+            returned.push(a.cas(obj, base + 2, base + 3));
+        }
+        (returned, a.stats().all())
+    }
+
+    #[test]
+    fn inline_and_heap_ensembles_behave_alike() {
+        // 4 objects live inside the ensemble, 5 behind the heap vector:
+        // per object, the same script must read the same either way.
+        let build = |n: usize| {
+            FaultyCasArray::builder(n)
+                .faulty_objects([ObjectId(0), ObjectId(n - 1)])
+                .per_object(Bound::Finite(1))
+                .policy(AlwaysPolicy)
+                .build()
+        };
+        let (inline, heap) = (build(INLINE_OBJECTS), build(INLINE_OBJECTS + 1));
+        assert!(matches!(inline.cells, Cells::Inline { len: 4, .. }));
+        assert!(matches!(heap.cells, Cells::Heap(_)));
+        assert_eq!((inline.len(), heap.len()), (4, 5));
+        let (got4, stats4) = run_script(&inline);
+        let (got5, stats5) = run_script(&heap);
+        // Object 0 is faulty in both, objects 1–2 correct in both.
+        assert_eq!(got4[..9], got5[..9]);
+        assert_eq!(stats4[..3], stats5[..3]);
+        // The last object of each is faulty: one override, then correct.
+        assert_eq!(got4[9..], [BOTTOM, 31, 32]);
+        assert_eq!(got5[12..], [BOTTOM, 41, 42]);
+        assert_eq!(stats4[3], stats5[4]);
+        assert_eq!(stats4[3].observable_faults, 1);
+        // Object 3 of the 5-object ensemble is correct.
+        assert_eq!(got5[9..12], [BOTTOM, 31, 31]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn inline_ensemble_rejects_objects_past_its_length() {
+        FaultyCasArray::builder(2)
+            .build()
+            .cas(ObjectId(2), BOTTOM, 1);
+    }
+
+    #[test]
+    fn over_cells_matches_fresh_native_words() {
+        // Injecting over caller-supplied AtomicCas cells is the same
+        // ensemble as the built-in words, object for object.
+        let build = |over: bool| {
+            let b = FaultyCasArray::builder(3)
+                .kind(FaultKind::Silent)
+                .faulty_first(2)
+                .per_object(Bound::Finite(2))
+                .policy(FirstKPolicy::new(2));
+            if over {
+                let cells = (0..3)
+                    .map(|_| Arc::new(AtomicCas::new()) as Arc<dyn RawCas>)
+                    .collect();
+                b.over_cells(cells).build()
+            } else {
+                b.build()
+            }
+        };
+        let (native, over) = (build(false), build(true));
+        assert!(matches!(native.cells, Cells::Inline { .. }));
+        assert!(matches!(over.cells, Cells::Heap(_)));
+        assert_eq!(run_script(&native), run_script(&over));
+        assert_eq!(native.history().events(), over.history().events());
+    }
+
+    #[test]
+    fn boxed_policy_is_a_policy() {
+        let policy: Box<dyn FaultPolicy> = Box::new(AlwaysPolicy);
+        let a = FaultyCasArray::builder(1)
+            .faulty_first(1)
+            .per_object(Bound::Unbounded)
+            .policy(policy)
+            .build();
+        a.cas(ObjectId(0), BOTTOM, 5);
+        assert_eq!(a.cas(ObjectId(0), BOTTOM, 9), 5, "override landed");
+        assert_eq!(a.stats().total_observable(), 1);
     }
 
     #[test]

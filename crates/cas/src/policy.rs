@@ -27,6 +27,13 @@ pub trait FaultPolicy: Send + Sync {
     fn should_fault(&self, obj: ObjectId, op_index: u64) -> bool;
 }
 
+/// A policy chosen at run time: lets one ensemble type carry any policy.
+impl FaultPolicy for Box<dyn FaultPolicy> {
+    fn should_fault(&self, obj: ObjectId, op_index: u64) -> bool {
+        (**self).should_fault(obj, op_index)
+    }
+}
+
 /// Never attempt a fault.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NeverPolicy;

@@ -10,28 +10,28 @@
 use crate::protocol::Consensus;
 use ff_cas::CasEnsemble;
 use ff_spec::{Bound, Input, ObjectId, Tolerance, BOTTOM};
-use std::sync::Arc;
 
-/// Herlihy's consensus from one CAS object.
-pub struct HerlihyConsensus<E: CasEnsemble + ?Sized> {
-    ensemble: Arc<E>,
+/// Herlihy's consensus from one CAS object. Owns its ensemble; pass an
+/// `Arc` (itself a [`CasEnsemble`]) to keep a handle on it.
+pub struct HerlihyConsensus<E: CasEnsemble> {
+    ensemble: E,
     object: ObjectId,
 }
 
-impl<E: CasEnsemble + ?Sized> HerlihyConsensus<E> {
+impl<E: CasEnsemble> HerlihyConsensus<E> {
     /// Build over object 0 of `ensemble` (which must have ≥ 1 object).
-    pub fn new(ensemble: Arc<E>) -> Self {
+    pub fn new(ensemble: E) -> Self {
         Self::on_object(ensemble, ObjectId(0))
     }
 
     /// Build over a specific object of `ensemble`.
-    pub fn on_object(ensemble: Arc<E>, object: ObjectId) -> Self {
+    pub fn on_object(ensemble: E, object: ObjectId) -> Self {
         assert!(object.0 < ensemble.len(), "object {object} out of range");
         HerlihyConsensus { ensemble, object }
     }
 }
 
-impl<E: CasEnsemble + ?Sized> Consensus for HerlihyConsensus<E> {
+impl<E: CasEnsemble> Consensus for HerlihyConsensus<E> {
     fn decide(&self, val: Input) -> Input {
         let old = self.ensemble.cas(self.object, BOTTOM, val.to_word());
         match Input::from_word(old) {
@@ -63,6 +63,7 @@ mod tests {
     use ff_spec::check_consensus;
     use ff_spec::Outcome;
     use ff_spec::ProcessId;
+    use std::sync::Arc;
 
     fn outcomes_of(decisions: &[(u32, Input)]) -> Vec<Outcome> {
         decisions

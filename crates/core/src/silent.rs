@@ -14,12 +14,12 @@
 use crate::protocol::Consensus;
 use ff_cas::CasEnsemble;
 use ff_spec::{Bound, Input, ObjectId, Tolerance, BOTTOM};
-use std::sync::Arc;
 
 /// Herlihy-with-retries, tolerant of a bounded total number of silent
-/// faults on its single object.
-pub struct SilentRetryConsensus<E: CasEnsemble + ?Sized> {
-    ensemble: Arc<E>,
+/// faults on its single object. Owns its ensemble; pass an `Arc` (itself
+/// a [`CasEnsemble`]) to keep a handle on it.
+pub struct SilentRetryConsensus<E: CasEnsemble> {
+    ensemble: E,
     /// Total silent-fault bound the construction is declared for.
     t: u64,
     /// Retry cap: `t + 2` suffices within tolerance; we add headroom so an
@@ -27,10 +27,10 @@ pub struct SilentRetryConsensus<E: CasEnsemble + ?Sized> {
     retry_cap: u64,
 }
 
-impl<E: CasEnsemble + ?Sized> SilentRetryConsensus<E> {
+impl<E: CasEnsemble> SilentRetryConsensus<E> {
     /// Build over object 0 of `ensemble`, tolerating at most `t` silent
     /// faults in total.
-    pub fn new(ensemble: Arc<E>, t: u64) -> Self {
+    pub fn new(ensemble: E, t: u64) -> Self {
         assert!(!ensemble.is_empty(), "needs one CAS object");
         SilentRetryConsensus {
             ensemble,
@@ -40,7 +40,7 @@ impl<E: CasEnsemble + ?Sized> SilentRetryConsensus<E> {
     }
 }
 
-impl<E: CasEnsemble + ?Sized> Consensus for SilentRetryConsensus<E> {
+impl<E: CasEnsemble> Consensus for SilentRetryConsensus<E> {
     fn decide(&self, val: Input) -> Input {
         for _ in 0..self.retry_cap {
             let old = self.ensemble.cas(ObjectId(0), BOTTOM, val.to_word());
@@ -76,6 +76,7 @@ mod tests {
     use super::*;
     use ff_cas::{AtomicCasArray, FaultyCasArray, FirstKPolicy};
     use ff_spec::FaultKind;
+    use std::sync::Arc;
 
     #[test]
     fn fault_free_agreement() {

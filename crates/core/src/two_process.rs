@@ -75,7 +75,7 @@ mod tests {
     use super::*;
     use ff_cas::{AlwaysPolicy, FaultyCasArray};
 
-    fn faulty_ensemble() -> Arc<FaultyCasArray> {
+    fn faulty_ensemble() -> Arc<FaultyCasArray<AlwaysPolicy>> {
         Arc::new(
             FaultyCasArray::builder(1)
                 .faulty_first(1)

@@ -94,16 +94,17 @@ impl FaultPolicy for KnobPolicy {
 
 /// Figure 2's cascade, hardened for *arbitrary* faults: non-input words
 /// are skipped instead of aborting (see the module docs for why this is
-/// sound).
-pub struct GuardedCascadeConsensus<E: CasEnsemble + ?Sized> {
-    ensemble: Arc<E>,
+/// sound). Owns its ensemble, so a cell is one heap object; pass an
+/// `Arc` (itself a [`CasEnsemble`]) to keep a handle on it.
+pub struct GuardedCascadeConsensus<E: CasEnsemble> {
+    ensemble: E,
     f: usize,
 }
 
-impl<E: CasEnsemble + ?Sized> GuardedCascadeConsensus<E> {
+impl<E: CasEnsemble> GuardedCascadeConsensus<E> {
     /// Build the `f`-tolerant protocol; `ensemble` must hold exactly
     /// `f + 1` objects.
-    pub fn new(ensemble: Arc<E>, f: usize) -> Self {
+    pub fn new(ensemble: E, f: usize) -> Self {
         assert_eq!(
             ensemble.len(),
             f + 1,
@@ -115,7 +116,7 @@ impl<E: CasEnsemble + ?Sized> GuardedCascadeConsensus<E> {
     }
 }
 
-impl<E: CasEnsemble + ?Sized> Consensus for GuardedCascadeConsensus<E> {
+impl<E: CasEnsemble> Consensus for GuardedCascadeConsensus<E> {
     fn decide(&self, val: Input) -> Input {
         let mut output = val;
         for i in 0..=self.f {
@@ -149,17 +150,17 @@ impl<E: CasEnsemble + ?Sized> Consensus for GuardedCascadeConsensus<E> {
 /// substrate the paper proves broken (E10's negative arm), here with
 /// junk words degraded deterministically instead of panicking so a soak
 /// can *observe* the divergence rather than crash on it.
-pub(crate) struct NaiveConsensus<E: CasEnsemble + ?Sized> {
-    ensemble: Arc<E>,
+pub(crate) struct NaiveConsensus<E: CasEnsemble> {
+    ensemble: E,
 }
 
-impl<E: CasEnsemble + ?Sized> NaiveConsensus<E> {
-    pub(crate) fn new(ensemble: Arc<E>) -> Self {
+impl<E: CasEnsemble> NaiveConsensus<E> {
+    pub(crate) fn new(ensemble: E) -> Self {
         NaiveConsensus { ensemble }
     }
 }
 
-impl<E: CasEnsemble + ?Sized> Consensus for NaiveConsensus<E> {
+impl<E: CasEnsemble> Consensus for NaiveConsensus<E> {
     fn decide(&self, val: Input) -> Input {
         let old = self.ensemble.cas(ObjectId(0), BOTTOM, val.to_word());
         if old == BOTTOM {

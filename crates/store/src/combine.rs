@@ -144,11 +144,12 @@ impl Slot {
     }
 }
 
-/// Live counters of the combining layer, shared by every shard core of
-/// one store. Everything is a relaxed atomic increment — safe to leave
-/// on during a soak.
+/// One shard core's counters, on cache lines of their own: a combine
+/// pass or a fast-path GET on one shard never writes a line another
+/// shard's threads are writing.
 #[derive(Debug, Default)]
-pub struct CombineStats {
+#[repr(align(128))]
+struct ShardCombineStats {
     passes: AtomicU64,
     combined_ops: AtomicU64,
     batch_sizes: Histogram,
@@ -158,32 +159,57 @@ pub struct CombineStats {
     reclaims: AtomicU64,
 }
 
-impl CombineStats {
-    fn record_pass(&self, ops: usize) {
-        self.passes.fetch_add(1, Ordering::Relaxed);
-        self.combined_ops.fetch_add(ops as u64, Ordering::Relaxed);
-        self.batch_sizes.record(ops as u64);
-        self.max_batch.fetch_max(ops as u64, Ordering::Relaxed);
-    }
+/// Live counters of the combining layer: one padded block per shard
+/// core, summed by [`CombineStats::snapshot`]. Everything is a relaxed
+/// atomic increment — safe to leave on during a soak.
+#[derive(Debug)]
+pub struct CombineStats {
+    shards: Box<[ShardCombineStats]>,
+}
 
-    fn record_fastpath(&self, hit: bool) {
-        if hit {
-            self.fastpath_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fastpath_misses.fetch_add(1, Ordering::Relaxed);
+impl CombineStats {
+    /// Counters for a store of `shards` shard cores.
+    pub fn new(shards: usize) -> Self {
+        CombineStats {
+            shards: (0..shards).map(|_| ShardCombineStats::default()).collect(),
         }
     }
 
-    fn record_reclaim(&self) {
-        self.reclaims.fetch_add(1, Ordering::Relaxed);
+    fn record_pass(&self, shard: usize, ops: usize) {
+        let stats = &self.shards[shard];
+        stats.passes.fetch_add(1, Ordering::Relaxed);
+        stats.combined_ops.fetch_add(ops as u64, Ordering::Relaxed);
+        stats.batch_sizes.record(ops as u64);
+        stats.max_batch.fetch_max(ops as u64, Ordering::Relaxed);
     }
 
-    /// Point-in-time snapshot.
+    fn record_fastpath(&self, shard: usize, hit: bool) {
+        let stats = &self.shards[shard];
+        if hit {
+            stats.fastpath_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            stats.fastpath_misses.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn record_reclaim(&self, shard: usize) {
+        self.shards[shard].reclaims.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Point-in-time snapshot, summed over shards.
     pub fn snapshot(&self) -> CombineSnapshot {
-        let passes = self.passes.load(Ordering::Relaxed);
-        let combined_ops = self.combined_ops.load(Ordering::Relaxed);
-        let hits = self.fastpath_hits.load(Ordering::Relaxed);
-        let misses = self.fastpath_misses.load(Ordering::Relaxed);
+        let sum = |counter: fn(&ShardCombineStats) -> &AtomicU64| -> u64 {
+            self.shards
+                .iter()
+                .map(|s| counter(s).load(Ordering::Relaxed))
+                .sum()
+        };
+        let passes = sum(|s| &s.passes);
+        let combined_ops = sum(|s| &s.combined_ops);
+        let batch_sizes = Histogram::default();
+        for s in self.shards.iter() {
+            batch_sizes.absorb(&s.batch_sizes);
+        }
         CombineSnapshot {
             passes,
             combined_ops,
@@ -192,12 +218,17 @@ impl CombineStats {
             } else {
                 0.0
             },
-            p50_batch: self.batch_sizes.quantile(0.50),
-            p95_batch: self.batch_sizes.quantile(0.95),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            fastpath_hits: hits,
-            fastpath_misses: misses,
-            reclaims: self.reclaims.load(Ordering::Relaxed),
+            p50_batch: batch_sizes.quantile(0.50),
+            p95_batch: batch_sizes.quantile(0.95),
+            max_batch: self
+                .shards
+                .iter()
+                .map(|s| s.max_batch.load(Ordering::Relaxed))
+                .max()
+                .unwrap_or(0),
+            fastpath_hits: sum(|s| &s.fastpath_hits),
+            fastpath_misses: sum(|s| &s.fastpath_misses),
+            reclaims: sum(|s| &s.reclaims),
         }
     }
 }
@@ -266,6 +297,19 @@ impl CombineSnapshot {
     }
 }
 
+/// The shared core replica plus the buffers a combine pass fills, kept
+/// beside it so they are reused under the same write lock instead of
+/// being allocated per pass.
+struct CoreReplica {
+    handle: Handle<KvMap>,
+    /// The sealed units' op words, concatenated.
+    words: Vec<u64>,
+    /// Ops per sealed unit, in `words` order.
+    counts: Vec<usize>,
+    /// One response per word.
+    resps: Vec<u64>,
+}
+
 /// One shard's combining core: the announce-slot registry, the shared
 /// core replica, and the advisory combiner flag.
 pub(crate) struct ShardCore {
@@ -273,9 +317,12 @@ pub(crate) struct ShardCore {
     log: Arc<UniversalLog>,
     /// The shared replica every combine pass drives forward. Write =
     /// combiner executing; read = wait-free GET snapshot.
-    replica: RwLock<Handle<KvMap>>,
+    replica: RwLock<CoreReplica>,
     /// Registered announce slots (one per live combining client).
     slots: RwLock<Vec<Arc<Slot>>>,
+    /// The emptied claim list of the last finished pass, for the next
+    /// one to fill (a pass that finds it taken allocates its own).
+    spare_claims: Mutex<Vec<(Arc<Slot>, u32)>>,
     /// Advisory single-combiner flag; correctness never depends on it.
     combiner_busy: AtomicBool,
     /// Owner reclaim of `CLAIMED` slots enabled (the lease rule). Off,
@@ -293,8 +340,9 @@ pub(crate) struct ShardCore {
 
 /// What one poll of a published slot found.
 pub(crate) enum SlotPoll {
-    /// Delivered: one response word per published op.
-    Ready(Vec<u64>),
+    /// Delivered: the poller's buffer now holds one response word per
+    /// published op.
+    Ready,
     /// Delivered as divergence evidence (an error, never wrong data).
     Failed,
     /// Still `PENDING` — unclaimed, the poller may combine it itself.
@@ -326,12 +374,18 @@ impl ShardCore {
         lease: bool,
         reclaim_after: u32,
     ) -> Self {
-        let replica = Handle::new(Arc::clone(&log), pid, KvMap::default());
+        let handle = Handle::new(Arc::clone(&log), pid, KvMap::default());
         ShardCore {
             shard,
             log,
-            replica: RwLock::new(replica),
+            replica: RwLock::new(CoreReplica {
+                handle,
+                words: Vec::new(),
+                counts: Vec::new(),
+                resps: Vec::new(),
+            }),
             slots: RwLock::new(Vec::new()),
+            spare_claims: Mutex::new(Vec::new()),
             combiner_busy: AtomicBool::new(false),
             lease,
             reclaim_after,
@@ -357,12 +411,12 @@ impl ShardCore {
     /// Catch the core replica up to the end of the shard's log (used by
     /// verification). Returns the slots applied.
     pub(crate) fn catch_up(&self) -> usize {
-        self.replica.write().catch_up()
+        self.replica.write().handle.catch_up()
     }
 
     /// Run `f` over the caught-up core replica (verification only).
     pub(crate) fn with_replica<R>(&self, f: impl FnOnce(&Handle<KvMap>) -> R) -> R {
-        f(&self.replica.read())
+        f(&self.replica.read().handle)
     }
 
     #[cfg(test)]
@@ -396,15 +450,16 @@ impl ShardCore {
         // `slots_created` counts every cell ever minted — a conservative
         // upper bound on the decided tail, so freshness proven against
         // it covers every operation that completed before this read
-        // began (a completed op's slot is decided, hence created).
+        // began (a completed op's slot is decided, hence created). It
+        // is one atomic load: the log publishes its tail.
         let tail = self.log.slots_created();
         let replica = self.replica.read();
-        if replica.applied_to() >= tail {
-            self.stats.record_fastpath(true);
-            Some(Ok(replica.state().peek(key)))
+        if replica.handle.applied_to() >= tail {
+            self.stats.record_fastpath(self.shard, true);
+            Some(Ok(replica.handle.state().peek(key)))
         } else {
             drop(replica);
-            self.stats.record_fastpath(false);
+            self.stats.record_fastpath(self.shard, false);
             None
         }
     }
@@ -434,15 +489,17 @@ impl ShardCore {
     /// bound, a still-`CLAIMED` op is taken back from its (stalled or
     /// dead) combiner and republished under a fresh epoch — the lease
     /// rule. Returns what the poll found; `Ready`/`Failed` consume the
-    /// unit and release the slot.
-    pub(crate) fn poll(&self, mine: &Arc<Slot>, waited: u32) -> SlotPoll {
+    /// unit and release the slot. On `Ready` the responses are in
+    /// `out`: it is swapped with the slot's result buffer, so both keep
+    /// their capacity and a steady caller never allocates.
+    pub(crate) fn poll(&self, mine: &Arc<Slot>, waited: u32, out: &mut Vec<u64>) -> SlotPoll {
         let word = mine.state.load(Ordering::Acquire);
         match state_of(word) {
             DONE => {
-                let out = std::mem::take(&mut *mine.results.lock());
+                std::mem::swap(out, &mut *mine.results.lock());
                 mine.state
                     .store(pack(EMPTY, epoch_of(word)), Ordering::Release);
-                SlotPoll::Ready(out)
+                SlotPoll::Ready
             }
             FAILED => {
                 mine.state
@@ -465,7 +522,7 @@ impl ShardCore {
                     )
                     .is_ok()
                 {
-                    self.stats.record_reclaim();
+                    self.stats.record_reclaim(self.shard);
                     SlotPoll::Pending
                 } else {
                     SlotPoll::Claimed
@@ -492,7 +549,7 @@ impl ShardCore {
         // Claim phase — lock-free with respect to other combiners: each
         // slot moves (PENDING, e) → (CLAIMED, e) by CAS, so racing
         // combiners split the pending set and no op is taken twice.
-        let mut claimed: Vec<(Arc<Slot>, u32)> = Vec::new();
+        let mut claimed = std::mem::take(&mut *self.spare_claims.lock());
         {
             let slots = self.slots.read();
             for s in slots.iter() {
@@ -513,6 +570,7 @@ impl ShardCore {
         }
         self.park_point();
         if claimed.is_empty() {
+            *self.spare_claims.lock() = claimed;
             if !force {
                 self.combiner_busy.store(false, Ordering::Release);
             }
@@ -530,44 +588,49 @@ impl ShardCore {
     /// all inside the same critical section, so a pass that runs at all
     /// runs to delivery. Returns whether any ops were drained.
     pub(crate) fn finish_combine(&self, pass: CombinePass) -> bool {
-        let CombinePass { claimed, forced } = pass;
-        let mut sealed: Vec<(Arc<Slot>, u32)> = Vec::with_capacity(claimed.len());
+        let CombinePass {
+            mut claimed,
+            forced,
+        } = pass;
         let drained = {
             let mut replica = self.replica.write();
+            let CoreReplica {
+                handle,
+                words,
+                counts,
+                resps,
+            } = &mut *replica;
             // Seal: pin each claim with a CAS on its exact (CLAIMED, e)
             // word. A failed seal means the owner reclaimed the op — it
             // is someone else's to apply now, so it leaves the batch.
-            for (s, e) in claimed {
-                if s.state
+            claimed.retain(|(s, e)| {
+                s.state
                     .compare_exchange(
-                        pack(CLAIMED, e),
-                        pack(SEALED, e),
+                        pack(CLAIMED, *e),
+                        pack(SEALED, *e),
                         Ordering::AcqRel,
                         Ordering::Relaxed,
                     )
                     .is_ok()
-                {
-                    sealed.push((s, e));
-                }
-            }
-            if sealed.is_empty() {
+            });
+            if claimed.is_empty() {
                 false
             } else {
-                let mut words: Vec<u64> = Vec::new();
-                let mut counts: Vec<usize> = Vec::with_capacity(sealed.len());
-                for (s, _) in &sealed {
+                words.clear();
+                counts.clear();
+                for (s, _) in &claimed {
                     let ops = s.ops.lock();
                     words.extend_from_slice(&ops);
                     counts.push(ops.len());
                 }
                 // Execute — one decided slot for the whole drain.
-                let resps = replica.invoke_many(&words);
+                handle.invoke_many_into(words, resps);
                 let diverged = self.log.divergence_detected();
-                self.stats.record_pass(words.len());
+                self.stats.record_pass(self.shard, words.len());
                 // Distribute, still under the lock: a sealed op is
                 // always delivered by the pass that sealed it.
                 let mut off = 0;
-                for ((s, e), n) in sealed.iter().zip(&counts) {
+                for ((s, e), n) in claimed.iter().zip(counts.iter()) {
                     {
                         let mut out = s.results.lock();
                         out.clear();
@@ -582,6 +645,8 @@ impl ShardCore {
                 true
             }
         };
+        claimed.clear();
+        *self.spare_claims.lock() = claimed;
         if !forced {
             self.combiner_busy.store(false, Ordering::Release);
         }
@@ -589,16 +654,21 @@ impl ShardCore {
     }
 
     /// Publish `ops` as one pending unit and wait for a combiner
-    /// (possibly this caller) to execute and deliver. Returns one
-    /// response word per op, or the shard index on divergence. Built
-    /// on the same publish/poll/begin/finish primitives the split-phase
-    /// (simulation-drivable) API exposes.
-    pub(crate) fn submit(&self, mine: &Arc<Slot>, ops: &[u64]) -> Result<Vec<u64>, usize> {
+    /// (possibly this caller) to execute and deliver. Leaves one
+    /// response word per op in `out`, or returns the shard index on
+    /// divergence. Built on the same publish/poll/begin/finish
+    /// primitives the split-phase (simulation-drivable) API exposes.
+    pub(crate) fn submit(
+        &self,
+        mine: &Arc<Slot>,
+        ops: &[u64],
+        out: &mut Vec<u64>,
+    ) -> Result<(), usize> {
         self.publish(mine, ops);
         let mut spins = 0u32;
         loop {
-            match self.poll(mine, spins) {
-                SlotPoll::Ready(out) => return Ok(out),
+            match self.poll(mine, spins, out) {
+                SlotPoll::Ready => return Ok(()),
                 SlotPoll::Failed => return Err(self.shard),
                 // Unclaimed: try to combine it ourselves — advisory
                 // first, forced once the current combiner has had

@@ -535,7 +535,7 @@ impl Store {
                 // Fresh store: truncate whatever a previous run left in
                 // the dir, so stale records cannot trail new ones.
                 for w in &wals {
-                    w.reset_from_recovery(None, Vec::new())?;
+                    w.reset_from_recovery(None, wal::SlotFrames::default())?;
                 }
             }
             for (sh, w) in shards.iter().zip(&wals) {
@@ -551,7 +551,7 @@ impl Store {
         // this single shared pid, so it is minted first, ahead of any
         // client pid.
         let combine = config.combining.then(|| {
-            let stats = Arc::new(CombineStats::default());
+            let stats = Arc::new(CombineStats::new(shards.len()));
             Arc::new(CombineLayer {
                 cores: shards
                     .iter()
@@ -699,6 +699,7 @@ impl Store {
                 combined: Some(CombinedView {
                     layer: Arc::clone(layer),
                     slots,
+                    resps: Vec::new(),
                 }),
             });
         }
@@ -815,6 +816,9 @@ impl Store {
 struct CombinedView {
     layer: Arc<CombineLayer>,
     slots: Vec<Arc<combine::Slot>>,
+    /// The last delivered unit's response words; swapped with the
+    /// slot's result buffer on delivery, so neither is reallocated.
+    resps: Vec<u64>,
 }
 
 /// A worker's view of the store: one replica handle per shard — or, in
@@ -882,12 +886,14 @@ impl StoreClient {
     }
 
     /// Publish validated op words to shard `s`'s combining core and
-    /// wait for a combiner (possibly this thread) to deliver.
-    fn submit_combined(&self, s: usize, words: &[u64]) -> Result<Vec<u64>, StoreError> {
-        let cb = self.combined.as_ref().expect("combining mode");
+    /// wait for a combiner (possibly this thread) to deliver one
+    /// response word per op.
+    fn submit_combined(&mut self, s: usize, words: &[u64]) -> Result<&[u64], StoreError> {
+        let cb = self.combined.as_mut().expect("combining mode");
         cb.layer.cores[s]
-            .submit(&cb.slots[s], words)
-            .map_err(|shard| StoreError::Divergence { shard })
+            .submit(&cb.slots[s], words, &mut cb.resps)
+            .map_err(|shard| StoreError::Divergence { shard })?;
+        Ok(&cb.resps)
     }
 
     /// Invoke one validated operation on its shard, surfacing the
@@ -995,16 +1001,19 @@ impl StoreClient {
     ) -> Result<Option<Vec<Option<u32>>>, StoreError> {
         let cb = self
             .combined
-            .as_ref()
+            .as_mut()
             .ok_or_else(|| StoreError::Protocol("not a combining store".to_string()))?;
         let core = &cb.layer.cores[pending.shard];
         let waited = pending.polls;
         pending.polls = pending.polls.saturating_add(1);
-        match core.poll(&cb.slots[pending.shard], waited) {
-            combine::SlotPoll::Ready(words) => {
-                debug_assert_eq!(words.len(), pending.n_ops);
+        match core.poll(&cb.slots[pending.shard], waited, &mut cb.resps) {
+            combine::SlotPoll::Ready => {
+                debug_assert_eq!(cb.resps.len(), pending.n_ops);
                 Ok(Some(
-                    words.iter().map(|&w| KvMap::decode_response(w)).collect(),
+                    cb.resps
+                        .iter()
+                        .map(|&w| KvMap::decode_response(w))
+                        .collect(),
                 ))
             }
             combine::SlotPoll::Failed => Err(StoreError::Divergence {
@@ -1117,7 +1126,7 @@ impl Kv for StoreClient {
                 }
                 let group: Vec<u64> = order[i..j].iter().map(|&k| words[k]).collect();
                 let resps = self.submit_combined(s, &group)?;
-                for (&k, &r) in order[i..j].iter().zip(resps.iter()) {
+                for (&k, &r) in order[i..j].iter().zip(resps) {
                     out[k] = KvMap::decode_response(r);
                 }
                 i = j;

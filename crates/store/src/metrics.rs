@@ -37,6 +37,14 @@ impl Histogram {
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Add every sample of `other` to this histogram (merging
+    /// per-shard histograms into one summary).
+    pub fn absorb(&self, other: &Histogram) {
+        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
+            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()

@@ -25,9 +25,7 @@
 //! log's slots are decided in order.
 
 use crate::map::KvMap;
-use crate::wal::{
-    encode_checkpoint, encode_slot, scan, shard_file, WalIoError, WalMedia, WalStats,
-};
+use crate::wal::{encode_checkpoint, scan, shard_file, SlotFrames, WalIoError, WalMedia, WalStats};
 use ff_universal::{Handle, UniversalLog};
 use std::sync::Arc;
 
@@ -189,7 +187,7 @@ pub(crate) fn recover_shard(
     // truncation watermark unregisters on drop. It never invokes, so
     // its pid is free for later clients.
     let mut replayer = Handle::new(Arc::clone(log), REPLAY_PID, KvMap::default());
-    let mut tail_frames: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut tail_frames = SlotFrames::default();
     let mut replayed = 0usize;
     let mut skipped = 0usize;
     for (i, entry) in scanned.entries.iter().enumerate().skip(tail_start) {
@@ -204,7 +202,7 @@ pub(crate) fn recover_shard(
                 if !agreed || replayer.digest() != *digest_after || log.divergence_detected() {
                     return Err(RecoverError::ReplayDivergence { shard, slot: *slot });
                 }
-                tail_frames.push((*slot, encode_slot(*slot, *opid, *digest_after, record)));
+                tail_frames.push(*slot, *opid, *digest_after, record);
                 expected += 1;
                 replayed += 1;
             }
@@ -253,5 +251,5 @@ const REPLAY_PID: u16 = 1023;
 pub(crate) struct RecoveredShard {
     pub outcome: ShardRecovery,
     pub ckpt_frame: Option<(usize, Vec<u8>)>,
-    pub tail_frames: Vec<(usize, Vec<u8>)>,
+    pub tail_frames: SlotFrames,
 }

@@ -51,7 +51,9 @@
 
 use crate::cells::{FaultConfig, FaultKnob, GuardedCascadeConsensus, KnobPolicy, NaiveConsensus};
 use crate::ConfigError;
-use ff_cas::{splitmix64, AtomicCasArray, EnsembleStats, FaultyCasArray, KwCasArray, RawCas};
+use ff_cas::{
+    splitmix64, AtomicCasArray, CasEnsemble, EnsembleStats, FaultyCasArray, KwCasArray, RawCas,
+};
 use ff_consensus::{Consensus, HerlihyConsensus, SilentRetryConsensus, WafConsensus};
 use ff_spec::{Bound, FaultKind};
 use std::str::FromStr;
@@ -100,24 +102,33 @@ impl<'a> CellCtx<'a> {
     /// A fault-injecting ensemble of `objects` fresh atomic cells, the
     /// first `faulty` of them faulty, wired to the shard's knob and
     /// stats. The injection stream is deterministic in the shard seed
-    /// and this cell's salt.
-    pub fn faulty_ensemble(&self, objects: usize, faulty: usize) -> Arc<FaultyCasArray> {
-        self.faulty_builder(objects, faulty).build().into()
+    /// and this cell's salt. Returned by value: a protocol that owns it
+    /// is one flat object (up to four objects, the words, countdowns
+    /// and policy all live inside the ensemble).
+    pub fn faulty_ensemble(&self, objects: usize, faulty: usize) -> impl CasEnsemble + 'static {
+        self.faulty_builder(objects, faulty).build()
     }
 
     /// Like [`CellCtx::faulty_ensemble`], but injecting over
     /// caller-supplied inner cells — the seam that composes the paper's
     /// constructions over *weaker* substrates (`cells.len()` must equal
     /// `objects`).
-    pub fn faulty_over(&self, cells: Vec<Arc<dyn RawCas>>, faulty: usize) -> Arc<FaultyCasArray> {
+    pub fn faulty_over(
+        &self,
+        cells: Vec<Arc<dyn RawCas>>,
+        faulty: usize,
+    ) -> impl CasEnsemble + 'static {
         let objects = cells.len();
         self.faulty_builder(objects, faulty)
             .over_cells(cells)
             .build()
-            .into()
     }
 
-    fn faulty_builder(&self, objects: usize, faulty: usize) -> ff_cas::FaultyCasArrayBuilder {
+    fn faulty_builder(
+        &self,
+        objects: usize,
+        faulty: usize,
+    ) -> ff_cas::FaultyCasArrayBuilder<KnobPolicy> {
         FaultyCasArray::builder(objects)
             .kind(self.fault.kind)
             .faulty_first(faulty)
@@ -218,7 +229,7 @@ fn robust_objects(fault: &FaultConfig) -> usize {
 /// The paper's construction choice over an injected ensemble: bounded
 /// retry for silent environments, the guarded Figure 2 cascade
 /// otherwise.
-fn robust_cell(ctx: &CellCtx, ensemble: Arc<FaultyCasArray>) -> Arc<dyn Consensus> {
+fn robust_cell(ctx: &CellCtx, ensemble: impl CasEnsemble + 'static) -> Arc<dyn Consensus> {
     if ctx.fault().kind == FaultKind::Silent {
         Arc::new(SilentRetryConsensus::new(ensemble, ctx.silent_budget()))
     } else {
@@ -260,7 +271,7 @@ impl Substrate for ReliableSubstrate {
         Ok(())
     }
     fn make_cell(&self, _ctx: &CellCtx) -> Arc<dyn Consensus> {
-        Arc::new(HerlihyConsensus::new(Arc::new(AtomicCasArray::new(1))))
+        Arc::new(HerlihyConsensus::new(AtomicCasArray::new(1)))
     }
 }
 
@@ -366,7 +377,7 @@ impl Substrate for KwCasSubstrate {
         Ok(())
     }
     fn make_cell(&self, _ctx: &CellCtx) -> Arc<dyn Consensus> {
-        Arc::new(HerlihyConsensus::new(Arc::new(KwCasArray::new(1))))
+        Arc::new(HerlihyConsensus::new(KwCasArray::new(1)))
     }
 }
 
@@ -440,7 +451,7 @@ impl Substrate for WfaSubstrate {
         Ok(())
     }
     fn make_cell(&self, _ctx: &CellCtx) -> Arc<dyn Consensus> {
-        let arb = Arc::new(HerlihyConsensus::new(Arc::new(AtomicCasArray::new(1))));
+        let arb = Arc::new(HerlihyConsensus::new(AtomicCasArray::new(1)));
         Arc::new(WafConsensus::new(WFA_SLOTS, arb))
     }
 }

@@ -407,51 +407,118 @@ fn decode_body(body: &[u8]) -> Option<WalEntry> {
     }
 }
 
-/// Wrap a body in the `[len][checksum]` frame.
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+/// Append one frame to `out`: reserve the header, let `body` write the
+/// body in place, then patch the length and checksum in — no scratch
+/// vector per record.
+fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_LEN]);
+    body(out);
+    let (header, written) = out[start..].split_at_mut(HEADER_LEN);
+    header[..4].copy_from_slice(&(written.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a(written).to_le_bytes());
+}
+
+/// Append one decided slot to `out` as a framed record.
+fn encode_slot_into(
+    out: &mut Vec<u8>,
+    slot: usize,
+    opid: u32,
+    digest_after: u64,
+    record: &SlotRecord,
+) {
+    frame_into(out, |body| {
+        let tag = match record {
+            SlotRecord::Single(_) => TAG_SLOT_SINGLE,
+            SlotRecord::Batch(_) => TAG_SLOT_BATCH,
+        };
+        body.push(tag);
+        body.extend_from_slice(&(slot as u64).to_le_bytes());
+        body.extend_from_slice(&opid.to_le_bytes());
+        body.extend_from_slice(&digest_after.to_le_bytes());
+        match record {
+            SlotRecord::Single(w) => body.extend_from_slice(&w.to_le_bytes()),
+            SlotRecord::Batch(ws) => {
+                body.extend_from_slice(&(ws.len() as u32).to_le_bytes());
+                for w in ws.iter() {
+                    body.extend_from_slice(&w.to_le_bytes());
+                }
+            }
+        }
+    });
 }
 
 /// Encode one decided slot as a framed record.
 pub fn encode_slot(slot: usize, opid: u32, digest_after: u64, record: &SlotRecord) -> Vec<u8> {
-    let mut body = Vec::new();
-    match record {
-        SlotRecord::Single(w) => {
-            body.push(TAG_SLOT_SINGLE);
-            body.extend_from_slice(&(slot as u64).to_le_bytes());
-            body.extend_from_slice(&opid.to_le_bytes());
-            body.extend_from_slice(&digest_after.to_le_bytes());
+    let mut out = Vec::new();
+    encode_slot_into(&mut out, slot, opid, digest_after, record);
+    out
+}
+
+/// Bytes of a checkpoint frame carrying `words` snapshot words.
+fn checkpoint_frame_len(words: usize) -> usize {
+    HEADER_LEN + 21 + 8 * words
+}
+
+/// Append one installed checkpoint to `out` as a framed record.
+fn encode_checkpoint_into(out: &mut Vec<u8>, slot: usize, digest: u64, words: &[u64]) {
+    frame_into(out, |body| {
+        body.push(TAG_CHECKPOINT);
+        body.extend_from_slice(&(slot as u64).to_le_bytes());
+        body.extend_from_slice(&digest.to_le_bytes());
+        body.extend_from_slice(&(words.len() as u32).to_le_bytes());
+        for w in words {
             body.extend_from_slice(&w.to_le_bytes());
         }
-        SlotRecord::Batch(ws) => {
-            body.push(TAG_SLOT_BATCH);
-            body.extend_from_slice(&(slot as u64).to_le_bytes());
-            body.extend_from_slice(&opid.to_le_bytes());
-            body.extend_from_slice(&digest_after.to_le_bytes());
-            body.extend_from_slice(&(ws.len() as u32).to_le_bytes());
-            for w in ws.iter() {
-                body.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-    }
-    frame(body)
+    });
 }
 
 /// Encode one installed checkpoint as a framed record.
 pub fn encode_checkpoint(slot: usize, digest: u64, words: &[u64]) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.push(TAG_CHECKPOINT);
-    body.extend_from_slice(&(slot as u64).to_le_bytes());
-    body.extend_from_slice(&digest.to_le_bytes());
-    body.extend_from_slice(&(words.len() as u32).to_le_bytes());
-    for w in words {
-        body.extend_from_slice(&w.to_le_bytes());
+    let mut out = Vec::with_capacity(checkpoint_frame_len(words.len()));
+    encode_checkpoint_into(&mut out, slot, digest, words);
+    out
+}
+
+/// The slot frames a shard's file holds past its checkpoint, as one
+/// byte buffer plus an index: what the next rotation keeps a suffix of.
+/// Slots arrive in order, so a rotation drops a prefix.
+#[derive(Default)]
+pub(crate) struct SlotFrames {
+    bytes: Vec<u8>,
+    /// `(slot, end)` per frame, in slot order; `end` counts bytes since
+    /// the buffer was created, so dropping a prefix shifts nothing.
+    index: VecDeque<(usize, u64)>,
+    /// Bytes dropped off the front so far (`end - dropped` indexes
+    /// `bytes`).
+    dropped: u64,
+}
+
+impl SlotFrames {
+    /// Encode one decided slot onto the end.
+    pub(crate) fn push(&mut self, slot: usize, opid: u32, digest_after: u64, record: &SlotRecord) {
+        encode_slot_into(&mut self.bytes, slot, opid, digest_after, record);
+        self.index
+            .push_back((slot, self.dropped + self.bytes.len() as u64));
     }
-    frame(body)
+
+    /// Frames of slots below `slot`: how many, and their total bytes.
+    fn below(&self, slot: usize) -> (usize, usize) {
+        let frames = self.index.partition_point(|(s, _)| *s < slot);
+        let bytes = match frames {
+            0 => 0,
+            n => (self.index[n - 1].1 - self.dropped) as usize,
+        };
+        (frames, bytes)
+    }
+
+    /// Drop the frames of slots below `slot`.
+    fn drop_below(&mut self, slot: usize) {
+        let (frames, bytes) = self.below(slot);
+        self.index.drain(..frames);
+        self.bytes.drain(..bytes);
+        self.dropped += bytes as u64;
+    }
 }
 
 /// The WAL file name of shard `s`.
@@ -496,15 +563,16 @@ impl WalStats {
 
 /// Mutable writer state of one shard's WAL, under one lock.
 struct WalInner {
-    /// Encoded-but-not-yet-written frames: group commit batches the
-    /// `write` syscalls too, not just the fsyncs — one record per
-    /// `append` would cost more than the sync it amortizes.
-    buf: Vec<u8>,
+    /// Every slot frame since the last rotation, kept for the next
+    /// rotation's tail. Records are encoded straight onto its end.
+    frames: SlotFrames,
+    /// How much of `frames.bytes` has been handed to the media; the
+    /// rest is the group-commit buffer. Group commit batches the `write`
+    /// syscalls too, not just the fsyncs — one record per `append`
+    /// would cost more than the sync it amortizes.
+    written: usize,
     /// Logged-but-not-fsynced records (buffered or written).
     pending: usize,
-    /// Encoded slot records since the last rotation, kept for the next
-    /// rotation's tail (slot, frame bytes).
-    tail: VecDeque<(usize, Vec<u8>)>,
     /// The slot of the last rotated-in checkpoint (0 = none yet).
     ckpt_slot: usize,
     /// The first I/O error, if any: the WAL refuses further writes.
@@ -538,9 +606,9 @@ impl ShardWal {
             group_commit: group_commit.max(1),
             rotate_cost,
             inner: Mutex::new(WalInner {
-                buf: Vec::new(),
+                frames: SlotFrames::default(),
+                written: 0,
                 pending: 0,
-                tail: VecDeque::new(),
                 ckpt_slot: 0,
                 error: None,
             }),
@@ -558,23 +626,17 @@ impl ShardWal {
     /// frame followed by the replayed tail frames — the compacted,
     /// torn-tail-free image recovery continues from. Seeds the writer's
     /// rotation cache with the same tail.
-    pub fn reset_from_recovery(
+    pub(crate) fn reset_from_recovery(
         &self,
         ckpt: Option<(usize, Vec<u8>)>,
-        tail: Vec<(usize, Vec<u8>)>,
+        tail: SlotFrames,
     ) -> Result<(), WalIoError> {
-        let mut contents = Vec::new();
-        let ckpt_slot = ckpt.as_ref().map_or(0, |(s, _)| *s);
-        if let Some((_, frame)) = &ckpt {
-            contents.extend_from_slice(frame);
-        }
-        for (_, frame) in &tail {
-            contents.extend_from_slice(frame);
-        }
+        let (ckpt_slot, mut contents) = ckpt.unwrap_or_default();
+        contents.extend_from_slice(&tail.bytes);
         self.media.replace(&self.name, &contents)?;
         let mut inner = self.inner.lock();
-        inner.buf.clear();
-        inner.tail = tail.into();
+        inner.written = tail.bytes.len();
+        inner.frames = tail;
         inner.ckpt_slot = ckpt_slot;
         inner.pending = 0;
         Ok(())
@@ -592,12 +654,15 @@ impl ShardWal {
         if inner.pending == 0 || inner.error.is_some() {
             return;
         }
-        if !inner.buf.is_empty() {
-            let buf = std::mem::take(&mut inner.buf);
-            if let Err(e) = self.media.append(&self.name, &buf) {
+        if inner.written < inner.frames.bytes.len() {
+            if let Err(e) = self
+                .media
+                .append(&self.name, &inner.frames.bytes[inner.written..])
+            {
                 self.fail(inner, e);
                 return;
             }
+            inner.written = inner.frames.bytes.len();
         }
         match self.media.sync(&self.name) {
             Ok(()) => {
@@ -618,13 +683,11 @@ impl ShardWal {
 
 impl SlotSink for ShardWal {
     fn slot_decided(&self, slot: usize, opid: u32, record: &SlotRecord, digest_after: u64) {
-        let frame = encode_slot(slot, opid, digest_after, record);
         let mut inner = self.inner.lock();
         if inner.error.is_some() {
             return;
         }
-        inner.buf.extend_from_slice(&frame);
-        inner.tail.push_back((slot, frame));
+        inner.frames.push(slot, opid, digest_after, record);
         inner.pending += 1;
         self.stats.records.fetch_add(1, Ordering::Relaxed);
         if inner.pending >= self.group_commit {
@@ -644,32 +707,28 @@ impl SlotSink for ShardWal {
         if slot <= inner.ckpt_slot {
             return;
         }
-        let mut contents = encode_checkpoint(slot, digest, words);
         // Rotation is compaction, and it costs a full-file rewrite plus
         // two fsyncs. Only pay that when the record frames it drops
         // outweigh the snapshot it writes; skipped boundaries cost
-        // nothing — recovery replays the longer tail from the last
-        // checkpoint that *did* reach the file.
-        let reclaimed: usize = inner
-            .tail
-            .iter()
-            .take_while(|(s, _)| *s < slot)
-            .map(|(_, frame)| frame.len())
-            .sum();
-        if reclaimed < contents.len().saturating_add(self.rotate_cost) {
+        // nothing (the snapshot is not even encoded) — recovery replays
+        // the longer tail from the last checkpoint that *did* reach the
+        // file.
+        let ckpt_len = checkpoint_frame_len(words.len());
+        let (_, reclaimed) = inner.frames.below(slot);
+        if reclaimed < ckpt_len.saturating_add(self.rotate_cost) {
             return;
         }
-        inner.tail.retain(|(s, _)| *s >= slot);
-        for (_, frame) in &inner.tail {
-            contents.extend_from_slice(frame);
-        }
+        inner.frames.drop_below(slot);
+        let mut contents = Vec::with_capacity(ckpt_len + inner.frames.bytes.len());
+        encode_checkpoint_into(&mut contents, slot, digest, words);
+        contents.extend_from_slice(&inner.frames.bytes);
         match self.media.replace(&self.name, &contents) {
             Ok(()) => {
                 inner.ckpt_slot = slot;
                 // The replace made the pending records durable too:
                 // buffered frames at slots >= S are in the tail it
                 // wrote, and earlier ones are covered by the snapshot.
-                inner.buf.clear();
+                inner.written = inner.frames.bytes.len();
                 if inner.pending > 0 {
                     self.stats.batch.record(inner.pending as u64);
                     inner.pending = 0;
@@ -758,6 +817,35 @@ mod tests {
         let scan = scan(&bytes);
         assert!(scan.entries.is_empty());
         assert_eq!(scan.corrupt.as_deref(), Some("bad record length"));
+    }
+
+    #[test]
+    fn slot_frames_index_survives_prefix_drops() {
+        let mut frames = SlotFrames::default();
+        let single = encode_slot(0, 0, 0, &SlotRecord::Single(0)).len();
+        for slot in 10..16 {
+            frames.push(slot, slot as u32, 0, &SlotRecord::Single(slot as u64));
+        }
+        assert_eq!(frames.below(10), (0, 0));
+        assert_eq!(frames.below(13), (3, 3 * single));
+        frames.drop_below(13);
+        // Offsets are relative to the shortened buffer again, and what
+        // is left is exactly the encoding of slots 13..16.
+        assert_eq!(frames.below(15), (2, 2 * single));
+        frames.push(16, 16, 0, &SlotRecord::Batch(Arc::from(vec![1u64, 2])));
+        frames.drop_below(15);
+        let scanned = scan(&frames.bytes);
+        assert!(scanned.corrupt.is_none());
+        let slots: Vec<usize> = scanned
+            .entries
+            .iter()
+            .map(|e| match e {
+                WalEntry::Slot { slot, .. } => *slot,
+                WalEntry::Checkpoint { .. } => panic!("no checkpoint was pushed"),
+            })
+            .collect();
+        assert_eq!(slots, vec![15, 16]);
+        assert_eq!(frames.below(usize::MAX), (2, frames.bytes.len()));
     }
 
     #[test]

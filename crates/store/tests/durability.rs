@@ -106,6 +106,67 @@ fn combining_durable_store_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The 2²²-appends bug: in combining mode one pid mints every opid of a
+/// shard, so a long-lived shard exhausts the 22-bit sequence space.
+/// Start a store a few mints short of the limit (a hand-written WAL
+/// whose one record carries sequence number 2²² − 4), run it across the
+/// wrap for many checkpoint intervals, and recover the WAL that wrapped.
+#[test]
+fn opid_sequence_wraps_across_checkpoints_and_recovery() {
+    let dir = temp_dir("seq-wrap");
+    let mut config = durable_config(&dir, Backend::robust());
+    config.shards = 1;
+    config.combining = true;
+
+    // Slot 0, proposed by the combining core's pid 0 at seq 2²² − 4; the
+    // digest is the log's rolling FNV-1a over that one opid.
+    let opid: u32 = (1 << 22) - 4;
+    let digest = opid
+        .to_le_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |d, b| {
+            (d ^ *b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+    let record = ff_universal::SlotRecord::Single(ff_store::KvMap::put_op(1, 11));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(
+        dir.join(ff_store::wal::shard_file(0)),
+        ff_store::wal::encode_slot(0, opid, digest, &record),
+    )
+    .unwrap();
+
+    let mut model = std::collections::HashMap::from([(1u32, 11u32)]);
+    let (store, report) = Store::recover(config.clone()).expect("seeded WAL recovers");
+    assert_eq!(report.records_replayed(), 1);
+    let mut c = store.client();
+    // 3 mints to the wrap; 20 checkpoint intervals beyond it.
+    for i in 0..160u32 {
+        let (k, v) = (i % 24, i + 100);
+        assert_eq!(c.put(k, v).unwrap(), model.insert(k, v), "put {i}");
+    }
+    let ends_at = store.shard_log(0).slots_created();
+    assert!(store.verify(&mut [c]).all_consistent());
+    assert!(store.durability_error().is_none());
+    store.flush_wal();
+    drop(store);
+
+    // The file now holds a checkpoint plus a tail whose opids restarted
+    // near 0: replay must resume minting after the *last* of them.
+    let (recovered, report) = Store::recover(config).expect("a wrapped WAL recovers");
+    assert!(report.checkpoints_loaded() > 0, "{}", report.render());
+    assert_eq!(recovered.shard_log(0).slots_created(), ends_at);
+    let mut c = recovered.client();
+    for (k, v) in &model {
+        assert_eq!(c.get(*k).unwrap(), Some(*v), "key {k} after recovery");
+    }
+    for i in 0..40u32 {
+        let (k, v) = (i % 24, i + 9000);
+        assert_eq!(c.put(k, v).unwrap(), model.insert(k, v));
+    }
+    assert!(recovered.verify(&mut [c]).all_consistent());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The crash-at-every-fsync-boundary sweep: snapshot the WAL after
 /// every single durable op, then recover each snapshot and demand
 /// **exactly** the corresponding prefix of the history — nothing lost

@@ -42,12 +42,18 @@ use crate::object::Replicated;
 use ff_consensus::Consensus;
 use ff_spec::Input;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Bits of an operation id reserved for the sequence number.
 const SEQ_BITS: u32 = 22;
+
+/// Sequence numbers live in `[0, 2²²)` and wrap (see
+/// [`UniversalLog::announce_fresh`] for why reuse is sound).
+const SEQ_MASK: u32 = (1 << SEQ_BITS) - 1;
 
 /// An operation id: proposer plus per-proposer sequence number, packed
 /// into the `u32` a consensus cell decides.
@@ -80,6 +86,33 @@ impl OpId {
         }
     }
 }
+
+/// Hasher for the opid-keyed announce table: one multiply. Opids are
+/// minted by this program as `pid << 22 | seq` with consecutive `seq`,
+/// so they are already distinct and an odd multiplier spreads a run of
+/// them over distinct buckets — SipHash's collision resistance buys
+/// nothing here. (Recovery re-announces opids read from the WAL, but
+/// only from checksum-verified records this program wrote.)
+#[derive(Default)]
+struct OpIdHasher(u64);
+
+impl Hasher for OpIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u32(&mut self, opid: u32) {
+        self.0 = (opid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type AnnounceTable = HashMap<u32, SlotRecord, BuildHasherDefault<OpIdHasher>>;
 
 /// FNV-1a basis for the rolling decided-opid digest.
 const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -145,8 +178,9 @@ struct DurableCursor {
     buffered: BTreeMap<usize, (u32, SlotRecord, u64)>,
 }
 
-/// The log's cell storage: slot `k` lives at `cells[k - base]`; slots
-/// below `base` have been truncated away by a checkpoint.
+/// A chain of consensus cells: index `k` lives at `cells[k - base]`;
+/// indices below `base` have been truncated away by a checkpoint. The
+/// log's slots are one chain, its checkpoint boundaries another.
 struct CellChain {
     base: usize,
     cells: Vec<Arc<dyn Consensus>>,
@@ -177,8 +211,10 @@ struct CheckpointState {
     /// Digest observed at each crossed boundary slot (pruned below the
     /// snapshot slot at truncation time).
     boundary_digests: Vec<(usize, u64)>,
-    /// Per-live-handle progress: handle key → its `next_slot`.
-    watermarks: HashMap<u64, usize>,
+    /// Per-live-handle progress: each handle's `next_slot`, stored by
+    /// the handle after every applied slot and read here at truncation
+    /// time. A stale (lower) read only delays truncation.
+    watermarks: Vec<Arc<AtomicUsize>>,
     installed: u64,
 }
 
@@ -186,7 +222,10 @@ struct CheckpointState {
 pub struct UniversalLog {
     factory: Arc<dyn CellFactory>,
     cells: Mutex<CellChain>,
-    announce: Mutex<HashMap<u32, SlotRecord>>,
+    /// `base + cells.len()` of `cells`, published under its lock so the
+    /// read fast path can observe the tail without taking it.
+    tail: AtomicUsize,
+    announce: Mutex<AnnounceTable>,
     /// Helping (Herlihy's wait-free upgrade): when `Some(n)`, slot `k`
     /// is reserved for helping process `k mod n`'s pending operation.
     helping_n: Option<usize>,
@@ -195,21 +234,22 @@ pub struct UniversalLog {
     /// Checkpoint interval in slots (`None` → unbounded append-only log).
     interval: Option<usize>,
     /// One consensus cell per checkpoint boundary, deciding the slot the
-    /// prefix is cut at (never truncated — one cell per `interval` slots).
-    boundaries: Mutex<Vec<Arc<dyn Consensus>>>,
+    /// prefix is cut at; indexed by boundary number and pruned below the
+    /// installed snapshot at truncation.
+    boundaries: Mutex<CellChain>,
     ckpt: Mutex<CheckpointState>,
     /// Poison flag: the cells were caught misbehaving (boundary cell
     /// decided a foreign value, digest mismatch between replicas, or a
     /// decided-but-never-announced opid). Truncation stops permanently.
     diverged: AtomicBool,
-    next_handle_key: AtomicU64,
     /// Exactly-once in-order delivery cursor for the durability sink.
     durable: Mutex<DurableCursor>,
-    /// The attached durability sink, if any (see [`SlotSink`]).
-    sink: Mutex<Option<Arc<dyn SlotSink>>>,
-    /// Per-pid minimum sequence numbers after recovery: replayed opids
-    /// reserve their `(pid, seq)` pairs so post-recovery handles never
-    /// mint an opid that still resolves to a recovered record.
+    /// The attached durability sink, if any (see [`SlotSink`]); set at
+    /// most once, so the per-slot check is one atomic load.
+    sink: OnceLock<Arc<dyn SlotSink>>,
+    /// Where each pid resumes minting after recovery: one past the
+    /// *last* replayed sequence number of that pid (the most recent
+    /// mint — after a wrap that is not the largest).
     seq_floors: Mutex<HashMap<u16, u32>>,
 }
 
@@ -228,16 +268,19 @@ impl UniversalLog {
                 base: 0,
                 cells: Vec::new(),
             }),
-            announce: Mutex::new(HashMap::new()),
+            tail: AtomicUsize::new(0),
+            announce: Mutex::new(AnnounceTable::default()),
             helping_n,
             pending: Mutex::new(HashMap::new()),
             interval: None,
-            boundaries: Mutex::new(Vec::new()),
+            boundaries: Mutex::new(CellChain {
+                base: 0,
+                cells: Vec::new(),
+            }),
             ckpt: Mutex::new(CheckpointState::default()),
             diverged: AtomicBool::new(false),
-            next_handle_key: AtomicU64::new(0),
             durable: Mutex::new(DurableCursor::default()),
-            sink: Mutex::new(None),
+            sink: OnceLock::new(),
             seq_floors: Mutex::new(HashMap::new()),
         }
     }
@@ -307,7 +350,7 @@ impl UniversalLog {
     /// through [`Handle::invoke`].
     pub fn announce_for(&self, pid: u16, seq: u32, payload: u64) -> u32 {
         let opid = OpId { pid, seq }.pack();
-        self.announce_op(opid, payload);
+        self.announce_as(opid, SlotRecord::Single(payload));
         self.register_pending(pid, opid);
         opid
     }
@@ -320,8 +363,12 @@ impl UniversalLog {
             "slot {k} was already truncated (log base is {})",
             chain.base
         );
-        while chain.base + chain.cells.len() <= k {
-            chain.cells.push(self.factory.make());
+        if chain.base + chain.cells.len() <= k {
+            while chain.base + chain.cells.len() <= k {
+                chain.cells.push(self.factory.make());
+            }
+            self.tail
+                .store(chain.base + chain.cells.len(), Ordering::SeqCst);
         }
         let i = k - chain.base;
         Arc::clone(&chain.cells[i])
@@ -330,25 +377,57 @@ impl UniversalLog {
     /// The consensus cell deciding checkpoint boundary `b` (the cut at
     /// slot `(b + 1) * interval`), created on demand.
     fn boundary_cell(&self, b: usize) -> Arc<dyn Consensus> {
-        let mut cells = self.boundaries.lock();
-        while cells.len() <= b {
-            cells.push(self.factory.make());
+        let mut chain = self.boundaries.lock();
+        assert!(
+            b >= chain.base,
+            "boundary {b} was already pruned (boundary base is {})",
+            chain.base
+        );
+        while chain.base + chain.cells.len() <= b {
+            chain.cells.push(self.factory.make());
         }
-        Arc::clone(&cells[b])
+        let i = b - chain.base;
+        Arc::clone(&chain.cells[i])
     }
 
-    /// Publish an operation's payload before proposing its id.
-    fn announce_op(&self, opid: u32, payload: u64) {
-        self.announce
-            .lock()
-            .insert(opid, SlotRecord::Single(payload));
+    /// Publish `record` under a caller-chosen opid (recovery replays
+    /// records under their original ids; [`Self::announce_for`] takes
+    /// the sequence number from its caller).
+    fn announce_as(&self, opid: u32, record: SlotRecord) {
+        self.announce.lock().insert(opid, record);
     }
 
-    /// Publish a multi-op batch record before proposing its id (the
-    /// flat-combining append: one decided slot, many ops).
-    fn announce_record(&self, opid: u32, ops: Arc<[u64]>) {
-        assert!(!ops.is_empty(), "a batch record needs at least one op");
-        self.announce.lock().insert(opid, SlotRecord::Batch(ops));
+    /// Mint `pid`'s next operation id and publish `record` under it,
+    /// before the id is proposed anywhere.
+    ///
+    /// Sequence numbers wrap modulo 2²². Reuse is sound because an opid
+    /// only has to be unambiguous while some replica can still resolve
+    /// it, which is exactly while it sits in the announce table:
+    /// entries are retired once every live handle has passed the
+    /// snapshot covering their slot, and handles prune their own opid
+    /// windows at the same point. So the mint skips any id still in the
+    /// table (a few hundred at most, against 2²² candidates).
+    fn announce_fresh(&self, pid: u16, next_seq: &mut u32, record: SlotRecord) -> u32 {
+        let mut announce = self.announce.lock();
+        for _ in 0..=SEQ_MASK {
+            let opid = OpId {
+                pid,
+                seq: *next_seq,
+            }
+            .pack();
+            *next_seq = (*next_seq + 1) & SEQ_MASK;
+            if let Entry::Vacant(free) = announce.entry(opid) {
+                free.insert(record);
+                return opid;
+            }
+        }
+        panic!("all 2^{SEQ_BITS} operation ids of pid {pid} are live: truncation has stalled");
+    }
+
+    /// Withdraw an announced opid that lost every proposal it was used
+    /// in (so no cell decided it and no replica will ever resolve it).
+    fn retract(&self, opid: u32) {
+        self.announce.lock().remove(&opid);
     }
 
     /// The record of a decided operation. The announce happens-before
@@ -363,8 +442,20 @@ impl UniversalLog {
     /// or above the durable cursor is delivered exactly once, in slot
     /// order. Attach before handles run (or immediately after recovery
     /// replay) so no decided slot slips past unrecorded.
+    ///
+    /// # Panics
+    /// If a sink is already attached: a log has one for its lifetime.
     pub fn set_slot_sink(&self, sink: Arc<dyn SlotSink>) {
-        *self.sink.lock() = Some(sink);
+        // Without a sink nothing tracks the cursor, so start it at the
+        // log's end: everything created so far is decided (nothing is
+        // running yet) and was either replayed by recovery or predates
+        // the sink.
+        let mut cur = self.durable.lock();
+        cur.next = cur.next.max(self.slots_created());
+        assert!(
+            self.sink.set(sink).is_ok(),
+            "a durability sink is already attached to this log"
+        );
     }
 
     /// A handle applied `record` at `slot`: buffer it and deliver the
@@ -372,19 +463,19 @@ impl UniversalLog {
     /// delivered by another handle (replicas all decide the same
     /// sequence) and are dropped.
     fn offer_durable(&self, slot: usize, opid: u32, record: &SlotRecord, digest_after: u64) {
+        let Some(sink) = self.sink.get() else {
+            return;
+        };
         let mut cur = self.durable.lock();
         if slot < cur.next {
             return;
         }
-        let sink = self.sink.lock().clone();
         if slot == cur.next && cur.buffered.is_empty() {
-            // In-order arrival, nothing buffered: deliver (or skip)
-            // without a buffer round trip — this is every slot of a
+            // In-order arrival, nothing buffered: deliver without a
+            // buffer round trip — this is every slot of a
             // single-writer run.
             cur.next += 1;
-            if let Some(s) = sink.as_ref() {
-                s.slot_decided(slot, opid, record, digest_after);
-            }
+            sink.slot_decided(slot, opid, record, digest_after);
             return;
         }
         cur.buffered
@@ -397,9 +488,7 @@ impl UniversalLog {
         } {
             let at = cur.next;
             cur.next += 1;
-            if let Some(s) = sink.as_ref() {
-                s.slot_decided(at, opid, &record, digest);
-            }
+            sink.slot_decided(at, opid, &record, digest);
         }
     }
 
@@ -407,9 +496,8 @@ impl UniversalLog {
     /// installing handle after [`Self::observe_boundary`] returns, so
     /// no checkpoint lock is held).
     fn emit_checkpoint(&self, slot: usize, digest: u64, words: &[u64]) {
-        let sink = self.sink.lock().clone();
-        if let Some(s) = sink {
-            s.checkpoint_installed(slot, digest, words);
+        if let Some(sink) = self.sink.get() {
+            sink.checkpoint_installed(slot, digest, words);
         }
     }
 
@@ -436,6 +524,7 @@ impl UniversalLog {
                 "recovered snapshots must install before the log is used"
             );
             chain.base = slot;
+            self.tail.store(slot, Ordering::SeqCst);
         }
         let mut ckpt = self.ckpt.lock();
         assert!(
@@ -462,15 +551,15 @@ impl UniversalLog {
         self.ckpt.lock().boundary_digests.clone()
     }
 
-    /// Reserve a recovered opid's `(pid, seq)` pair so later handles of
-    /// the same pid mint fresh opids (see `seq_floors`).
+    /// Resume a recovered opid's pid just past it (records replay in
+    /// slot order, so the last one seen per pid is its latest mint; see
+    /// `seq_floors`). Any replayed id still live is skipped by the mint
+    /// itself.
     fn note_recovered_opid(&self, opid: u32) {
         let id = OpId::unpack(opid);
-        let mut floors = self.seq_floors.lock();
-        let floor = floors.entry(id.pid).or_insert(0);
-        if id.seq >= *floor {
-            *floor = id.seq + 1;
-        }
+        self.seq_floors
+            .lock()
+            .insert(id.pid, (id.seq + 1) & SEQ_MASK);
     }
 
     /// The first sequence number `pid` may mint (0 unless recovery
@@ -482,8 +571,7 @@ impl UniversalLog {
     /// Slots decided so far (an upper bound; cells may exist undecided).
     /// Includes truncated slots: this is a log position, not a size.
     pub fn slots_created(&self) -> usize {
-        let chain = self.cells.lock();
-        chain.base + chain.cells.len()
+        self.tail.load(Ordering::SeqCst)
     }
 
     /// Cells currently held in memory (excludes the truncated prefix).
@@ -523,32 +611,27 @@ impl UniversalLog {
         self.diverged.store(true, Ordering::Release);
     }
 
-    /// Register a new handle: assign it a watermark key and give it the
-    /// current snapshot to start from, atomically with respect to
-    /// truncation (so the slots from its start onward cannot be freed
-    /// underneath it).
-    fn register_handle(&self) -> (u64, Option<SnapshotView>) {
-        let key = self.next_handle_key.fetch_add(1, Ordering::Relaxed);
+    /// Register a new handle: give it a watermark and the current
+    /// snapshot to start from, atomically with respect to truncation
+    /// (so the slots from its start onward cannot be freed underneath
+    /// it).
+    fn register_handle(&self) -> (Arc<AtomicUsize>, Option<SnapshotView>) {
         let mut ckpt = self.ckpt.lock();
         let snap = ckpt
             .snapshot
             .as_ref()
             .map(|s| (s.slot, s.digest, Arc::clone(&s.words)));
         let start = snap.as_ref().map_or(0, |(slot, _, _)| *slot);
-        ckpt.watermarks.insert(key, start);
-        (key, snap)
+        let watermark = Arc::new(AtomicUsize::new(start));
+        ckpt.watermarks.push(Arc::clone(&watermark));
+        (watermark, snap)
     }
 
     /// Drop a handle's watermark (it no longer gates truncation).
-    fn unregister_handle(&self, key: u64) {
+    fn unregister_handle(&self, watermark: &Arc<AtomicUsize>) {
         let mut ckpt = self.ckpt.lock();
-        ckpt.watermarks.remove(&key);
+        ckpt.watermarks.retain(|w| !Arc::ptr_eq(w, watermark));
         self.try_truncate(&mut ckpt);
-    }
-
-    /// Advance a handle's watermark to `next_slot`.
-    fn update_watermark(&self, key: u64, next_slot: usize) {
-        self.ckpt.lock().watermarks.insert(key, next_slot);
     }
 
     /// A handle crossed the agreed boundary at `slot` carrying `digest`
@@ -615,10 +698,12 @@ impl UniversalLog {
         let Some(snap) = ckpt.snapshot.as_mut() else {
             return;
         };
+        // Acquire pairs with the Release store in `Handle::after_apply`:
+        // a watermark read here is a slot its handle has finished with.
         let min_watermark = ckpt
             .watermarks
-            .values()
-            .copied()
+            .iter()
+            .map(|w| w.load(Ordering::Acquire))
             .min()
             .unwrap_or(usize::MAX);
         if min_watermark < snap.slot {
@@ -628,6 +713,18 @@ impl UniversalLog {
             let mut chain = self.cells.lock();
             if chain.base < snap.slot {
                 let drop_n = (snap.slot - chain.base).min(chain.cells.len());
+                chain.cells.drain(..drop_n);
+                chain.base += drop_n;
+            }
+        }
+        if let Some(interval) = self.interval {
+            // Every live handle is at or past `snap.slot`, so it has
+            // crossed every boundary strictly below it; the boundary
+            // *at* the snapshot slot may still be mid-crossing.
+            let keep_from = (snap.slot / interval).saturating_sub(1);
+            let mut chain = self.boundaries.lock();
+            if chain.base < keep_from {
+                let drop_n = (keep_from - chain.base).min(chain.cells.len());
                 chain.cells.drain(..drop_n);
                 chain.base += drop_n;
             }
@@ -657,21 +754,24 @@ pub struct Handle<T: Replicated> {
     pid: u16,
     next_seq: u32,
     next_slot: usize,
-    /// The slot this handle started replaying from (0, or the snapshot
-    /// slot it was restored at). `applied[i]` is the opid of slot
-    /// `start_slot + i`.
+    /// First slot of the retained opid window: `applied[i]` is the opid
+    /// of slot `start_slot + i`. Starts at 0 (or the snapshot slot the
+    /// handle was restored at) and follows the log's truncated prefix,
+    /// so the window is as bounded as the log itself.
     start_slot: usize,
     applied: Vec<u32>,
-    applied_set: std::collections::HashSet<u32>,
+    /// The window as a set — only what [`UniversalLog::help_target`]
+    /// asks, so only kept when helping is on.
+    applied_set: Option<HashSet<u32>>,
     /// Rolling FNV-1a digest over all decided opids of slots
     /// `[0, next_slot)` (seeded from the snapshot digest on restore).
     digest: u64,
     /// `(slot, digest)` at every checkpoint boundary this handle
     /// crossed (or was restored at).
     boundary_digests: Vec<(usize, u64)>,
-    /// Watermark key in the core's checkpoint registry (unused when
-    /// checkpointing is off).
-    watermark_key: u64,
+    /// This handle's `next_slot` as the core's truncation sees it
+    /// (registered only when checkpointing is on).
+    watermark: Option<Arc<AtomicUsize>>,
 }
 
 impl<T: Replicated> Handle<T> {
@@ -692,10 +792,10 @@ impl<T: Replicated> Handle<T> {
         let mut start_slot = 0;
         let mut digest = DIGEST_BASIS;
         let mut boundary_digests = Vec::new();
-        let mut watermark_key = 0;
+        let mut watermark = None;
         if core.checkpoint_interval().is_some() {
-            let (key, snapshot) = core.register_handle();
-            watermark_key = key;
+            let (registered, snapshot) = core.register_handle();
+            watermark = Some(registered);
             if let Some((slot, snap_digest, words)) = snapshot {
                 assert!(
                     state.restore_snapshot(&words),
@@ -707,6 +807,7 @@ impl<T: Replicated> Handle<T> {
             }
         }
         let next_seq = core.seq_floor(pid);
+        let applied_set = core.helping().map(|_| HashSet::new());
         Handle {
             core,
             state,
@@ -715,10 +816,10 @@ impl<T: Replicated> Handle<T> {
             next_slot: start_slot,
             start_slot,
             applied: Vec::new(),
-            applied_set: std::collections::HashSet::new(),
+            applied_set,
             digest,
             boundary_digests,
-            watermark_key,
+            watermark,
         }
     }
 
@@ -733,15 +834,25 @@ impl<T: Replicated> Handle<T> {
         })
     }
 
+    /// Resolve and apply one decided slot (see [`Self::apply_record`]).
+    fn apply_decided(&mut self, decided: u32, collect: Option<&mut Vec<u64>>) -> u64 {
+        let record = self.resolve_record(decided);
+        self.apply_record(decided, &record, collect)
+    }
+
     /// Apply one decided slot's record op-by-op, plus all per-slot
     /// bookkeeping (digest fold, watermark, durability offer, boundary
     /// crossing). When `collect` is given, every op's response is pushed
     /// into it; the last response is returned either way (for single-op
     /// records that IS the record's response).
-    fn apply_decided(&mut self, decided: u32, mut collect: Option<&mut Vec<u64>>) -> u64 {
+    fn apply_record(
+        &mut self,
+        decided: u32,
+        record: &SlotRecord,
+        mut collect: Option<&mut Vec<u64>>,
+    ) -> u64 {
         let mut last = crate::structures::EMPTY;
-        let record = self.resolve_record(decided);
-        match &record {
+        match record {
             SlotRecord::Single(w) => {
                 last = self.state.apply(*w);
                 if let Some(out) = collect.as_deref_mut() {
@@ -758,9 +869,11 @@ impl<T: Replicated> Handle<T> {
             }
         }
         self.applied.push(decided);
-        self.applied_set.insert(decided);
+        if let Some(set) = &mut self.applied_set {
+            set.insert(decided);
+        }
         self.core.clear_pending(OpId::unpack(decided).pid, decided);
-        self.after_apply(decided, &record);
+        self.after_apply(decided, record);
         last
     }
 
@@ -779,9 +892,12 @@ impl<T: Replicated> Handle<T> {
         let Some(interval) = self.core.checkpoint_interval() else {
             return;
         };
-        self.core
-            .update_watermark(self.watermark_key, self.next_slot);
-        if self.next_slot == self.start_slot || !self.next_slot.is_multiple_of(interval) {
+        if let Some(watermark) = &self.watermark {
+            // Release: everything this handle did with slots below
+            // `next_slot` happens-before a truncation that reads it.
+            watermark.store(self.next_slot, Ordering::Release);
+        }
+        if !self.next_slot.is_multiple_of(interval) {
             return;
         }
         // Crossing checkpoint boundary b: agree on the snapshot slot
@@ -809,6 +925,25 @@ impl<T: Replicated> Handle<T> {
         if let Some(words) = installed {
             self.core.emit_checkpoint(slot, self.digest, &words);
         }
+        self.prune_window();
+    }
+
+    /// Drop the part of the opid window the log has truncated: those
+    /// slots' announce entries are retired and no snapshot install will
+    /// ask for them again (installs cover `[previous snapshot, slot)`,
+    /// and truncation never passes the snapshot slot).
+    fn prune_window(&mut self) {
+        let cut = self.core.truncated_prefix().min(self.next_slot);
+        if cut <= self.start_slot {
+            return;
+        }
+        let gone = self.applied.drain(..cut - self.start_slot);
+        if let Some(set) = &mut self.applied_set {
+            for opid in gone {
+                set.remove(&opid);
+            }
+        }
+        self.start_slot = cut;
     }
 
     /// Re-ingest one recovered decided record through a fresh consensus
@@ -820,10 +955,7 @@ impl<T: Replicated> Handle<T> {
     /// divergence flag when the decided value resolves to nothing).
     /// Recovery-only: call before any concurrent handle exists.
     pub fn ingest_recovered(&mut self, opid: u32, record: SlotRecord) -> bool {
-        match &record {
-            SlotRecord::Single(w) => self.core.announce_op(opid, *w),
-            SlotRecord::Batch(ws) => self.core.announce_record(opid, Arc::clone(ws)),
-        }
+        self.core.announce_as(opid, record);
         self.core.note_recovered_opid(opid);
         let cell = self.core.cell(self.next_slot);
         let decided = cell.decide(Input(opid)).0;
@@ -850,27 +982,7 @@ impl<T: Replicated> Handle<T> {
     /// other processes propose *their* pending operations, so lagging
     /// processes' work is finished by whoever is running.
     pub fn invoke(&mut self, op: u64) -> u64 {
-        let opid = OpId {
-            pid: self.pid,
-            seq: self.next_seq,
-        }
-        .pack();
-        self.next_seq += 1;
-        self.core.announce_op(opid, op);
-        self.core.register_pending(self.pid, opid);
-        loop {
-            let cell = self.core.cell(self.next_slot);
-            let applied_set = &self.applied_set;
-            let propose = self
-                .core
-                .help_target(self.next_slot, &|x| applied_set.contains(&x))
-                .unwrap_or(opid);
-            let decided = cell.decide(Input(propose)).0;
-            let resp = self.apply_decided(decided, None);
-            if decided == opid {
-                return resp;
-            }
-        }
+        self.append(SlotRecord::Single(op), None)
     }
 
     /// Invoke a *batch* of encoded operations as one log append (the
@@ -878,40 +990,49 @@ impl<T: Replicated> Handle<T> {
     /// single multi-op record, decided by **one** consensus decision,
     /// and applied op-by-op wherever the record lands in the log —
     /// on this replica and on every other replica that replays the
-    /// slot. Returns one response per operation, in order.
+    /// slot. `out` is cleared and receives one response per operation,
+    /// in order (a caller that appends in a loop reuses its buffer).
     ///
     /// Checkpoints and digests are unchanged relative to `ops.len()`
     /// separate [`Handle::invoke`] calls in the sense that replicas
     /// still agree on everything: a slot still folds exactly one opid
     /// into the digest and snapshots still cut at slot boundaries; the
     /// log is simply shorter (one slot per batch).
-    pub fn invoke_many(&mut self, ops: &[u64]) -> Vec<u64> {
+    pub fn invoke_many_into(&mut self, ops: &[u64], out: &mut Vec<u64>) {
         assert!(!ops.is_empty(), "invoke_many needs at least one op");
-        let opid = OpId {
-            pid: self.pid,
-            seq: self.next_seq,
-        }
-        .pack();
-        self.next_seq += 1;
-        self.core.announce_record(opid, Arc::from(ops));
-        self.core.register_pending(self.pid, opid);
+        out.clear();
+        self.append(SlotRecord::Batch(Arc::from(ops)), Some(out));
+    }
+
+    /// [`Handle::invoke_many_into`] into a fresh vector.
+    pub fn invoke_many(&mut self, ops: &[u64]) -> Vec<u64> {
         let mut out = Vec::with_capacity(ops.len());
+        self.invoke_many_into(ops, &mut out);
+        out
+    }
+
+    /// Announce `record` under a fresh opid and walk the log until a
+    /// slot decides it, applying everything decided on the way. The
+    /// record's own responses go to `collect`; the last one is returned.
+    fn append(&mut self, record: SlotRecord, mut collect: Option<&mut Vec<u64>>) -> u64 {
+        let opid = self
+            .core
+            .announce_fresh(self.pid, &mut self.next_seq, record.clone());
+        self.core.register_pending(self.pid, opid);
         loop {
             let cell = self.core.cell(self.next_slot);
             let applied_set = &self.applied_set;
             let propose = self
                 .core
-                .help_target(self.next_slot, &|x| applied_set.contains(&x))
+                .help_target(self.next_slot, &|x| {
+                    applied_set.as_ref().is_some_and(|set| set.contains(&x))
+                })
                 .unwrap_or(opid);
             let decided = cell.decide(Input(propose)).0;
             if decided == opid {
-                self.apply_decided(decided, Some(&mut out));
-                // Broken cells can lose the record (a decided id nobody
-                // announced degrades to one inert no-op); pad so callers
-                // still get one response per op — the divergence flag is
-                // already raised in that case.
-                out.resize(ops.len(), crate::structures::EMPTY);
-                return out;
+                // Our own record: no need to read it back from the
+                // announce table.
+                return self.apply_record(decided, &record, collect.as_deref_mut());
             }
             self.apply_decided(decided, None);
         }
@@ -924,25 +1045,31 @@ impl<T: Replicated> Handle<T> {
     pub fn catch_up(&mut self) -> usize {
         let known = self.core.slots_created();
         let mut applied = 0;
+        // Re-deciding an already-decided cell with a dummy proposal
+        // returns the decided value (cells are multi-shot consensus).
+        // The dummy is announced so a (vanishingly unlikely) win at a
+        // genuinely undecided trailing slot stays resolvable; one dummy
+        // serves every slot until it wins.
+        let mut dummy = None;
         while self.next_slot < known {
-            // Re-deciding an already-decided cell with a dummy proposal
-            // returns the decided value (cells are multi-shot consensus).
             let cell = self.core.cell(self.next_slot);
-            let dummy = OpId {
-                pid: self.pid,
-                seq: self.next_seq,
-            }
-            .pack();
-            // The dummy is announced so a (vanishingly unlikely) win at a
-            // genuinely undecided trailing slot stays resolvable.
-            self.core
-                .announce_op(dummy, crate::object::encoding::op(0, 0));
-            let decided = cell.decide(Input(dummy)).0;
-            if decided == dummy {
-                self.next_seq += 1;
+            let proposal = *dummy.get_or_insert_with(|| {
+                let inert = SlotRecord::Single(crate::object::encoding::op(0, 0));
+                self.core
+                    .announce_fresh(self.pid, &mut self.next_seq, inert)
+            });
+            let decided = cell.decide(Input(proposal)).0;
+            if decided == proposal {
+                dummy = None;
             }
             self.apply_decided(decided, None);
             applied += 1;
+        }
+        if let Some(unused) = dummy {
+            // Never decided anywhere: give the id (and its sequence
+            // number) back.
+            self.core.retract(unused);
+            self.next_seq = OpId::unpack(unused).seq;
         }
         applied
     }
@@ -970,15 +1097,17 @@ impl<T: Replicated> Handle<T> {
         self.next_slot
     }
 
-    /// The decided operation ids this replica has applied, in order,
-    /// starting at [`Self::start_slot`] (0 unless restored from a
-    /// snapshot).
+    /// The decided operation ids of this replica's retained window, in
+    /// order, starting at [`Self::start_slot`]: everything it applied
+    /// that the log has not truncated (the full history on a log
+    /// without checkpoints).
     pub fn applied_log(&self) -> &[u32] {
         &self.applied
     }
 
-    /// The slot this replica started replaying from (0, or the snapshot
-    /// slot it was restored at).
+    /// The slot [`Self::applied_log`] starts at: 0 or the snapshot slot
+    /// this replica was restored at, advanced past whatever checkpoint
+    /// truncation has freed since.
     pub fn start_slot(&self) -> usize {
         self.start_slot
     }
@@ -999,9 +1128,9 @@ impl<T: Replicated> Handle<T> {
 
 impl<T: Replicated> Drop for Handle<T> {
     fn drop(&mut self) {
-        if self.core.checkpoint_interval().is_some() {
+        if let Some(watermark) = &self.watermark {
             // A dead handle must not gate truncation forever.
-            self.core.unregister_handle(self.watermark_key);
+            self.core.unregister_handle(watermark);
         }
     }
 }
@@ -1080,6 +1209,111 @@ mod tests {
     #[should_panic(expected = "exceeds 10 bits")]
     fn oversized_pid_rejected() {
         let _ = OpId { pid: 1024, seq: 0 }.pack();
+    }
+
+    #[test]
+    fn opids_wrap_at_2_22_and_skip_live_ids() {
+        // Recovery leaves pid 0 a few mints short of 2²² (the state a
+        // long-running shard reaches on its own after 4M appends).
+        let interval = 8;
+        let core = Arc::new(
+            UniversalLog::new(Arc::new(RobustCells::new(1, 0.3, 5))).checkpoint_every(interval),
+        );
+        let recovered = OpId {
+            pid: 0,
+            seq: SEQ_MASK - 4,
+        };
+        {
+            let mut replayer = Handle::new(Arc::clone(&core), 1023, Counter::default());
+            assert!(
+                replayer.ingest_recovered(recovered.pack(), SlotRecord::Single(Counter::add_op(1)))
+            );
+        }
+        // (0, 1) is announced but never decided (no helping): still
+        // live when the wrap reaches it, so the mint must step over it.
+        let ghost = core.announce_for(0, 1, Counter::add_op(1_000));
+        let mut a = Handle::new(Arc::clone(&core), 0, Counter::default());
+        let mut b = Handle::new(Arc::clone(&core), 1, Counter::default());
+        let mut total = 1;
+        let mut minted = Vec::new();
+        for round in 0..6 * interval as u64 {
+            if round % 2 == 0 {
+                a.invoke(Counter::add_op(1));
+                total += 1;
+            } else {
+                a.invoke_many(&[Counter::add_op(2), Counter::add_op(3)]);
+                total += 5;
+            }
+            minted.push(OpId::unpack(*a.applied_log().last().unwrap()));
+            b.invoke(Counter::add_op(1));
+            total += 1;
+        }
+        let seqs: Vec<u32> = minted.iter().map(|id| id.seq).collect();
+        assert_eq!(
+            seqs[..7],
+            [SEQ_MASK - 3, SEQ_MASK - 2, SEQ_MASK - 1, SEQ_MASK, 0, 2, 3],
+            "sequence numbers wrap, stepping over the live (0, 1)"
+        );
+        assert!(minted.iter().all(|id| id.pid == 0 && id.pack() != ghost));
+        assert_eq!(a.sync().value(), total);
+        assert_eq!(b.sync().value(), total);
+        assert!(!core.divergence_detected());
+        assert!(digests_consistent(&[
+            a.boundary_digests(),
+            b.boundary_digests()
+        ]));
+        assert!(log_windows_consistent(&[
+            (a.start_slot(), a.applied_log()),
+            (b.start_slot(), b.applied_log())
+        ]));
+        // Several checkpoints went by: the log, the boundary cells and
+        // both replicas' opid windows were all cut down with it.
+        assert!(core.checkpoints_installed() >= 6);
+        assert!(core.retained_len() <= 2 * interval);
+        assert!(core.boundaries.lock().cells.len() <= 2);
+        assert!(a.start_slot() > 0 && a.applied_log().len() <= 2 * interval);
+        // A fresh replica (snapshot + tail) agrees.
+        let mut observer = Handle::new(core, 2, Counter::default());
+        assert_eq!(observer.invoke(Counter::get_op()), total);
+    }
+
+    #[test]
+    fn recovery_resumes_after_the_last_replayed_seq_not_the_largest() {
+        // A replayed log that wrapped: pid 3 minted …, 2²²-1, 0, 1. The
+        // next mint is 2 — resuming past the *largest* would burn the
+        // whole sequence space again on every recovery.
+        let core = Arc::new(UniversalLog::new(Arc::new(ReliableCells)));
+        let mut replayer = Handle::new(Arc::clone(&core), 1023, Counter::default());
+        for seq in [SEQ_MASK - 1, SEQ_MASK, 0, 1] {
+            let opid = OpId { pid: 3, seq }.pack();
+            assert!(replayer.ingest_recovered(opid, SlotRecord::Single(Counter::add_op(1))));
+        }
+        drop(replayer);
+        let mut h = Handle::new(core, 3, Counter::default());
+        h.invoke(Counter::add_op(1));
+        assert_eq!(
+            OpId::unpack(*h.applied_log().last().unwrap()),
+            OpId { pid: 3, seq: 2 }
+        );
+        assert_eq!(h.state().value(), 5);
+    }
+
+    #[test]
+    fn catch_up_gives_back_an_unused_dummy_id() {
+        let core = Arc::new(UniversalLog::new(Arc::new(ReliableCells)));
+        let mut a = Handle::new(Arc::clone(&core), 0, Counter::default());
+        a.invoke(Counter::add_op(5));
+        a.invoke(Counter::add_op(7));
+        let mut b = Handle::new(Arc::clone(&core), 1, Counter::default());
+        assert_eq!(b.catch_up(), 2);
+        // The dummy lost both slots: it is gone from the announce table
+        // and b's first real operation mints sequence number 0.
+        assert_eq!(core.announce.lock().len(), 2);
+        b.invoke(Counter::add_op(1));
+        assert_eq!(
+            OpId::unpack(*b.applied_log().last().unwrap()),
+            OpId { pid: 1, seq: 0 }
+        );
     }
 
     #[test]
@@ -1176,7 +1410,9 @@ mod tests {
             b.invoke(Counter::add_op(1));
         }
         assert!(
-            a.applied_set.contains(&ghost_opid) || b.applied_set.contains(&ghost_opid),
+            [&a, &b]
+                .iter()
+                .any(|h| h.applied_set.as_ref().unwrap().contains(&ghost_opid)),
             "the ghost's operation was never helped to a decision"
         );
         // The ghost's 1000 is included exactly once in the totals.

@@ -17,7 +17,7 @@ pub struct E8OtherFaults;
 impl E8OtherFaults {
     /// Sequential three-decider probe on a Herlihy cell over `ensemble`;
     /// returns `true` iff the three decisions agree.
-    fn herlihy_agrees(ensemble: Arc<FaultyCasArray>) -> bool {
+    fn herlihy_agrees(ensemble: impl CasEnsemble) -> bool {
         let c = HerlihyConsensus::new(ensemble);
         let a = c.decide(Input(10));
         let b = c.decide(Input(20));

@@ -38,7 +38,7 @@ fn fig1_stress_full_fault_rate() {
 
 #[test]
 fn fig2_stress_every_policy() {
-    type EnsembleMaker = Box<dyn Fn(u64) -> Arc<FaultyCasArray>>;
+    type EnsembleMaker = Box<dyn Fn(u64) -> Arc<dyn CasEnsemble>>;
     let policies: Vec<(&str, EnsembleMaker)> = vec![
         (
             "always",
