@@ -31,9 +31,7 @@
 //! `--sweep` replaces the single robust run with the connection-scaling
 //! trajectory 100 → 1,000 → 10,000. Connections the OS refuses (fd
 //! limits at the top point) are reported as `achieved_connections`, not
-//! treated as failure. Every report embeds the retired
-//! thread-per-connection baseline (3 connections, ~305k ops/s, p99
-//! ≈ 262µs) so the JSON carries its own comparison.
+//! treated as failure.
 //!
 //! The full report lands in `BENCH_net.json` (`--json-out` overrides).
 
@@ -50,46 +48,7 @@ use ff_store::{
 };
 use ff_workload::JsonValue;
 
-/// The retired thread-per-connection server's best measured run (3
-/// connections, `drive_clients`, batch 8, 1-core CI box) — the bar the
-/// reactor has to clear while holding 100–10,000 connections.
-///
-/// **Historical**: that server was deleted when the reactor landed, so
-/// this number can never be regenerated — the JSON marks it
-/// `"historical": true` so downstream tooling doesn't mistake it for a
-/// measured arm of the current run.
-struct Baseline {
-    connections: usize,
-    ops_per_sec: f64,
-    p99_us: f64,
-}
-
-const BASELINE: Baseline = Baseline {
-    connections: 3,
-    ops_per_sec: 305_000.0,
-    p99_us: 262.0,
-};
-
-impl Baseline {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "driver".into(),
-                JsonValue::String("thread-per-connection".into()),
-            ),
-            ("historical".into(), JsonValue::Bool(true)),
-            (
-                "connections".into(),
-                JsonValue::Number(self.connections as f64),
-            ),
-            ("ops_per_sec".into(), JsonValue::Number(self.ops_per_sec)),
-            ("p99_us".into(), JsonValue::Number(self.p99_us)),
-        ])
-    }
-}
-
-/// The `--sweep` trajectory: two orders of magnitude past the old
-/// server's practical ceiling.
+/// The `--sweep` trajectory.
 const SWEEP_POINTS: [usize; 3] = [100, 1_000, 10_000];
 
 struct BenchConfig {
@@ -104,9 +63,7 @@ struct BenchConfig {
     checkpoint_interval: usize,
     seed: u64,
     loops: usize,
-    replica_budget: usize,
     drivers: usize,
-    combining: bool,
     sweep: bool,
     skip_naive: bool,
     data_dir: Option<String>,
@@ -129,13 +86,7 @@ impl Default for BenchConfig {
             checkpoint_interval: 64,
             seed: 0xBE7,
             loops: 0,
-            // The bench default keeps every connection on the per-loop
-            // combiner replicas: at bench scale an exclusive replica
-            // per connection would put replica count — not the network
-            // path — on the measured critical path.
-            replica_budget: 0,
             drivers: 0,
-            combining: false,
             sweep: false,
             skip_naive: false,
             data_dir: None,
@@ -186,10 +137,6 @@ impl ArmReport {
                 "ops_per_sec".into(),
                 JsonValue::Number(self.snapshot.total_ops_per_sec()),
             ),
-            (
-                "speedup_vs_baseline".into(),
-                JsonValue::Number(self.snapshot.total_ops_per_sec() / BASELINE.ops_per_sec),
-            ),
             ("latency".into(), self.snapshot.to_json()),
             (
                 "client_errors".into(),
@@ -239,14 +186,12 @@ impl ArmReport {
             .max_by_key(|c| c.ops)
             .expect("four candidate classes");
         println!(
-            "{label}: {}/{} connection(s), {} ops served, {:.0} ops/sec \
-             (×{:.2} vs thread-per-connection baseline), \
+            "{label}: {}/{} connection(s), {} ops served, {:.0} ops/sec, \
              p50 {:.0}µs p95 {:.0}µs p99 {:.0}µs, consistent: {}",
             self.connections_achieved,
             self.connections_requested,
             self.ops_served,
             s.total_ops_per_sec(),
-            s.total_ops_per_sec() / BASELINE.ops_per_sec,
             busiest.p50_ns as f64 / 1000.0,
             busiest.p95_ns as f64 / 1000.0,
             busiest.p99_ns as f64 / 1000.0,
@@ -478,8 +423,7 @@ fn connect_fleet(addr: SocketAddr, want: usize) -> Vec<NetClient> {
 }
 
 /// One full arm: store + reactor server + closed-loop clients + drain +
-/// verify over the server's retired replicas (exclusive leases and
-/// loop combiners alike).
+/// verify once the server's loop clients have retired.
 fn run_arm(
     cfg: &BenchConfig,
     backend: Backend,
@@ -499,7 +443,6 @@ fn run_arm(
         })
         .rotate_kinds(backend.injects_faults())
         .checkpoint_interval(cfg.checkpoint_interval)
-        .combining(cfg.combining)
         .seed(seed);
     if let Some(base) = &cfg.data_dir {
         // Arms run sequentially but must not replay each other's logs:
@@ -529,7 +472,6 @@ fn run_arm(
         ServerConfig {
             max_connections: connections + 16,
             loops: cfg.loops,
-            replica_budget: cfg.replica_budget,
             ..ServerConfig::default()
         },
     )
@@ -608,7 +550,7 @@ fn usage() -> ! {
         "usage: netbench [--connections N] [--shards N] [--secs S] [--batch N]\n\
          \x20              [--read-pct P] [--keyspace N] [--fault-rate R]\n\
          \x20              [--checkpoint-interval N] [--seed N] [--loops N]\n\
-         \x20              [--replica-budget N] [--drivers N] [--combining]\n\
+         \x20              [--drivers N]\n\
          \x20              [--backend NAME] [--sweep] [--skip-naive] [--json-out PATH]\n\
          \x20              [--data-dir DIR] [--group-commit N] [--recover]"
     );
@@ -660,13 +602,7 @@ fn main() {
             }
             "--seed" => cfg.seed = parse_seed(&value("--seed")).unwrap_or_else(|| usage()),
             "--loops" => cfg.loops = value("--loops").parse().unwrap_or_else(|_| usage()),
-            "--replica-budget" => {
-                cfg.replica_budget = value("--replica-budget")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
             "--drivers" => cfg.drivers = value("--drivers").parse().unwrap_or_else(|_| usage()),
-            "--combining" => cfg.combining = true,
             "--sweep" => cfg.sweep = true,
             "--skip-naive" => cfg.skip_naive = true,
             "--data-dir" => cfg.data_dir = Some(value("--data-dir")),
@@ -759,40 +695,32 @@ fn main() {
 
     let verdict = robust_ok && naive.as_ref().is_none_or(|n| n.flagged());
 
-    let mut doc = vec![
-        (
-            "config".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "connections".into(),
-                    JsonValue::Number(cfg.connections as f64),
-                ),
-                ("shards".into(), JsonValue::Number(cfg.shards as f64)),
-                ("secs".into(), JsonValue::Number(cfg.secs)),
-                ("batch".into(), JsonValue::Number(cfg.batch as f64)),
-                ("read_pct".into(), JsonValue::Number(cfg.read_pct as f64)),
-                ("keyspace".into(), JsonValue::Number(cfg.keyspace as f64)),
-                ("fault_rate".into(), JsonValue::Number(cfg.fault_rate)),
-                ("seed".into(), JsonValue::Number(cfg.seed as f64)),
-                ("loops".into(), JsonValue::Number(cfg.loops as f64)),
-                (
-                    "replica_budget".into(),
-                    JsonValue::Number(cfg.replica_budget as f64),
-                ),
-                ("combining".into(), JsonValue::Bool(cfg.combining)),
-                ("sweep".into(), JsonValue::Bool(cfg.sweep)),
-                (
-                    "transport".into(),
-                    JsonValue::String("tcp-localhost".into()),
-                ),
-                (
-                    "driver".into(),
-                    JsonValue::String("multiplexed-reactor".into()),
-                ),
-            ]),
-        ),
-        ("baseline".to_string(), BASELINE.to_json()),
-    ];
+    let mut doc = vec![(
+        "config".to_string(),
+        JsonValue::Object(vec![
+            (
+                "connections".into(),
+                JsonValue::Number(cfg.connections as f64),
+            ),
+            ("shards".into(), JsonValue::Number(cfg.shards as f64)),
+            ("secs".into(), JsonValue::Number(cfg.secs)),
+            ("batch".into(), JsonValue::Number(cfg.batch as f64)),
+            ("read_pct".into(), JsonValue::Number(cfg.read_pct as f64)),
+            ("keyspace".into(), JsonValue::Number(cfg.keyspace as f64)),
+            ("fault_rate".into(), JsonValue::Number(cfg.fault_rate)),
+            ("seed".into(), JsonValue::Number(cfg.seed as f64)),
+            ("loops".into(), JsonValue::Number(cfg.loops as f64)),
+            ("sweep".into(), JsonValue::Bool(cfg.sweep)),
+            (
+                "transport".into(),
+                JsonValue::String("tcp-localhost".into()),
+            ),
+            (
+                "driver".into(),
+                JsonValue::String("multiplexed-reactor".into()),
+            ),
+        ]),
+    )];
     if cfg.sweep {
         doc.push((
             "sweep".to_string(),

@@ -12,13 +12,6 @@
 //! `--json-out`). Exits nonzero if any shard diverged — which the
 //! `--backend naive` arm exists to demonstrate.
 //!
-//! `--combining` routes every worker through the flat-combining shard
-//! cores. `--ab` runs the same configuration twice in one process —
-//! first uncombined, then combined — writes both arms into one JSON
-//! document, and exits nonzero unless both arms verified consistent
-//! *and* the combined arm was at least as fast; CI's combining smoke
-//! is exactly this mode.
-//!
 //! `--data-dir DIR` turns on the per-shard write-ahead log; add
 //! `--recover` to rebuild the store from the WAL files already in the
 //! directory before soaking (CI kill-9s a durable soak and restarts it
@@ -39,7 +32,7 @@ fn usage() -> ! {
          \x20           [--backend NAME] [--read-pct P]\n\
          \x20           [--substrates] (hierarchy sweep over every registered substrate)\n\
          \x20           [--keyspace N] [--checkpoint-interval N] [--seed N]\n\
-         \x20           [--combining] [--ab] [--json-out PATH]\n\
+         \x20           [--json-out PATH]\n\
          \x20           [--data-dir DIR] [--group-commit N] [--recover]\n\
          \x20           [--durability-ab]"
     );
@@ -58,7 +51,6 @@ fn parse_seed(s: &str) -> Option<u64> {
 fn main() {
     let mut config = SoakConfig::default();
     let mut json_out: Option<String> = None;
-    let mut ab = false;
     let mut durability_ab = false;
     let mut substrates = false;
 
@@ -96,8 +88,6 @@ fn main() {
                     .unwrap_or_else(|_| usage())
             }
             "--seed" => config.seed = parse_seed(&value("--seed")).unwrap_or_else(|| usage()),
-            "--combining" => config.combining = true,
-            "--ab" => ab = true,
             "--substrates" => substrates = true,
             "--data-dir" => {
                 config.durability.data_dir = Some(value("--data-dir").into());
@@ -122,8 +112,8 @@ fn main() {
         usage();
     }
     if substrates {
-        if ab || durability_ab || config.durability.enabled() {
-            eprintln!("--substrates is its own mode; drop --ab/--durability-ab/--data-dir");
+        if durability_ab || config.durability.enabled() {
+            eprintln!("--substrates is its own mode; drop --durability-ab/--data-dir");
             usage();
         }
         run_substrates(
@@ -134,19 +124,11 @@ fn main() {
     }
     let json_out = json_out.unwrap_or_else(|| "BENCH_store.json".into());
     if durability_ab {
-        if ab {
-            eprintln!("--ab and --durability-ab are separate modes; pick one");
-            usage();
-        }
         if !config.durability.enabled() {
             eprintln!("--durability-ab needs --data-dir for its durable arm");
             usage();
         }
         run_durability_ab(config, &json_out);
-        return;
-    }
-    if ab {
-        run_ab(config, &json_out);
         return;
     }
 
@@ -178,13 +160,12 @@ fn run_substrates(secs: f64, json_out: &str) {
 
 fn soak_arm(config: &SoakConfig) -> SoakReport {
     eprintln!(
-        "soaking: {} worker(s) x {} shard(s), {}s, backend {}, fault rate {}, combining {}, durable {}{} …",
+        "soaking: {} worker(s) x {} shard(s), {}s, backend {}, fault rate {}, durable {}{} …",
         config.threads,
         config.shards,
         config.secs,
         config.backend.name(),
         config.fault_rate,
-        config.combining,
         config.durability.enabled(),
         if config.recover { " (recovering)" } else { "" },
     );
@@ -198,39 +179,6 @@ fn soak_arm(config: &SoakConfig) -> SoakReport {
     });
     println!("{}", report.render());
     report
-}
-
-/// The CI combining smoke: same configuration, uncombined then
-/// combined, in one process — so the comparison shares a build, a
-/// machine state and a warm page cache. Fails unless both arms verify
-/// consistent and combining did not lose throughput.
-fn run_ab(mut config: SoakConfig, json_out: &str) {
-    config.combining = false;
-    let uncombined = soak_arm(&config);
-    config.combining = true;
-    let combined = soak_arm(&config);
-
-    let base = uncombined.metrics.total_ops_per_sec();
-    let with = combined.metrics.total_ops_per_sec();
-    let speedup = if base > 0.0 { with / base } else { 0.0 };
-    println!("\nA/B: uncombined {base:.0} ops/sec, combined {with:.0} ops/sec (×{speedup:.2})");
-
-    write_json(
-        json_out,
-        JsonValue::Object(vec![
-            ("mode".into(), JsonValue::String("ab".into())),
-            ("uncombined".into(), uncombined.to_json()),
-            ("combined".into(), combined.to_json()),
-            ("speedup".into(), JsonValue::Number(speedup)),
-        ]),
-    );
-
-    check_consistent(&uncombined);
-    check_consistent(&combined);
-    if with < base {
-        eprintln!("REGRESSION: combined arm slower than uncombined (×{speedup:.2})");
-        std::process::exit(1);
-    }
 }
 
 /// The durability smoke: same configuration, purely in-memory then

@@ -1,10 +1,10 @@
 //! Experiments that need the whole stack at once.
 //!
 //! Most experiments live next to the layer they exercise (`ff-workload`
-//! E1–E14, `ff-store` E15, `ff-net` E16/E17). E18 compares the
-//! flat-combining shard cores against the uncombined submission path
-//! *and* re-checks the combining model grid — store and simulator
-//! together — so it lives here, in the one crate that depends on both.
+//! E1–E14, `ff-store` E15, `ff-net` E16/E17). E18 measures the
+//! flat-combining shard cores' read fast path *and* re-checks the
+//! combining model grid — store and simulator together — so it lives
+//! here, in the one crate that depends on both.
 //! E21 sweeps every registered consensus substrate through the same
 //! soak — the hierarchy corollary (§5.2) as one measured table.
 
@@ -16,7 +16,7 @@ use ff_store::metrics::format_ns;
 use ff_store::{all_backends, run_soak, Backend, SoakConfig, SoakReport};
 use ff_workload::{Experiment, ExperimentResult, JsonValue, Table};
 
-/// E18: flat-combining cores vs the uncombined path, plus the
+/// E18: the flat-combining cores' read-share sweep, plus the
 /// exhaustive small-config model check of the combining protocol.
 pub struct E18Combining;
 
@@ -26,7 +26,7 @@ impl Experiment for E18Combining {
     }
 
     fn title(&self) -> &'static str {
-        "Flat-combining shard cores: A/B soak, read fast path, model grid"
+        "Flat-combining shard cores: read fast path, model grid"
     }
 
     fn run(&self) -> ExperimentResult {
@@ -44,8 +44,6 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
     let mut notes = Vec::new();
     let mut pass = true;
 
-    // Arm 1+2 — the same faulty soak, uncombined then combined. One
-    // process, one machine state: the honest version of the comparison.
     let base_config = SoakConfig {
         threads: 3,
         shards: 4,
@@ -54,48 +52,12 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
         checkpoint_interval: 16,
         ..SoakConfig::default()
     };
-    let mut ab = Table::new(
-        "combined vs uncombined soak (threads=3, shards=4, fault rate 0.2, mixed kinds)",
-        &["path", "ops", "ops/sec", "combine passes", "consistent"],
-    );
-    let mut speedup = (0.0, 0.0);
-    for combining in [false, true] {
-        let report = run_soak(&SoakConfig {
-            combining,
-            ..base_config.clone()
-        });
-        let ops_per_sec = report.metrics.total_ops_per_sec();
-        if combining {
-            speedup.1 = ops_per_sec;
-        } else {
-            speedup.0 = ops_per_sec;
-        }
-        ab.push_row(&[
-            if combining { "combined" } else { "uncombined" }.to_string(),
-            report.metrics.total_ops().to_string(),
-            format!("{ops_per_sec:.0}"),
-            report
-                .metrics
-                .combining
-                .as_ref()
-                .map_or_else(|| "—".to_string(), |c| c.passes.to_string()),
-            report.consistent.to_string(),
-        ]);
-        pass &= report.consistent;
-    }
-    if speedup.0 > 0.0 {
-        notes.push(format!(
-            "combined/uncombined throughput ratio: ×{:.2} (ratio is machine- and \
-             profile-dependent; CI's release-mode `soak --ab` gate enforces ≥1)",
-            speedup.1 / speedup.0
-        ));
-    }
 
-    // Arm 3 — read-share sweep over the combined path: the wait-free
-    // snapshot read should absorb nearly every GET, and the heavier the
-    // read mix the more of the workload never touches the log.
+    // Arm 1 — read-share sweep: the wait-free snapshot read should
+    // absorb nearly every GET, and the heavier the read mix the more of
+    // the workload never touches the log.
     let mut sweep = Table::new(
-        "combined path vs read share (threads=3, shards=4, fault rate 0.2)",
+        "read-share sweep (threads=3, shards=4, fault rate 0.2, mixed kinds)",
         &[
             "read %",
             "ops/sec",
@@ -106,7 +68,6 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
     );
     for read_pct in [50u32, 70, 95] {
         let report = run_soak(&SoakConfig {
-            combining: true,
             read_pct,
             ..base_config.clone()
         });
@@ -114,7 +75,7 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
         let c = report
             .metrics
             .combining
-            .expect("combining soak must snapshot combiner counters");
+            .expect("a soak must snapshot combiner counters");
         sweep.push_row(&[
             read_pct.to_string(),
             format!("{:.0}", report.metrics.total_ops_per_sec()),
@@ -140,7 +101,7 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
         }
     }
 
-    // Arm 4 — the exhaustive model grid: no stale read past the decided
+    // Arm 2 — the exhaustive model grid: no stale read past the decided
     // tail, no lost or duplicated op under combiner hand-off — nor
     // under adversarial combiner kills with the lease reclaim on —
     // across every interleaving of every small configuration.
@@ -170,7 +131,7 @@ fn run_e18(grid: &[CombineModelConfig], secs: f64) -> ExperimentResult {
         id: "e18".into(),
         title: E18Combining.title().into(),
         paper_ref: "flat combining over the robust universal construction (Sections 4–6)".into(),
-        tables: vec![ab, sweep, model],
+        tables: vec![sweep, model],
         notes,
         pass,
     }

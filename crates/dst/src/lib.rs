@@ -1,7 +1,7 @@
 //! # ff-dst — deterministic whole-system simulation
 //!
 //! A FoundationDB-style simulator that runs the **real** stack — the
-//! [`ff_store::Store`] with combining on, and `ff-net`'s actual wire
+//! [`ff_store::Store`], and `ff-net`'s actual wire
 //! codec and [`Session`](ff_net::Session) protocol state machine — on
 //! top of a simulated datacenter, and then does its best to kill it:
 //! process crashes, restarts, machine partitions, dropped / duplicated

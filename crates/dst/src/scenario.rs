@@ -232,7 +232,6 @@ fn store_with(shards: usize, checkpoint: usize, arm: &str, seed: u64) -> Store {
             })
             .rotate_kinds(true)
             .checkpoint_interval(checkpoint)
-            .combining(true)
             .combiner_lease(true)
             .reclaim_after(8)
             .seed(seed)
@@ -449,7 +448,6 @@ fn kill_combiner(arm: &str, seed: u64, mode: ScriptMode) -> RunReport {
             .shards(1)
             .backend(Backend::reliable())
             .checkpoint_interval(64)
-            .combining(true)
             .combiner_lease(lease)
             .reclaim_after(8)
             .seed(seed)
@@ -540,7 +538,6 @@ fn kill_recover(arm: &str, seed: u64, mode: ScriptMode) -> RunReport {
         })
         .rotate_kinds(true)
         .checkpoint_interval(16)
-        .combining(true)
         .combiner_lease(true)
         .reclaim_after(8)
         .seed(seed)

@@ -1,7 +1,7 @@
 //! [`NetClient`]: the TCP implementation of [`Kv`].
 //!
-//! One client ↔ one connection ↔ one server-side [`StoreClient`]
-//! replica set. The client speaks the `wire` protocol, matches
+//! One client ↔ one connection, served by its event loop's
+//! [`StoreClient`]. The client speaks the `wire` protocol, matches
 //! responses to requests by id, and maps wire error frames back onto
 //! the same [`StoreError`] values the in-process client produces — so
 //! a workload written against [`Kv`] cannot tell the transports apart

@@ -13,7 +13,7 @@
 //! | module | what it holds |
 //! |---|---|
 //! | [`wire`] | frame layout, encode/decode (owned and zero-copy), streaming [`FrameBuffer`] |
-//! | [`server`] | [`NetServer`]: the readiness-driven reactor — N event loops, replica leases, cross-connection batching, backpressure, graceful drain |
+//! | [`server`] | [`NetServer`]: the readiness-driven reactor — N event loops, one store client each, cross-connection batching, backpressure, graceful drain |
 //! | `poll` (private) | the std-only readiness abstraction the loops run on |
 //! | `buffer` (private) | per-loop pools for connection read/write buffers |
 //! | `reactor` (private) | the event-loop state machine itself |

@@ -6,9 +6,8 @@
 //! # One tick
 //!
 //! 1. **Admit** — drain this loop's inbox of freshly accepted,
-//!    already-nonblocking sockets; grant each a replica lease
-//!    (exclusive [`StoreClient`] within the budget, shared combiner
-//!    beyond it) and a [`Session`] around pooled buffers.
+//!    already-nonblocking sockets; give each a [`Session`] around
+//!    pooled buffers.
 //! 2. **Poll** — probe read readiness for every open, unpaused
 //!    connection; connections with unflushed responses bound the wait.
 //! 3. **Read** — pull up to 16 KiB per readable connection straight
@@ -22,12 +21,11 @@
 //!    `Malformed` frame and marks the session closing —
 //!    length-prefixed framing cannot resync.
 //! 5. **Execute** — the merged run goes through one
-//!    [`Kv::batch`](ff_store::Kv::batch) call: one log pass per
-//!    touched shard for the whole tick, across connections. If every
-//!    contributor holds an exclusive lease the first contributor's
-//!    replica executes it (so small fleets keep exactly the old
-//!    per-connection replica graveyard); otherwise the loop's
-//!    lazily-minted combiner does.
+//!    [`Kv::batch`](ff_store::Kv::batch) call on the loop's one
+//!    [`StoreClient`]: one pending unit per touched shard for the whole
+//!    tick, across connections. Every
+//!    `AUDIT_EVERY` runs, server-wide, the loop also audits the shard
+//!    logs ([`Store::verify`](ff_store::Store::verify)).
 //! 6. **Resolve** — each session encodes its slots' responses into its
 //!    output buffer, in per-connection request order. A run error
 //!    (divergence poisons the shard set; nothing partial is usable)
@@ -35,12 +33,11 @@
 //! 7. **Flush** — attempted-write model: write until `WouldBlock`,
 //!    killing peers stalled past the write timeout.
 //! 8. **Reap** — dead connections return their session's buffers to
-//!    the pool, retire exclusive replicas to the graveyard, release
-//!    their lease and drop the active count.
+//!    the pool and drop the active count.
 //!
 //! On shutdown a loop runs one final stage/execute/flush pass over
 //! everything already buffered — bounded by the write timeout — then
-//! retires every lease, including the combiner.
+//! retires its client for post-shutdown verification.
 //!
 //! Everything between the socket reads and the socket writes — frame
 //! decoding, staging, validation, response encoding — lives in
@@ -54,14 +51,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ff_store::{Kv, KvOp, StoreClient, StoreError};
+use ff_store::{Kv, KvOp, StoreClient};
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
 use crate::poll::{Interest, PollSource, Poller, Readiness, ScanPoller};
 use crate::server::{stats, Shared};
 use crate::session::Session;
-use crate::wire::ErrorCode;
 
 /// Most bytes read per connection per tick — round-robin fairness, not
 /// a frame bound.
@@ -74,21 +70,18 @@ const PAUSE_WBUF: usize = 256 * 1024;
 const POLL_TICK: Duration = Duration::from_millis(5);
 /// Sleep when the loop owns no connections at all.
 const IDLE_EMPTY: Duration = Duration::from_millis(2);
+/// Merged runs (server-wide) between two audits of the shard logs. The
+/// cores decide every slot alone and apply their own record without
+/// reading the cell back, so the audit's observer is what notices a cell
+/// that *stored* something else while the server is up; one audit
+/// replays at most a checkpoint interval of slots per shard.
+const AUDIT_EVERY: u64 = 256;
 
 /// The slice of server state one event loop and the acceptor share.
 #[derive(Default)]
 pub(crate) struct LoopShared {
     /// Freshly accepted nonblocking sockets pinned to this loop.
     pub(crate) inbox: Mutex<Vec<TcpStream>>,
-}
-
-/// How a connection reaches the store.
-enum Lease {
-    /// A private replica set, retired to the graveyard on close —
-    /// the old thread-per-connection semantics.
-    Exclusive(StoreClient),
-    /// Operations execute on the loop's shared combiner replica.
-    Shared,
 }
 
 /// One nonblocking connection's state: the IO shell (socket, write
@@ -98,7 +91,6 @@ struct Conn {
     session: Session,
     /// Bytes of the session's output already written to the socket.
     wpos: usize,
-    lease: Lease,
     /// Peer half-closed; serve what's buffered, flush, then close.
     eof: bool,
     /// Reap this connection at the end of the tick.
@@ -129,7 +121,7 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut pool = BufferPool::new();
     let mut poller = ScanPoller::new();
-    let mut combiner: Option<StoreClient> = None;
+    let mut client = shared.store.client();
     let mut scratch = Scratch {
         run_ops: Vec::new(),
         readiness: Vec::new(),
@@ -138,10 +130,8 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
     loop {
         admit(&shared, index, &mut conns, &mut pool);
         if shared.shutdown.load(Ordering::SeqCst) {
-            drain_all(&shared, conns, &mut combiner, &mut scratch);
-            if let Some(c) = combiner.take() {
-                shared.retired.lock().push(c);
-            }
+            drain_all(&shared, conns, &mut client, &mut scratch);
+            shared.retired.lock().push(client);
             return;
         }
         tick(
@@ -149,7 +139,7 @@ pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
             &mut conns,
             &mut pool,
             &mut poller,
-            &mut combiner,
+            &mut client,
             &mut scratch,
         );
     }
@@ -168,7 +158,6 @@ fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>, pool: &mut Buffer
             stream,
             session: Session::from_parts(pool.take_read(), pool.take_write()),
             wpos: 0,
-            lease: grant_lease(shared),
             eof: false,
             dead: false,
             write_deadline: None,
@@ -176,33 +165,12 @@ fn admit(shared: &Shared, index: usize, conns: &mut Vec<Conn>, pool: &mut Buffer
     }
 }
 
-/// Exclusive replica within the budget (and while pid space lasts),
-/// shared combiner beyond it.
-fn grant_lease(shared: &Shared) -> Lease {
-    let budget = shared.config.replica_budget;
-    let granted = shared
-        .exclusive_leases
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-            (n < budget).then_some(n + 1)
-        })
-        .is_ok();
-    if granted {
-        match shared.store.try_client() {
-            Some(client) => return Lease::Exclusive(client),
-            None => {
-                shared.exclusive_leases.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-    Lease::Shared
-}
-
 fn tick(
     shared: &Shared,
     conns: &mut Vec<Conn>,
     pool: &mut BufferPool,
     poller: &mut ScanPoller,
-    combiner: &mut Option<StoreClient>,
+    client: &mut StoreClient,
     scratch: &mut Scratch,
 ) {
     // Poll: read interest for open unpaused connections; write
@@ -252,7 +220,7 @@ fn tick(
         }
     }
 
-    serve_buffered(shared, conns, combiner, scratch, false);
+    serve_buffered(shared, conns, client, scratch, false);
 
     for c in conns.iter_mut() {
         flush(c, shared);
@@ -274,16 +242,14 @@ fn tick(
 fn serve_buffered(
     shared: &Shared,
     conns: &mut [Conn],
-    combiner: &mut Option<StoreClient>,
+    client: &mut StoreClient,
     scratch: &mut Scratch,
     ignore_pause: bool,
 ) {
     scratch.run_ops.clear();
-    let mut all_exclusive = true;
-    let mut leader: Option<usize> = None;
     let mut immediate = 0u64;
     let mut staged = 0u64;
-    for (i, c) in conns.iter_mut().enumerate() {
+    for c in conns.iter_mut() {
         // Closing sessions stage nothing themselves (the session
         // early-returns); paused connections wait for their peer.
         if c.dead || (!ignore_pause && c.paused()) {
@@ -292,16 +258,6 @@ fn serve_buffered(
         let summary = c.session.stage(&mut scratch.run_ops);
         immediate += summary.immediate;
         staged += summary.staged;
-        if summary.contributed {
-            match c.lease {
-                Lease::Exclusive(_) => {
-                    if leader.is_none() {
-                        leader = Some(i);
-                    }
-                }
-                Lease::Shared => all_exclusive = false,
-            }
-        }
     }
     if immediate > 0 {
         shared.ops_served.fetch_add(immediate, Ordering::Relaxed);
@@ -309,13 +265,7 @@ fn serve_buffered(
     let outcome = if scratch.run_ops.is_empty() {
         None
     } else {
-        let result = execute_run(
-            shared,
-            conns,
-            leader.filter(|_| all_exclusive),
-            combiner,
-            &scratch.run_ops,
-        );
+        let result = client.batch(&scratch.run_ops);
         if result.is_ok() {
             shared
                 .ops_served
@@ -323,13 +273,20 @@ fn serve_buffered(
         }
         // Coalescing observability: how many frames fed how many merged
         // runs of what size (STATS surfaces the ratios).
-        shared.runs_executed.fetch_add(1, Ordering::Relaxed);
+        let runs_before = shared.runs_executed.fetch_add(1, Ordering::Relaxed);
         shared
             .run_ops
             .fetch_add(scratch.run_ops.len() as u64, Ordering::Relaxed);
         shared
             .max_run_ops
             .fetch_max(scratch.run_ops.len() as u32, Ordering::Relaxed);
+        if runs_before % AUDIT_EVERY == AUDIT_EVERY - 1 {
+            // Only the side effect matters here: a corrupted log gets
+            // its divergence flag raised, and the shard answers every
+            // later run with the typed error. The report is the
+            // operator's, from `Store::verify` after shutdown.
+            shared.store.verify(&mut []);
+        }
         Some(result)
     };
     if staged > 0 {
@@ -344,37 +301,6 @@ fn serve_buffered(
             c.session.resolve(outcome.as_ref(), &snapshot);
         }
     }
-}
-
-/// Run the merged operations through one replica: the first
-/// contributor's exclusive client when every contributor is exclusive
-/// (keeping the per-connection graveyard exact for small fleets), the
-/// loop combiner otherwise.
-fn execute_run(
-    shared: &Shared,
-    conns: &mut [Conn],
-    leader: Option<usize>,
-    combiner: &mut Option<StoreClient>,
-    ops: &[KvOp],
-) -> Result<Vec<Option<u32>>, StoreError> {
-    if let Some(i) = leader {
-        if let Lease::Exclusive(client) = &mut conns[i].lease {
-            return client.batch(ops);
-        }
-    }
-    let client = match combiner {
-        Some(client) => client,
-        None => match shared.store.try_client() {
-            Some(client) => combiner.insert(client),
-            None => {
-                return Err(StoreError::Server {
-                    code: ErrorCode::Internal as u8,
-                    message: "replica id space exhausted; cannot mint a combiner".to_string(),
-                })
-            }
-        },
-    };
-    client.batch(ops)
 }
 
 /// Attempted-write model: push buffered response bytes until done or
@@ -423,13 +349,9 @@ fn flush(c: &mut Conn, shared: &Shared) {
     }
 }
 
-/// Retire a finished connection: replica to the graveyard, buffers to
-/// the pool, lease and active slot released.
+/// Retire a finished connection: buffers to the pool, active slot
+/// released.
 fn reap(c: Conn, shared: &Shared, pool: &mut BufferPool) {
-    if let Lease::Exclusive(client) = c.lease {
-        shared.retired.lock().push(client);
-        shared.exclusive_leases.fetch_sub(1, Ordering::SeqCst);
-    }
     let (rbuf, wbuf) = c.session.into_parts();
     pool.put_read(rbuf);
     pool.put_write(wbuf);
@@ -437,16 +359,15 @@ fn reap(c: Conn, shared: &Shared, pool: &mut BufferPool) {
 }
 
 /// The shutdown drain: one final serve pass over everything already
-/// buffered (backpressured connections included), a bounded flush, and
-/// then every lease retires. In-flight requests drain; nothing new is
-/// read.
+/// buffered (backpressured connections included) and a bounded flush.
+/// In-flight requests drain; nothing new is read.
 fn drain_all(
     shared: &Shared,
     mut conns: Vec<Conn>,
-    combiner: &mut Option<StoreClient>,
+    client: &mut StoreClient,
     scratch: &mut Scratch,
 ) {
-    serve_buffered(shared, &mut conns, combiner, scratch, true);
+    serve_buffered(shared, &mut conns, client, scratch, true);
     let deadline = Instant::now() + shared.config.write_timeout;
     loop {
         let mut pending = false;
@@ -461,12 +382,7 @@ fn drain_all(
         }
         std::thread::sleep(Duration::from_micros(500));
     }
-    let mut retired = shared.retired.lock();
-    for c in conns {
-        if let Lease::Exclusive(client) = c.lease {
-            retired.push(client);
-            shared.exclusive_leases.fetch_sub(1, Ordering::SeqCst);
-        }
-        shared.active.fetch_sub(1, Ordering::SeqCst);
-    }
+    shared
+        .active
+        .fetch_sub(conns.len() as u32, Ordering::SeqCst);
 }

@@ -12,18 +12,16 @@
 //! consensus construction, and `std::net` plus a handful of threads
 //! keeps the service layer auditable.
 //!
-//! # Replica leases
+//! # One client per loop
 //!
-//! The old thread-per-connection server gave every connection a
-//! private [`StoreClient`] — a full replica set whose apply cost grows
-//! with the number of replicas, and whose 10-bit pid space caps out at
-//! 1023 clients. The reactor makes that a **lease**: the first
-//! [`ServerConfig::replica_budget`] connections get an exclusive
-//! client (preserving the old semantics for small fleets, and the
-//! graveyard the shutdown tests verify), and connections beyond the
-//! budget share one lazily-minted **combiner** client per loop. Either
-//! way every replica that served traffic retires into the graveyard
-//! for [`Store::verify`].
+//! Every merged run of a loop executes on that loop's one
+//! [`StoreClient`] — an announce slot per shard core, no replica of its
+//! own — so the connection count costs the store nothing. A loop mints
+//! its client when it starts and retires it at shutdown for
+//! [`Store::verify`], which the loops also call every 256 merged runs:
+//! the cores decide each slot alone, so that audit is what notices a
+//! faulty cell that *stored* junk while the server is up, and turns
+//! the shard's later answers into `Divergence` errors.
 //!
 //! # Pipelining and cross-connection batching
 //!
@@ -55,16 +53,15 @@
 //! [`NetServer::begin_shutdown`]) flips a flag; each loop notices
 //! within one poll tick, stops reading, serves the complete frames it
 //! had already buffered (in-flight requests drain rather than vanish),
-//! flushes within the write timeout, and retires every leased replica
-//! into the graveyard. The returned [`ServerReport`] hands those
-//! clients back so a harness can run [`Store::verify`] over *exactly*
-//! the replicas that served traffic. Nothing on the shutdown path
+//! flushes within the write timeout, and retires its client. The
+//! returned [`ServerReport`] hands those clients back so a harness can
+//! run [`Store::verify`] knowing every server-side writer is done. Nothing on the shutdown path
 //! panics: thread failures surface as typed [`ShutdownError`]s in the
 //! report.
 
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -91,12 +88,6 @@ pub struct ServerConfig {
     /// Event loops (worker threads). `0` means auto: one per available
     /// core, clamped to at most 8.
     pub loops: usize,
-    /// How many connections get an **exclusive** [`StoreClient`]
-    /// replica before later ones share a per-loop combiner client.
-    /// The default keeps the old one-replica-per-connection semantics
-    /// for small fleets; benches scaling to thousands of connections
-    /// set it to 0 so apply cost stays flat.
-    pub replica_budget: usize,
 }
 
 impl Default for ServerConfig {
@@ -106,7 +97,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(2),
             loops: 0,
-            replica_budget: 64,
         }
     }
 }
@@ -120,8 +110,8 @@ pub enum ShutdownError {
     /// The accept thread panicked; its panic payload is lost but every
     /// connection it had already pinned to a loop still drains.
     AcceptorPanicked,
-    /// Event loop `index` panicked; its connections' replicas may be
-    /// missing from the graveyard.
+    /// Event loop `index` panicked; its client is missing from the
+    /// report.
     LoopPanicked {
         /// Which loop died.
         index: usize,
@@ -162,11 +152,7 @@ pub(crate) struct Shared {
     pub(crate) max_run_ops: AtomicU32,
     /// Request frames staged for a response across all serve passes.
     pub(crate) frames_staged: AtomicU64,
-    /// Exclusive replica leases currently held by live connections;
-    /// bounded by `config.replica_budget`.
-    pub(crate) exclusive_leases: AtomicUsize,
-    /// Clients of finished connections, kept for post-shutdown
-    /// verification.
+    /// Clients of drained loops, kept for post-shutdown verification.
     pub(crate) retired: Mutex<Vec<StoreClient>>,
     /// One inbox per event loop; the acceptor pins connections here.
     pub(crate) loops: Vec<LoopShared>,
@@ -184,9 +170,7 @@ pub struct NetServer {
 
 /// What a drained server hands back.
 pub struct ServerReport {
-    /// Every replica client that served traffic — per-connection
-    /// exclusives and per-loop combiners alike, each caught up on what
-    /// it executed — feed them to [`Store::verify`].
+    /// Every event loop's client — feed them to [`Store::verify`].
     pub clients: Vec<StoreClient>,
     /// Requests served over the server's lifetime.
     pub ops_served: u64,
@@ -217,7 +201,6 @@ impl NetServer {
             run_ops: AtomicU64::new(0),
             max_run_ops: AtomicU32::new(0),
             frames_staged: AtomicU64::new(0),
-            exclusive_leases: AtomicUsize::new(0),
             retired: Mutex::new(Vec::new()),
             loops: (0..nloops).map(|_| LoopShared::default()).collect(),
         });

@@ -153,8 +153,7 @@ pub struct StatsReply {
     /// Request frames staged for a response across all serve passes;
     /// frames-per-tick is `frames_staged / runs_executed`.
     pub frames_staged: u64,
-    /// Flat-combining passes the store's shard cores ran (0 unless the
-    /// store was built with `combining`).
+    /// Flat-combining passes the store's shard cores ran.
     pub combine_passes: u64,
     /// Operations those combining passes batched.
     pub combine_ops: u64,

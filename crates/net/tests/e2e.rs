@@ -63,9 +63,9 @@ fn kv_over_tcp_matches_in_process_semantics() {
     assert!(stats.run_ops > 0);
     assert!(stats.max_run_ops >= 1);
     assert!(stats.frames_staged >= stats.runs_executed);
-    // Not a combining store: the combiner counters stay zero.
-    assert_eq!(stats.combine_passes, 0);
-    assert_eq!(stats.combine_ops, 0);
+    // Every op reached its shard log through a combine pass.
+    assert!(stats.combine_passes > 0, "{stats:?}");
+    assert!(stats.combine_ops >= stats.combine_passes);
     c.ping().unwrap();
 
     drop(c);
@@ -202,8 +202,9 @@ fn naive_backend_surfaces_divergence_error_not_wrong_data() {
             .build()
             .unwrap();
         let (store, server) = serve(config, ServerConfig::default());
-        // Junk decisions need contention to become observable — drive
-        // three concurrent connections, exactly like the soak does.
+        // Three concurrent connections, exactly like the soak drives.
+        // The cores never read a cell back; the server's periodic audit
+        // does, and from then on the shard answers with the error.
         let clients: Vec<NetClient> = (0..3)
             .map(|_| NetClient::connect(server.addr()).unwrap())
             .collect();
@@ -307,7 +308,13 @@ fn connection_cap_refuses_with_overloaded_frame() {
 /// never abort the process.
 #[test]
 fn shutdown_is_idempotent_and_reports_typed_errors_instead_of_panicking() {
-    let (_store, server) = serve(reliable_config(), ServerConfig::default());
+    let (_store, server) = serve(
+        reliable_config(),
+        ServerConfig {
+            loops: 1,
+            ..ServerConfig::default()
+        },
+    );
     let mut c = NetClient::connect(server.addr()).unwrap();
     assert_eq!(c.put(1, 1).unwrap(), None);
 
@@ -316,7 +323,7 @@ fn shutdown_is_idempotent_and_reports_typed_errors_instead_of_panicking() {
     assert!(!server.begin_shutdown(), "and so is every later one");
 
     // Shutdown after the flag is already set still drains and joins
-    // cleanly — the in-flight connection retires its replica.
+    // cleanly — the server's one loop retires its client.
     let report = server.shutdown();
     assert!(
         report.shutdown_errors.is_empty(),
@@ -325,61 +332,6 @@ fn shutdown_is_idempotent_and_reports_typed_errors_instead_of_panicking() {
     );
     assert_eq!(report.clients.len(), 1);
     assert!(report.ops_served >= 1);
-}
-
-/// A flat-combining store behind the reactor: ops from several
-/// connections drain through the shard cores' combine passes, STATS
-/// surfaces the combiner counters, and the post-drain verify holds.
-#[test]
-fn combining_store_serves_and_reports_combiner_counters() {
-    let (store, server) = serve(
-        StoreConfig::builder()
-            .shards(2)
-            .backend(Backend::robust())
-            .fault_rate(0.2)
-            .rotate_kinds(true)
-            .checkpoint_interval(16)
-            .combining(true)
-            .build()
-            .unwrap(),
-        ServerConfig::default(),
-    );
-    let clients: Vec<NetClient> = (0..3)
-        .map(|_| NetClient::connect(server.addr()).unwrap())
-        .collect();
-    let metrics = StoreMetrics::default();
-    let mix = WorkloadMix {
-        read_pct: 60,
-        keyspace: 64,
-        seed: 0xC0B1,
-        batch: 2,
-    };
-    let outcome = drive_clients(
-        clients,
-        &mix,
-        Instant::now() + Duration::from_millis(300),
-        &metrics,
-        || {},
-    );
-    assert!(
-        outcome.errors.is_empty(),
-        "tolerated faults must stay silent: {:?}",
-        outcome.errors
-    );
-    let mut probe = NetClient::connect(server.addr()).unwrap();
-    let stats = probe.stats().unwrap();
-    assert!(!stats.diverged);
-    assert!(stats.runs_executed > 0);
-    assert!(stats.frames_staged >= stats.runs_executed);
-    assert!(
-        stats.combine_passes > 0,
-        "a combining store served over TCP must run combine passes: {stats:?}"
-    );
-    assert!(stats.combine_ops >= stats.combine_passes);
-    drop(probe);
-    drop(outcome.clients);
-    let mut report = server.shutdown();
-    assert!(store.verify(&mut report.clients).all_consistent());
 }
 
 #[test]
@@ -393,7 +345,10 @@ fn graceful_shutdown_retires_every_replica_for_verification() {
             .checkpoint_interval(16)
             .build()
             .unwrap(),
-        ServerConfig::default(),
+        ServerConfig {
+            loops: 2,
+            ..ServerConfig::default()
+        },
     );
 
     // Drive the server through the same generic loop the soak uses.
@@ -424,11 +379,10 @@ fn graceful_shutdown_retires_every_replica_for_verification() {
     drop(outcome.clients);
 
     let mut report = server.shutdown();
-    assert_eq!(
-        report.clients.len(),
-        3,
-        "every connection retires its replica"
-    );
+    // Pinning hashes the accept counter, so the first three connections
+    // always land on loops 1, 1, 0: both loops served traffic, and each
+    // retires its one client.
+    assert_eq!(report.clients.len(), 2, "every loop retires its client");
     assert!(report.ops_served >= driven);
     assert!(store.verify(&mut report.clients).all_consistent());
 }

@@ -318,7 +318,7 @@ pub(crate) struct ShardCore {
     /// The shared replica every combine pass drives forward. Write =
     /// combiner executing; read = wait-free GET snapshot.
     replica: RwLock<CoreReplica>,
-    /// Registered announce slots (one per live combining client).
+    /// Registered announce slots (one per live client).
     slots: RwLock<Vec<Arc<Slot>>>,
     /// The emptied claim list of the last finished pass, for the next
     /// one to fill (a pass that finds it taken allocates its own).
@@ -402,21 +402,23 @@ impl ShardCore {
         slot
     }
 
-    /// Remove a dropped client's slot (it must be `EMPTY` — combining
-    /// calls are synchronous, so a live call pins the client).
+    /// Remove a dropped client's slot (it must be `EMPTY` — calls are
+    /// synchronous, so a live call pins the client).
     pub(crate) fn unregister(&self, slot: &Arc<Slot>) {
         self.slots.write().retain(|s| !Arc::ptr_eq(s, slot));
     }
 
-    /// Catch the core replica up to the end of the shard's log (used by
-    /// verification). Returns the slots applied.
-    pub(crate) fn catch_up(&self) -> usize {
-        self.replica.write().handle.catch_up()
-    }
-
-    /// Run `f` over the caught-up core replica (verification only).
-    pub(crate) fn with_replica<R>(&self, f: impl FnOnce(&Handle<KvMap>) -> R) -> R {
-        f(&self.replica.read().handle)
+    /// Run `f` over the core replica, caught up to the end of the
+    /// shard's log, with the replica write lock held throughout
+    /// (verification only). Every propose on this shard takes that lock,
+    /// so `f` sees a log nobody is appending to even while clients run.
+    pub(crate) fn audit<R>(&self, f: impl FnOnce(&Handle<KvMap>) -> R) -> R {
+        let mut replica = self.replica.write();
+        // Until a pass applies nothing: a catch-up can itself decide a
+        // trailing undecided cell (with an inert dummy), which then has
+        // to be applied.
+        while replica.handle.catch_up() > 0 {}
+        f(&replica.handle)
     }
 
     #[cfg(test)]
@@ -716,7 +718,6 @@ mod tests {
             StoreConfig::builder()
                 .shards(shards)
                 .backend(backend)
-                .combining(true)
                 .checkpoint_interval(16)
                 .build()
                 .unwrap(),
@@ -753,56 +754,6 @@ mod tests {
         );
         let stats = store.combine_snapshot().unwrap();
         assert!(stats.fastpath_hits >= 1, "{stats:?}");
-    }
-
-    #[test]
-    fn concurrent_combined_clients_stay_consistent_under_faults() {
-        let store = std::sync::Arc::new(Store::new(
-            StoreConfig::builder()
-                .shards(4)
-                .backend(Backend::robust())
-                .rotate_kinds(true)
-                .combining(true)
-                .checkpoint_interval(16)
-                .build()
-                .unwrap(),
-        ));
-        let mut clients: Vec<_> = std::thread::scope(|scope| {
-            (0..4u32)
-                .map(|w| {
-                    let store = std::sync::Arc::clone(&store);
-                    scope.spawn(move || {
-                        let mut c = store.client();
-                        for i in 0..300u32 {
-                            let key = (w * 1000 + i) % 97;
-                            match i % 4 {
-                                0 => {
-                                    c.put(key, i).unwrap();
-                                }
-                                3 => {
-                                    c.del(key).unwrap();
-                                }
-                                _ => {
-                                    c.get(key).unwrap();
-                                }
-                            }
-                        }
-                        c
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect()
-        });
-        let report = store.verify(&mut clients);
-        assert!(
-            report.all_consistent(),
-            "diverged: {:?}",
-            report.diverged_shards()
-        );
-        let stats = store.combine_snapshot().unwrap();
-        assert!(stats.combined_ops > 0);
     }
 
     #[test]
@@ -867,7 +818,6 @@ mod tests {
             StoreConfig::builder()
                 .shards(1)
                 .backend(Backend::reliable())
-                .combining(true)
                 .reclaim_after(4)
                 .build()
                 .unwrap(),
@@ -913,7 +863,6 @@ mod tests {
             StoreConfig::builder()
                 .shards(1)
                 .backend(Backend::reliable())
-                .combining(true)
                 .combiner_lease(false)
                 .reclaim_after(4)
                 .build()
@@ -940,34 +889,10 @@ mod tests {
         assert_eq!(b.poll_published(&mut pb).unwrap(), Some(vec![None]));
     }
 
-    #[test]
-    fn combined_batch_matches_uncombined_batch_results() {
-        // Deterministic cross-check (the proptest in lib.rs covers the
-        // randomized version across backends).
-        let ops: Vec<KvOp> = (0..40u32)
-            .flat_map(|k| [KvOp::Put(k, k + 1), KvOp::Get(k), KvOp::Del(k)])
-            .collect();
-        let run = |combining: bool| -> Vec<Option<u32>> {
-            let store = Store::new(
-                StoreConfig::builder()
-                    .shards(4)
-                    .backend(Backend::reliable())
-                    .combining(combining)
-                    .build()
-                    .unwrap(),
-            );
-            let mut c = store.client();
-            let out = c.batch(&ops).unwrap();
-            assert!(store.verify(&mut [c]).all_consistent());
-            out
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    /// The acceptance claim, kind by kind: combining changes the
-    /// submission path, not the tolerance envelope — under each fault
-    /// kind the robust backend tolerates, concurrent combining clients
-    /// end with every replica verified consistent.
+    /// The acceptance claim, kind by kind: combining is a submission
+    /// path, not a tolerance envelope — under each fault kind the robust
+    /// backend tolerates, concurrent clients end with every replica
+    /// verified consistent.
     #[test]
     fn every_tolerated_fault_kind_verifies_with_combining() {
         for kind in [
@@ -987,7 +912,6 @@ mod tests {
                         t: ff_spec::Bound::Finite(3),
                         ..crate::FaultConfig::default()
                     })
-                    .combining(true)
                     .checkpoint_interval(16)
                     .build()
                     .unwrap(),
@@ -1049,7 +973,6 @@ mod tests {
                         rate: 1.0,
                         ..crate::FaultConfig::default()
                     })
-                    .combining(true)
                     .checkpoint_interval(8)
                     .seed(seed)
                     .build()

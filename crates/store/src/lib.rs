@@ -71,7 +71,6 @@ pub use wal::{DurabilityConfig, FsMedia, WalIoError, WalMedia};
 
 use ff_cas::{splitmix64, EnsembleStats};
 use ff_universal::{digests_consistent, Handle, UniversalLog};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Store-wide configuration.
@@ -93,12 +92,6 @@ pub struct StoreConfig {
     /// Checkpoint interval in log slots (bounds each shard's retained
     /// log).
     pub checkpoint_interval: usize,
-    /// Route client operations through per-shard flat-combining cores:
-    /// pending ops are drained by one combiner into a single batched
-    /// log append, and GETs answer wait-free from the shared core
-    /// replica whenever its applied index covers the observed tail
-    /// (see [`combine`]). Off, every op pays its own log pass.
-    pub combining: bool,
     /// Combiner crash recovery (the lease/epoch rule, see [`combine`]):
     /// a waiter whose op stays `CLAIMED` past [`StoreConfig::reclaim_after`]
     /// polls takes it back and republishes it under a fresh epoch, so a
@@ -124,7 +117,6 @@ impl Default for StoreConfig {
             fault: FaultConfig::default(),
             rotate_kinds: false,
             checkpoint_interval: 64,
-            combining: false,
             combiner_lease: true,
             reclaim_after: 4096,
             seed: 0x5eed,
@@ -142,6 +134,7 @@ impl StoreConfig {
     pub fn builder() -> StoreConfigBuilder {
         StoreConfigBuilder {
             config: StoreConfig::default(),
+            uncombined: false,
         }
     }
 
@@ -203,6 +196,9 @@ pub enum ConfigError {
     /// process that loses volatile state can only rejoin by replaying a
     /// write-ahead log.
     CrashRecoverNeedsDurability,
+    /// [`StoreConfigBuilder::combining`] was switched off: flat
+    /// combining is the only way an op reaches a shard log.
+    CombiningRequired,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -232,6 +228,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "the crash/recover fault model needs durability (a data dir) to recover from"
             ),
+            ConfigError::CombiningRequired => write!(
+                f,
+                "flat combining is the only store execution path and cannot be switched off"
+            ),
         }
     }
 }
@@ -243,6 +243,8 @@ impl std::error::Error for ConfigError {}
 #[derive(Clone, Debug)]
 pub struct StoreConfigBuilder {
     config: StoreConfig,
+    /// `combining` was switched off; `build` refuses.
+    uncombined: bool,
 }
 
 impl StoreConfigBuilder {
@@ -285,11 +287,14 @@ impl StoreConfigBuilder {
         self
     }
 
-    /// Route operations through the per-shard flat-combining cores
-    /// (batched log appends + wait-free read snapshots); see
-    /// [`StoreConfig::combining`].
+    /// Compatibility vestige — remove with the next `benchmark` PR
+    /// (the benchmark package still calls `.combining(true)`). Flat
+    /// combining is the only execution path, so `true` is a no-op and
+    /// `false` makes [`StoreConfigBuilder::build`] return
+    /// [`ConfigError::CombiningRequired`].
+    #[doc(hidden)]
     pub fn combining(mut self, on: bool) -> Self {
-        self.config.combining = on;
+        self.uncombined = !on;
         self
     }
 
@@ -343,6 +348,9 @@ impl StoreConfigBuilder {
 
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<StoreConfig, ConfigError> {
+        if self.uncombined {
+            return Err(ConfigError::CombiningRequired);
+        }
         self.config.validate()?;
         Ok(self.config)
     }
@@ -357,7 +365,7 @@ struct Shard {
 }
 
 /// The flat-combining layer: one core per shard plus the store-wide
-/// counters, shared by every combining client via `Arc`.
+/// counters, shared by every client via `Arc`.
 struct CombineLayer {
     cores: Vec<combine::ShardCore>,
     stats: Arc<CombineStats>,
@@ -374,8 +382,7 @@ struct WalLayer {
 pub struct Store {
     shards: Vec<Shard>,
     config: StoreConfig,
-    next_pid: AtomicU64,
-    combine: Option<Arc<CombineLayer>>,
+    combine: Arc<CombineLayer>,
     wal: Option<WalLayer>,
 }
 
@@ -546,35 +553,31 @@ impl Store {
         } else {
             None
         };
-        // The combining cores replay like one more client: every log
-        // record the store appends in combining mode is announced under
-        // this single shared pid, so it is minted first, ahead of any
-        // client pid.
-        let combine = config.combining.then(|| {
-            let stats = Arc::new(CombineStats::new(shards.len()));
-            Arc::new(CombineLayer {
-                cores: shards
-                    .iter()
-                    .enumerate()
-                    .map(|(s, sh)| {
-                        combine::ShardCore::new(
-                            s,
-                            Arc::clone(&sh.log),
-                            0,
-                            Arc::clone(&stats),
-                            config.combiner_lease,
-                            config.reclaim_after,
-                        )
-                    })
-                    .collect(),
-                stats,
-            })
+        // Every log record the store appends is announced under the
+        // cores' one shared pid, 0; the only other pid ever minted is
+        // the verification observer's 1023.
+        let stats = Arc::new(CombineStats::new(shards.len()));
+        let combine = Arc::new(CombineLayer {
+            cores: shards
+                .iter()
+                .enumerate()
+                .map(|(s, sh)| {
+                    combine::ShardCore::new(
+                        s,
+                        Arc::clone(&sh.log),
+                        0,
+                        Arc::clone(&stats),
+                        config.combiner_lease,
+                        config.reclaim_after,
+                    )
+                })
+                .collect(),
+            stats,
         });
         Ok((
             Store {
                 shards,
                 config,
-                next_pid: AtomicU64::new(if combine.is_some() { 1 } else { 0 }),
                 combine,
                 wal: wal_layer,
             },
@@ -671,162 +674,84 @@ impl Store {
             .collect()
     }
 
-    /// A new client (one per worker thread). Each client is a full
-    /// replica set: one log handle per shard.
-    ///
-    /// Panics when the pid space is exhausted; callers that mint
-    /// clients on behalf of untrusted input (a network server, say)
-    /// should use [`Store::try_client`] instead.
+    /// A new client (one per worker thread): one announce slot on
+    /// every shard core. Clients never append under a pid of their own
+    /// — every record is announced by the cores' shared pid — so the
+    /// 10-bit pid space does not cap the client count, and clients hold
+    /// no private replicas whose watermarks could stall checkpoint
+    /// truncation.
     pub fn client(&self) -> StoreClient {
-        self.try_client()
-            .expect("operation ids carry 10-bit pids: at most 1023 clients")
-    }
-
-    /// Like [`Store::client`], but returns `None` once the 10-bit pid
-    /// space is exhausted instead of panicking. Pid 1023 is reserved
-    /// for the fresh observer [`Store::verify`] spins up, so at most
-    /// 1023 clients can be minted per store.
-    pub fn try_client(&self) -> Option<StoreClient> {
-        if let Some(layer) = &self.combine {
-            // Combining clients never append under their own pid —
-            // every record is announced by the shared cores' pid — so
-            // the 10-bit pid space no longer caps the client count, and
-            // clients hold no private replicas whose watermarks could
-            // stall checkpoint truncation.
-            let slots = layer.cores.iter().map(|core| core.register()).collect();
-            return Some(StoreClient {
-                handles: Vec::new(),
-                combined: Some(CombinedView {
-                    layer: Arc::clone(layer),
-                    slots,
-                    resps: Vec::new(),
-                }),
-            });
+        StoreClient {
+            layer: Arc::clone(&self.combine),
+            slots: self.combine.cores.iter().map(|c| c.register()).collect(),
+            resps: Vec::new(),
         }
-        let pid = self
-            .next_pid
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |pid| {
-                (pid < 1023).then_some(pid + 1)
-            })
-            .ok()?;
-        Some(StoreClient {
-            handles: self
-                .shards
-                .iter()
-                .map(|s| Handle::new(Arc::clone(&s.log), pid as u16, KvMap::default()))
-                .collect(),
-            combined: None,
-        })
     }
 
-    /// Counters of the combining layer, or `None` when the store was
-    /// built with `combining(false)`.
+    /// Counters of the combining layer. Always `Some`: the `Option` is
+    /// a compatibility vestige (the benchmark package `.expect`s it) —
+    /// remove with the next `benchmark` PR.
     pub fn combine_snapshot(&self) -> Option<CombineSnapshot> {
-        self.combine.as_ref().map(|layer| layer.stats.snapshot())
+        Some(self.combine.stats.snapshot())
     }
 
     #[cfg(test)]
     pub(crate) fn shard_core_for_tests(&self, s: usize) -> &combine::ShardCore {
-        &self.combine.as_ref().expect("combining store").cores[s]
+        &self.combine.cores[s]
     }
 
-    /// Catch every replica of `clients` up to the end of each shard's
-    /// log and check cross-replica consistency shard by shard. Call
-    /// with no writers running; the clients stay usable afterwards, so
-    /// soak loops can verify mid-run without rebuilding them.
-    pub fn verify(&self, clients: &mut [StoreClient]) -> ConsistencyReport {
-        // Catch up repeatedly until a full pass applies nothing: a
-        // catch-up can itself decide a trailing undecided cell (with an
-        // inert dummy), which other replicas then have to observe.
-        loop {
-            let mut applied = 0;
-            for c in clients.iter_mut() {
-                for h in c.handles.iter_mut() {
-                    applied += h.catch_up();
-                }
-            }
-            if let Some(layer) = &self.combine {
-                for core in &layer.cores {
-                    applied += core.catch_up();
-                }
-            }
-            if applied == 0 {
-                break;
-            }
-        }
+    /// Catch every shard's core replica up to the end of its log and
+    /// check it against a fresh observer's replay, shard by shard. Safe
+    /// while clients run: a shard is audited under its core's replica
+    /// lock, so its combiners and fast-path readers wait out the replay
+    /// (a snapshot restore plus at most one checkpoint interval of
+    /// slots) — `ff-net`'s event loops call it between runs. The
+    /// observer is the one reader of cells the core decided alone: junk
+    /// a faulty cell *stored* raises the log's divergence flag here, and
+    /// the shard refuses from then on. `_clients` is unused; the
+    /// parameter keeps the signature the `benchmark` package calls.
+    pub fn verify(&self, _clients: &mut [StoreClient]) -> ConsistencyReport {
         let per_shard = (0..self.shards.len())
             .map(|s| {
                 let log = &self.shards[s].log;
-                // Combining clients hold no private replicas; the
-                // shared core replica stands in for them (`core_ok`).
-                let handles: Vec<&Handle<KvMap>> = clients
-                    .iter()
-                    .filter(|c| !c.handles.is_empty())
-                    .map(|c| &c.handles[s])
-                    .collect();
-                let digests: Vec<&[(usize, u64)]> =
-                    handles.iter().map(|h| h.boundary_digests()).collect();
-                let digests_ok = digests_consistent(&digests);
-                let states_ok = handles.windows(2).all(|w| w[0].state() == w[1].state());
-                // A fresh observer replays snapshot + retained tail —
-                // the recovery path a new replica would take.
-                let mut observer = Handle::new(Arc::clone(log), 1023, KvMap::default());
-                observer.catch_up();
-                let observer_ok = handles.is_empty()
-                    || (observer.state() == handles[0].state()
+                self.combine.cores[s].audit(|core| {
+                    // A fresh observer replays snapshot + retained tail
+                    // — the recovery path a new replica would take; the
+                    // core replayed the log live. Two independent paths
+                    // that must agree.
+                    let mut observer = Handle::new(Arc::clone(log), 1023, KvMap::default());
+                    observer.catch_up();
+                    let core_ok = core.state() == observer.state()
                         && digests_consistent(&[
+                            core.boundary_digests(),
                             observer.boundary_digests(),
-                            handles[0].boundary_digests(),
-                        ]));
-                // The shared core replica replayed the log live, the
-                // observer replayed snapshot + retained tail: two
-                // independent paths that must agree.
-                let core_ok = match &self.combine {
-                    Some(layer) => layer.cores[s].with_replica(|core| {
-                        core.state() == observer.state()
-                            && digests_consistent(&[
-                                core.boundary_digests(),
-                                observer.boundary_digests(),
-                            ])
-                    }),
-                    None => true,
-                };
-                ShardConsistency {
-                    shard: s,
-                    consistent: digests_ok
-                        && states_ok
-                        && observer_ok
-                        && core_ok
-                        && !log.divergence_detected(),
-                    divergence_flag: log.divergence_detected(),
-                    end_slot: log.slots_created(),
-                    retained_len: log.retained_len(),
-                    truncated_prefix: log.truncated_prefix(),
-                    checkpoints: log.checkpoints_installed(),
-                    entries: observer.state().len(),
-                }
+                        ]);
+                    ShardConsistency {
+                        shard: s,
+                        consistent: core_ok && !log.divergence_detected(),
+                        divergence_flag: log.divergence_detected(),
+                        end_slot: log.slots_created(),
+                        retained_len: log.retained_len(),
+                        truncated_prefix: log.truncated_prefix(),
+                        checkpoints: log.checkpoints_installed(),
+                        entries: observer.state().len(),
+                    }
+                })
             })
             .collect();
         ConsistencyReport { per_shard }
     }
 }
 
-/// A combining client's half of [`StoreClient`]: the shared layer plus
-/// this client's registered announce slot on every shard core.
-struct CombinedView {
+/// A worker's view of the store: the shared combining layer plus this
+/// client's registered announce slot on every shard core. No private
+/// replicas.
+pub struct StoreClient {
     layer: Arc<CombineLayer>,
     slots: Vec<Arc<combine::Slot>>,
     /// The last delivered unit's response words; swapped with the
     /// slot's result buffer on delivery, so neither is reallocated.
     resps: Vec<u64>,
-}
-
-/// A worker's view of the store: one replica handle per shard — or, in
-/// combining mode, one announce slot per shard core and no private
-/// replicas at all.
-pub struct StoreClient {
-    handles: Vec<Handle<KvMap>>,
-    combined: Option<CombinedView>,
 }
 
 /// An in-flight split-phase publication on one shard core (see
@@ -868,32 +793,25 @@ impl CombineTicket {
 
 impl Drop for StoreClient {
     fn drop(&mut self) {
-        if let Some(cb) = &self.combined {
-            for (core, slot) in cb.layer.cores.iter().zip(&cb.slots) {
-                core.unregister(slot);
-            }
+        for (core, slot) in self.layer.cores.iter().zip(&self.slots) {
+            core.unregister(slot);
         }
     }
 }
 
 impl StoreClient {
     fn shard_for(&self, key: u32) -> usize {
-        let n = match &self.combined {
-            Some(cb) => cb.layer.cores.len(),
-            None => self.handles.len(),
-        };
-        (splitmix64(key as u64) % n as u64) as usize
+        (splitmix64(key as u64) % self.layer.cores.len() as u64) as usize
     }
 
     /// Publish validated op words to shard `s`'s combining core and
     /// wait for a combiner (possibly this thread) to deliver one
     /// response word per op.
     fn submit_combined(&mut self, s: usize, words: &[u64]) -> Result<&[u64], StoreError> {
-        let cb = self.combined.as_mut().expect("combining mode");
-        cb.layer.cores[s]
-            .submit(&cb.slots[s], words, &mut cb.resps)
+        self.layer.cores[s]
+            .submit(&self.slots[s], words, &mut self.resps)
             .map_err(|shard| StoreError::Divergence { shard })?;
-        Ok(&cb.resps)
+        Ok(&self.resps)
     }
 
     /// Invoke one validated operation on its shard, surfacing the
@@ -901,15 +819,8 @@ impl StoreClient {
     /// replayed from a corrupted log.
     fn invoke_checked(&mut self, key: u32, op_word: u64) -> Result<Option<u32>, StoreError> {
         let s = self.shard_for(key);
-        if self.combined.is_some() {
-            let resps = self.submit_combined(s, &[op_word])?;
-            return Ok(KvMap::decode_response(resps[0]));
-        }
-        let resp = self.handles[s].invoke(op_word);
-        if self.handles[s].log().divergence_detected() {
-            return Err(StoreError::Divergence { shard: s });
-        }
-        Ok(KvMap::decode_response(resp))
+        let resps = self.submit_combined(s, &[op_word])?;
+        Ok(KvMap::decode_response(resps[0]))
     }
 
     fn check_key(key: u32) -> Result<(), StoreError> {
@@ -936,12 +847,6 @@ impl StoreClient {
             }
             KvOp::Del(k) => KvMap::del_op(k),
         })
-    }
-
-    /// Whether this client routes through the flat-combining cores
-    /// (and therefore supports the split-phase API below).
-    pub fn is_combining(&self) -> bool {
-        self.combined.is_some()
     }
 
     /// Split-phase API, step 1 — publish validated `ops` (all routing
@@ -971,16 +876,13 @@ impl StoreClient {
         if words.is_empty() {
             return Err(StoreError::Protocol("empty publication".to_string()));
         }
-        let cb = self
-            .combined
-            .as_ref()
-            .ok_or_else(|| StoreError::Protocol("not a combining store".to_string()))?;
-        if cb.layer.cores[shard].in_flight(&cb.slots[shard]) {
+        let core = &self.layer.cores[shard];
+        if core.in_flight(&self.slots[shard]) {
             return Err(StoreError::Protocol(format!(
                 "shard {shard} already has a unit in flight"
             )));
         }
-        cb.layer.cores[shard].publish(&cb.slots[shard], &words);
+        core.publish(&self.slots[shard], &words);
         Ok(PendingCombined {
             shard,
             polls: 0,
@@ -999,18 +901,14 @@ impl StoreClient {
         &mut self,
         pending: &mut PendingCombined,
     ) -> Result<Option<Vec<Option<u32>>>, StoreError> {
-        let cb = self
-            .combined
-            .as_mut()
-            .ok_or_else(|| StoreError::Protocol("not a combining store".to_string()))?;
-        let core = &cb.layer.cores[pending.shard];
+        let core = &self.layer.cores[pending.shard];
         let waited = pending.polls;
         pending.polls = pending.polls.saturating_add(1);
-        match core.poll(&cb.slots[pending.shard], waited, &mut cb.resps) {
+        match core.poll(&self.slots[pending.shard], waited, &mut self.resps) {
             combine::SlotPoll::Ready => {
-                debug_assert_eq!(cb.resps.len(), pending.n_ops);
+                debug_assert_eq!(self.resps.len(), pending.n_ops);
                 Ok(Some(
-                    cb.resps
+                    self.resps
                         .iter()
                         .map(|&w| KvMap::decode_response(w))
                         .collect(),
@@ -1031,8 +929,7 @@ impl StoreClient {
     /// [`StoreClient::combine_finish`] models a combiner crash**: the
     /// claims stay parked until their owners' lease reclaims fire.
     pub fn combine_begin(&mut self, shard: usize, force: bool) -> Option<CombineTicket> {
-        let cb = self.combined.as_ref()?;
-        cb.layer.cores[shard]
+        self.layer.cores[shard]
             .begin_combine(force)
             .map(|pass| CombineTicket { shard, pass })
     }
@@ -1041,49 +938,30 @@ impl StoreClient {
     /// pass. Returns whether any ops were drained (claims reclaimed in
     /// the meantime drop out of the batch via the seal CAS).
     pub fn combine_finish(&mut self, ticket: CombineTicket) -> bool {
-        let Some(cb) = self.combined.as_ref() else {
-            return false;
-        };
-        cb.layer.cores[ticket.shard].finish_combine(ticket.pass)
+        self.layer.cores[ticket.shard].finish_combine(ticket.pass)
     }
 
     /// The wait-free read snapshot, exposed for split-phase drivers:
     /// `None` when freshness is unprovable (fall back to the combined
-    /// path), `Some(Err)` on divergence evidence. Returns `None` for
-    /// non-combining clients.
+    /// path), `Some(Err)` on divergence evidence.
     pub fn fast_read(&self, key: u32) -> Option<Result<Option<u32>, StoreError>> {
-        let cb = self.combined.as_ref()?;
-        let s = self.shard_for(key);
-        cb.layer.cores[s]
+        self.layer.cores[self.shard_for(key)]
             .fast_get(key)
             .map(|r| r.map_err(|shard| StoreError::Divergence { shard }))
-    }
-
-    /// This client's replica of shard `s` (for tests/verification).
-    /// Panics for combining clients, which hold no private replicas.
-    pub fn replica(&self, s: usize) -> &Handle<KvMap> {
-        assert!(
-            self.combined.is_none(),
-            "combining clients hold no private replicas; inspect the shared core instead"
-        );
-        &self.handles[s]
     }
 }
 
 impl Kv for StoreClient {
     fn get(&mut self, key: u32) -> Result<Option<u32>, StoreError> {
         Self::check_key(key)?;
-        if let Some(cb) = &self.combined {
-            // Wait-free read fast path: answer from the shared core
-            // replica when its applied index provably covers the
-            // shard's observed tail; otherwise linearize through the
-            // combined path like any other op.
-            let s = self.shard_for(key);
-            if let Some(fast) = cb.layer.cores[s].fast_get(key) {
-                return fast.map_err(|shard| StoreError::Divergence { shard });
-            }
+        // Wait-free read fast path: answer from the shared core
+        // replica when its applied index provably covers the shard's
+        // observed tail; otherwise linearize through the combined path
+        // like any other op.
+        match self.fast_read(key) {
+            Some(fast) => fast,
+            None => self.invoke_checked(key, KvMap::get_op(key)),
         }
-        self.invoke_checked(key, KvMap::get_op(key))
     }
 
     fn put(&mut self, key: u32, value: u32) -> Result<Option<u32>, StoreError> {
@@ -1097,10 +975,10 @@ impl Kv for StoreClient {
         self.invoke_checked(key, KvMap::del_op(key))
     }
 
-    /// Stable-groups `ops` by destination shard, so each shard's log
-    /// tail is replayed once per batch instead of once per operation
-    /// (the grouping is what the network server exploits to turn one
-    /// `BATCH` frame into one log pass per shard). Per-key order is
+    /// Stable-groups `ops` by destination shard, so each shard sees one
+    /// pending unit per batch instead of one per operation (the
+    /// grouping is what the network server exploits to turn one tick's
+    /// frames into one combine pass per shard). Per-key order is
     /// preserved: a key always routes to one shard and the grouping is
     /// stable within a shard.
     fn batch(&mut self, ops: &[KvOp]) -> Result<Vec<Option<u32>>, StoreError> {
@@ -1113,28 +991,22 @@ impl Kv for StoreClient {
         let mut order: Vec<usize> = (0..ops.len()).collect();
         order.sort_by_key(|&i| self.shard_for(ops[i].key()));
         let mut out = vec![None; ops.len()];
-        if self.combined.is_some() {
-            // One pending unit per destination shard: the whole group
-            // rides a single combine pass (often merged with other
-            // clients' groups into one decided log slot).
-            let mut i = 0;
-            while i < order.len() {
-                let s = self.shard_for(ops[order[i]].key());
-                let mut j = i;
-                while j < order.len() && self.shard_for(ops[order[j]].key()) == s {
-                    j += 1;
-                }
-                let group: Vec<u64> = order[i..j].iter().map(|&k| words[k]).collect();
-                let resps = self.submit_combined(s, &group)?;
-                for (&k, &r) in order[i..j].iter().zip(resps) {
-                    out[k] = KvMap::decode_response(r);
-                }
-                i = j;
+        // One pending unit per destination shard: the whole group
+        // rides a single combine pass (often merged with other
+        // clients' groups into one decided log slot).
+        let mut i = 0;
+        while i < order.len() {
+            let s = self.shard_for(ops[order[i]].key());
+            let mut j = i;
+            while j < order.len() && self.shard_for(ops[order[j]].key()) == s {
+                j += 1;
             }
-            return Ok(out);
-        }
-        for i in order {
-            out[i] = self.invoke_checked(ops[i].key(), words[i])?;
+            let group: Vec<u64> = order[i..j].iter().map(|&k| words[k]).collect();
+            let resps = self.submit_combined(s, &group)?;
+            for (&k, &r) in order[i..j].iter().zip(resps) {
+                out[k] = KvMap::decode_response(r);
+            }
+            i = j;
         }
         Ok(out)
     }
@@ -1190,24 +1062,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sequential_store_round_trip() {
-        let store = Store::new(
-            StoreConfig::builder()
-                .shards(4)
-                .backend(Backend::reliable())
-                .build()
-                .unwrap(),
-        );
-        let mut c = store.client();
-        assert_eq!(c.put(1, 10).unwrap(), None);
-        assert_eq!(c.put(1, 20).unwrap(), Some(10));
-        assert_eq!(c.get(1).unwrap(), Some(20));
-        assert_eq!(c.del(1).unwrap(), Some(20));
-        assert_eq!(c.get(1).unwrap(), None);
-        assert!(store.verify(&mut [c]).all_consistent());
-    }
-
-    #[test]
     fn builder_rejects_invalid_configs() {
         assert_eq!(
             StoreConfig::builder().shards(0).build(),
@@ -1258,6 +1112,16 @@ mod tests {
             })
             .build()
             .is_ok());
+        // The compatibility vestige: switching combining off is a typed
+        // refusal, switching it on changes nothing.
+        assert_eq!(
+            StoreConfig::builder().combining(false).build(),
+            Err(ConfigError::CombiningRequired)
+        );
+        assert_eq!(
+            StoreConfig::builder().combining(true).build(),
+            StoreConfig::builder().build()
+        );
     }
 
     #[test]
@@ -1310,7 +1174,7 @@ mod tests {
     }
 
     #[test]
-    fn try_client_refuses_rather_than_colliding_with_the_observer() {
+    fn clients_are_not_capped_by_the_pid_space() {
         let store = Store::new(
             StoreConfig::builder()
                 .shards(1)
@@ -1318,20 +1182,17 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        // The 10-bit pid space holds 1024 ids; pid 1023 belongs to the
-        // fresh observer `verify` spins up, so exactly 1023 clients can
-        // be minted — and the next mint is a refusal, not a panic.
-        let mut clients: Vec<StoreClient> = Vec::new();
-        while let Some(c) = store.try_client() {
-            clients.push(c);
+        // Operation ids carry 10-bit pids, but clients consume none:
+        // every record is announced under the cores' pid 0, and 1023
+        // stays the fresh observer's. More clients than pids all serve.
+        let mut clients: Vec<StoreClient> = (0..1100).map(|_| store.client()).collect();
+        for (i, c) in clients.iter_mut().enumerate() {
+            let k = i as u32;
+            assert_eq!(c.put(k, k + 1).unwrap(), None);
+            assert_eq!(c.get(k).unwrap(), Some(k + 1));
         }
-        assert_eq!(clients.len(), 1023);
-        assert!(store.try_client().is_none());
-        let mut last = clients.pop().unwrap();
-        assert_eq!(last.put(7, 70).unwrap(), None);
-        assert_eq!(last.get(7).unwrap(), Some(70));
-        clients.push(last);
-        assert!(store.verify(&mut clients[1020..]).all_consistent());
+        assert_eq!(clients[0].get(1099).unwrap(), Some(1100));
+        assert!(store.verify(&mut clients).all_consistent());
     }
 
     #[test]
@@ -1400,48 +1261,7 @@ mod tests {
         assert!(total > 0, "no observable faults at rate 0.2");
         // Checkpoints actually truncated.
         assert!(report.per_shard.iter().any(|s| s.truncated_prefix > 0));
-    }
-
-    #[test]
-    fn naive_backend_diverges_under_heavy_faults() {
-        let mut diverged = false;
-        for seed in 0..20 {
-            let store = Arc::new(Store::new(
-                StoreConfig::builder()
-                    .shards(1)
-                    .backend(Backend::naive())
-                    .fault_rate(1.0)
-                    .checkpoint_interval(8)
-                    .seed(seed)
-                    .build()
-                    .unwrap(),
-            ));
-            let mut clients: Vec<StoreClient> = std::thread::scope(|scope| {
-                (0..3u32)
-                    .map(|w| {
-                        let store = Arc::clone(&store);
-                        scope.spawn(move || {
-                            let mut c = store.client();
-                            for i in 0..40 {
-                                // Divergence may surface as an error
-                                // mid-run; the verdict below is what
-                                // this test asserts on.
-                                let _ = c.put((w * 100 + i) % 50, i);
-                            }
-                            c
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect()
-            });
-            if !store.verify(&mut clients).all_consistent() {
-                diverged = true;
-                break;
-            }
-        }
-        assert!(diverged, "naive backend never diverged at 100% fault rate");
+        assert!(store.combine_snapshot().unwrap().combined_ops > 0);
     }
 
     #[test]
@@ -1509,9 +1329,8 @@ mod proptests {
             .collect()
     }
 
-    // The combined `batch` path must preserve per-key order and return
-    // the same results at the same original indices as the uncombined
-    // path — and both must match plain sequential map semantics — under
+    // `batch` must preserve per-key order and return, at the original
+    // indices, what plain sequential map semantics dictate — under
     // every backend. Naive runs at rate 0 (its faults are not
     // tolerated; the detection test lives in `combine::tests`), robust
     // at a tolerated 0.3.
@@ -1519,36 +1338,29 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         #[test]
-        fn combined_batch_matches_uncombined_on_every_backend(
+        fn batch_matches_the_sequential_model_on_every_backend(
             ops in proptest::collection::vec(kv_op(), 1..60),
             seed in 0u64..1000,
         ) {
             for backend in & [Backend::reliable(), Backend::robust(), Backend::naive()] {
-                let run = |combining: bool| -> Vec<Option<u32>> {
-                    let rate = if *backend == Backend::robust() { 0.3 } else { 0.0 };
-                    let store = Store::new(
-                        StoreConfig::builder()
-                            .shards(4)
-                            .backend(backend.clone())
-                            .fault_rate(rate)
-                            .combining(combining)
-                            .checkpoint_interval(16)
-                            .seed(seed)
-                            .build()
-                            .unwrap(),
-                    );
-                    let mut c = store.client();
-                    let out = c.batch(&ops).unwrap();
-                    assert!(
-                        store.verify(&mut [c]).all_consistent(),
-                        "inconsistent shards (combining={combining}, {backend:?})"
-                    );
-                    out
-                };
-                let combined = run(true);
-                let uncombined = run(false);
-                prop_assert_eq!(&combined, &uncombined, "combined != uncombined ({:?})", backend);
-                prop_assert_eq!(&combined, &model_results(&ops), "lost per-key order ({:?})", backend);
+                let rate = if *backend == Backend::robust() { 0.3 } else { 0.0 };
+                let store = Store::new(
+                    StoreConfig::builder()
+                        .shards(4)
+                        .backend(backend.clone())
+                        .fault_rate(rate)
+                        .checkpoint_interval(16)
+                        .seed(seed)
+                        .build()
+                        .unwrap(),
+                );
+                let mut c = store.client();
+                let out = c.batch(&ops).unwrap();
+                prop_assert!(
+                    store.verify(&mut [c]).all_consistent(),
+                    "inconsistent shards ({:?})", backend
+                );
+                prop_assert_eq!(&out, &model_results(&ops), "lost per-key order ({:?})", backend);
             }
         }
     }

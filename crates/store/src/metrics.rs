@@ -164,7 +164,7 @@ pub struct MetricsSnapshot {
     pub batches: OpSummary,
     /// Per-shard fault accounting.
     pub faults: Vec<ShardFaults>,
-    /// Flat-combining counters, when the store ran with combining on
+    /// Flat-combining counters, when the driver attached them
     /// (see [`Store::combine_snapshot`](crate::Store::combine_snapshot)).
     pub combining: Option<CombineSnapshot>,
     /// Durability counters, when the store ran with a write-ahead log
@@ -367,7 +367,7 @@ impl MetricsSnapshot {
     }
 
     /// Serialize to a JSON object (the `combining` key appears only
-    /// when the store ran with combining on).
+    /// when the counters were attached).
     pub fn to_json(&self) -> JsonValue {
         let op = |s: &OpSummary| {
             JsonValue::Object(vec![

@@ -40,9 +40,6 @@ pub struct SoakConfig {
     pub keyspace: u32,
     /// Checkpoint interval (slots) for every shard log.
     pub checkpoint_interval: usize,
-    /// Route operations through the flat-combining cores
-    /// ([`StoreConfig::combining`]).
-    pub combining: bool,
     /// Per-shard write-ahead logging ([`StoreConfig::durability`]);
     /// `data_dir: None` runs the store purely in memory.
     pub durability: DurabilityConfig,
@@ -64,7 +61,6 @@ impl Default for SoakConfig {
             read_pct: 70,
             keyspace: 4096,
             checkpoint_interval: 64,
-            combining: false,
             durability: DurabilityConfig::default(),
             recover: false,
             seed: 0x50a6_b65e,
@@ -111,8 +107,6 @@ pub struct SoakConfigEcho {
     pub backend: &'static str,
     /// Checkpoint interval.
     pub checkpoint_interval: usize,
-    /// Whether the flat-combining path was on.
-    pub combining: bool,
     /// Whether the per-shard WAL was on.
     pub durable: bool,
     /// Group-commit batch size (meaningful only when `durable`).
@@ -184,7 +178,6 @@ impl SoakReport {
                         "checkpoint_interval".into(),
                         JsonValue::Number(self.config.checkpoint_interval as f64),
                     ),
-                    ("combining".into(), JsonValue::Bool(self.config.combining)),
                     ("durable".into(), JsonValue::Bool(self.config.durable)),
                     (
                         "group_commit".into(),
@@ -443,7 +436,6 @@ pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
         .fault_rate(config.fault_rate)
         .rotate_kinds(config.backend.injects_faults())
         .checkpoint_interval(config.checkpoint_interval)
-        .combining(config.combining)
         .durability(config.durability.clone())
         .seed(config.seed)
         .build()
@@ -518,7 +510,6 @@ pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
             fault_rate: config.fault_rate,
             backend: config.backend.name(),
             checkpoint_interval: config.checkpoint_interval,
-            combining: config.combining,
             durable: config.durability.enabled(),
             group_commit: config.durability.group_commit,
             seed: config.seed,
@@ -599,21 +590,6 @@ mod tests {
         });
         assert!(report.consistent, "robust soak diverged");
         assert!(report.metrics.total_ops() > 0, "no operations completed");
-        let json = report.to_json().render();
-        assert!(json.contains("\"consistent\": true"));
-    }
-
-    #[test]
-    fn short_combining_soak_is_consistent_and_records_counters() {
-        let report = run_soak(&SoakConfig {
-            threads: 2,
-            shards: 2,
-            secs: 0.3,
-            checkpoint_interval: 16,
-            combining: true,
-            ..SoakConfig::default()
-        });
-        assert!(report.consistent, "combining soak diverged");
         let c = report
             .metrics
             .combining
@@ -621,7 +597,7 @@ mod tests {
             .expect("combining counters missing from snapshot");
         assert!(c.passes > 0, "no combine passes recorded");
         let json = report.to_json().render();
-        assert!(json.contains("\"combining\": true"), "{json}");
+        assert!(json.contains("\"consistent\": true"));
         assert!(json.contains("fastpath_hit_rate"), "{json}");
     }
 

@@ -80,33 +80,7 @@ fn write_kill_recover_round_trip_under_faults() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn combining_durable_store_recovers() {
-    let dir = temp_dir("combining");
-    let mut config = durable_config(&dir, Backend::robust());
-    config.combining = true;
-
-    let store = Store::new(config.clone());
-    let mut c = store.client();
-    for k in 0..100u32 {
-        c.put(k % 32, k).unwrap();
-    }
-    store.flush_wal();
-    drop(c);
-    drop(store);
-
-    let (recovered, report) = Store::recover(config).expect("recovery");
-    assert!(report.records_replayed() + report.checkpoints_loaded() > 0);
-    let mut c = recovered.client();
-    for k in 0..32u32 {
-        let want = (0..100u32).rfind(|i| i % 32 == k);
-        assert_eq!(c.get(k).unwrap(), want);
-    }
-    assert!(recovered.verify(&mut [c]).all_consistent());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The 2²²-appends bug: in combining mode one pid mints every opid of a
+/// The 2²²-appends bug: the cores' one pid mints every opid of a
 /// shard, so a long-lived shard exhausts the 22-bit sequence space.
 /// Start a store a few mints short of the limit (a hand-written WAL
 /// whose one record carries sequence number 2²² − 4), run it across the
@@ -116,9 +90,8 @@ fn opid_sequence_wraps_across_checkpoints_and_recovery() {
     let dir = temp_dir("seq-wrap");
     let mut config = durable_config(&dir, Backend::robust());
     config.shards = 1;
-    config.combining = true;
 
-    // Slot 0, proposed by the combining core's pid 0 at seq 2²² − 4; the
+    // Slot 0, proposed by the shard core's pid 0 at seq 2²² − 4; the
     // digest is the log's rolling FNV-1a over that one opid.
     let opid: u32 = (1 << 22) - 4;
     let digest = opid

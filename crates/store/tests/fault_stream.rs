@@ -65,7 +65,6 @@ fn seeded_single_threaded_run_reproduces_the_pinned_fault_stream() {
             .backend(Backend::robust())
             .fault_rate(0.2)
             .rotate_kinds(true)
-            .combining(true)
             .checkpoint_interval(64)
             .seed(0xF00D)
             .build()

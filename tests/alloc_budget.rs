@@ -5,7 +5,7 @@
 //! would be counted too.
 //!
 //! The store shape is the benchmark's (`benchmark/README.md`, "The fixed
-//! shape of every run"): 4 shards, combining on, checkpoint interval 64,
+//! shape of every run"): 4 shards, checkpoint interval 64,
 //! fault rate 0.2, 4,096 keys preloaded to two thirds.
 
 use functional_faults::store::{Backend, Kv, Store, StoreConfig};
@@ -55,7 +55,6 @@ fn per_put(backend: Backend) -> (f64, f64) {
             .shards(4)
             .backend(backend)
             .fault_rate(0.2)
-            .combining(true)
             .checkpoint_interval(64)
             .seed(7)
             .build()
