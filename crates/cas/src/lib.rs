@@ -28,6 +28,7 @@
 //! assert_eq!(ensemble.stats().total_observable(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod atomic;

@@ -1,6 +1,7 @@
 //! `ff-net` — the network face of `ff-store`: a length-prefixed binary
-//! wire protocol and a std-only TCP service layer, behind the same
-//! [`Kv`](ff_store::Kv) API the in-process client implements.
+//! wire protocol and a TCP service layer on `std::net` and `poll(2)`,
+//! behind the same [`Kv`](ff_store::Kv) API the in-process client
+//! implements.
 //!
 //! The point of serving the store over a socket is that the paper's
 //! guarantee survives the trip: a remote client of a robust-backend
@@ -14,7 +15,8 @@
 //! |---|---|
 //! | [`wire`] | frame layout, encode/decode (owned and zero-copy), streaming [`FrameBuffer`] |
 //! | [`server`] | [`NetServer`]: the readiness-driven reactor — N event loops, one store client each, cross-connection batching, backpressure, graceful drain |
-//! | `poll` (private) | the std-only readiness abstraction the loops run on |
+//! | `poll` (private) | one blocking `poll(2)` per tick plus each thread's wake channel |
+//! | `sys` (private) | the `poll(2)` binding — the workspace's only `unsafe` |
 //! | `buffer` (private) | per-loop pools for connection read/write buffers |
 //! | `reactor` (private) | the event-loop state machine itself |
 //! | [`session`] | [`Session`]: one connection's socket-free protocol state machine — the transport seam `ff-dst` drives over a simulated network |
@@ -22,10 +24,12 @@
 //! | [`experiment`] | [`E16NetSoak`] and [`E17ReactorSoak`]: the fault-ramp soak over TCP, thread-per-request shape and reactor shape |
 //!
 //! No async runtime and no serialization framework: `std::net`,
-//! threads, and hand-rolled little-endian frames keep the service
-//! layer as auditable as the consensus construction it fronts.
+//! threads, one foreign function (`poll(2)`, fenced in `sys`) and
+//! hand-rolled little-endian frames keep the service layer as
+//! auditable as the consensus construction it fronts. The server is
+//! unix-only; the wire format, [`Session`] and [`NetClient`] are not.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod buffer;
@@ -35,6 +39,8 @@ mod poll;
 mod reactor;
 pub mod server;
 pub mod session;
+#[allow(unsafe_code)]
+mod sys;
 pub mod wire;
 
 pub use client::{NetClient, PipelineTicket};

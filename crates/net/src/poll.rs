@@ -1,164 +1,136 @@
-//! Readiness polling without `unsafe`: the reactor's poll abstraction.
+//! Waiting in the kernel: one blocking `poll(2)` per reactor tick.
 //!
-//! The event loops need one question answered per tick — *which of
-//! these nonblocking sockets has bytes to read?* — without an async
-//! runtime and without FFI (`ff-net` forbids `unsafe`, so `epoll`/
-//! `kqueue` are out of reach). [`ScanPoller`] answers it with the one
-//! readiness probe `std` exposes: [`TcpStream::peek`] on a nonblocking
-//! socket returns `WouldBlock` when the receive queue is empty and
-//! `Ok` (including `Ok(0)` at EOF) when a read would make progress.
-//! The scan is O(connections) per tick, like classic `poll(2)` — the
-//! trade the repo makes everywhere: auditable std-only code over the
-//! last constant factor.
+//! A [`Poller`] is the set of sockets a thread is waiting on plus the
+//! read end of that thread's **wake channel** (a nonblocking
+//! `UnixStream` pair; the write end is its [`Waker`]). One
+//! [`Poller::wait`] is one [`sys::poll_fds`](crate::sys::poll_fds) call
+//! over all of them, so a thread with nothing to do sleeps in the kernel
+//! until the thing it waits for happens — bytes arrive, a blocked socket
+//! drains, or someone writes a wake byte — and costs nothing meanwhile.
+//! The set is rebuilt every tick into a `Vec` that keeps its capacity;
+//! `poll(2)` has no registration to keep in step with the connections.
 //!
-//! Write readiness is **not probed**. The reactor uses an
-//! attempted-write model: it simply writes and treats `WouldBlock` as
-//! "not writable yet". The poller's only job for writers is pacing —
-//! when a tick has pending writes but nothing readable, it returns
-//! after a short bounded sleep instead of the full idle timeout, so
-//! blocked writes are retried on a ~1 ms cadence rather than spun on.
+//! # Wake sites
 //!
-//! Idle pacing is adaptive: consecutive all-quiet scans back off
-//! exponentially (100 µs doubling up to the caller's timeout), and any
-//! readable source resets the backoff to zero. Busy loops never sleep;
-//! idle loops cost a scan every few milliseconds.
+//! The event loops and the acceptor wait with **no timeout** unless a
+//! writer is blocked, so a wake that is never sent is a hang. There are
+//! exactly three senders, each of which publishes its state *before*
+//! the byte, and every waiter re-reads that state after every return
+//! from [`Poller::wait`]:
+//!
+//! 1. the acceptor, after pushing a socket into a loop's inbox
+//!    (`server::accept_loop`) — wakes that loop;
+//! 2. [`NetServer::begin_shutdown`](crate::NetServer::begin_shutdown) /
+//!    `shutdown`, after setting the flag — wakes every loop and the
+//!    acceptor;
+//! 3. `Drop for NetServer`, likewise.
+//!
+//! A wake that finds the channel full (`WouldBlock`) is dropped: a full
+//! channel is already a pending wake. The waiter drains the channel
+//! whenever it is readable.
+//!
+//! # Hang-ups
+//!
+//! `poll(2)` reports `POLLHUP`/`POLLERR` whatever was asked for, so a
+//! source pushed with no interest would turn the wait into a spin once
+//! its peer reset: callers push only sources they will act on.
+//! [`Poller::readable`] is true for those conditions too, so the read
+//! path meets the error and the connection is reaped.
 
-use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::io::{self, Read, Write};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
-/// What a connection wants to be woken for this tick.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Interest {
-    /// The connection can accept inbound bytes.
-    pub read: bool,
-    /// The connection has buffered response bytes waiting to flush.
-    pub write: bool,
-}
+use crate::sys::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLNVAL, POLLOUT};
 
-/// One pollable socket with its interest set.
-pub(crate) struct PollSource<'a> {
-    /// The nonblocking stream to probe.
-    pub stream: &'a TcpStream,
-    /// What to probe it for.
-    pub interest: Interest,
-}
+/// The write end of a [`Poller`]'s wake channel.
+pub(crate) struct Waker(UnixStream);
 
-/// Per-source readiness verdict filled in by [`Poller::poll`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct Readiness {
-    /// A read would make progress (data buffered, EOF, or a pending
-    /// socket error to surface).
-    pub readable: bool,
-    /// A write should be attempted. Under the attempted-write model
-    /// this is advisory: the write itself is the real probe.
-    pub writable: bool,
-}
-
-/// The small poll abstraction the reactor runs on. One implementation
-/// today ([`ScanPoller`]); the seam exists so an `epoll`-backed poller
-/// could slot in if the no-`unsafe` constraint is ever lifted.
-pub(crate) trait Poller {
-    /// Fill `out[i]` with the readiness of `sources[i]`, waiting up to
-    /// `timeout` when nothing is ready. Returns how many sources are
-    /// ready. `out` must be at least as long as `sources`.
-    fn poll(
-        &mut self,
-        sources: &[PollSource<'_>],
-        out: &mut [Readiness],
-        timeout: Duration,
-    ) -> usize;
-}
-
-/// Smallest idle sleep; doubles per all-quiet scan.
-const MIN_BACKOFF: Duration = Duration::from_micros(100);
-/// Retry cadence for blocked writes: don't sleep longer than this when
-/// a connection has bytes waiting to flush.
-const WRITE_RETRY: Duration = Duration::from_millis(1);
-
-/// The std-only poller: one `peek` syscall per read-interested source
-/// per scan, adaptive backoff between all-quiet scans.
-pub(crate) struct ScanPoller {
-    backoff: Duration,
-}
-
-impl ScanPoller {
-    /// A fresh poller with its backoff reset.
-    pub fn new() -> ScanPoller {
-        ScanPoller {
-            backoff: Duration::ZERO,
-        }
-    }
-
-    /// Probe one stream for read readiness without consuming bytes.
-    fn read_ready(stream: &TcpStream) -> bool {
-        let mut probe = [0u8; 1];
-        match stream.peek(&mut probe) {
-            // Data waiting — or Ok(0): the peer closed and a read will
-            // observe EOF. Both mean "reading makes progress".
-            Ok(_) => true,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-            // A pending socket error (reset, aborted): readable so the
-            // read path surfaces it and the connection is reaped.
-            Err(_) => true,
-        }
-    }
-
-    /// One pass over the sources. Returns the number readable.
-    fn scan(sources: &[PollSource<'_>], out: &mut [Readiness]) -> usize {
-        let mut ready = 0;
-        for (src, slot) in sources.iter().zip(out.iter_mut()) {
-            let readable = src.interest.read && Self::read_ready(src.stream);
-            *slot = Readiness {
-                readable,
-                writable: src.interest.write,
-            };
-            if readable {
-                ready += 1;
-            }
-        }
-        ready
+impl Waker {
+    /// Make the paired [`Poller::wait`] return (now, or the next time it
+    /// is called). Never blocks.
+    pub fn wake(&self) {
+        // Every failure is benign: `WouldBlock` means a wake is already
+        // pending, a closed peer means the waiter has exited.
+        let _ = (&self.0).write(&[1]);
     }
 }
 
-impl Poller for ScanPoller {
-    fn poll(
-        &mut self,
-        sources: &[PollSource<'_>],
-        out: &mut [Readiness],
-        timeout: Duration,
-    ) -> usize {
-        // Pending writes bound the wait: the write attempt is the real
-        // readiness probe, so retry it on a short cadence.
-        let has_writer = sources.iter().any(|s| s.interest.write);
-        let budget = if has_writer {
-            timeout.min(WRITE_RETRY)
-        } else {
-            timeout
-        };
-        let deadline = Instant::now() + budget;
-        loop {
-            let ready = Self::scan(sources, out);
-            if ready > 0 {
-                self.backoff = Duration::ZERO;
-                return ready;
+/// One thread's wait set: slot 0 is its wake channel, the rest are
+/// whatever it [`push`](Poller::push)ed since the last
+/// [`clear`](Poller::clear).
+pub(crate) struct Poller {
+    wake: UnixStream,
+    fds: Vec<PollFd>,
+}
+
+impl Poller {
+    /// An empty wait set and the handle that wakes it.
+    pub fn new() -> io::Result<(Poller, Waker)> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        let fds = vec![PollFd {
+            fd: rx.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        }];
+        Ok((Poller { wake: rx, fds }, Waker(tx)))
+    }
+
+    /// Forget every pushed source (the wake channel stays).
+    pub fn clear(&mut self) {
+        self.fds.truncate(1);
+    }
+
+    /// Add a source; it must stay open until the next
+    /// [`clear`](Poller::clear). At least one of `read`/`write` should
+    /// be set (see the module header on hang-ups).
+    pub fn push(&mut self, source: &impl AsRawFd, read: bool, write: bool) {
+        let events = if read { POLLIN } else { 0 } | if write { POLLOUT } else { 0 };
+        self.fds.push(PollFd {
+            fd: source.as_raw_fd(),
+            events,
+            revents: 0,
+        });
+    }
+
+    /// Block until a pushed source is ready, the [`Waker`] fires, or
+    /// `timeout` passes (`None`: wait for as long as it takes; fractions
+    /// of a millisecond round up). Returns how many pushed sources are
+    /// ready. The caller re-reads whatever its wakers publish after
+    /// every return, ready sources or not.
+    pub fn wait(&mut self, timeout: Option<Duration>) -> usize {
+        let ready = sys::poll_fds(&mut self.fds, timeout).unwrap_or_else(|_| {
+            // The kernel could not run the poll (ENOMEM; the arguments
+            // are ours and valid). Nonblocking I/O is its own probe:
+            // report everything asked for and let the attempts decide.
+            for fd in &mut self.fds {
+                fd.revents = fd.events;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                // Report advisory writability even on an all-quiet
-                // scan so the reactor retries its blocked writes.
-                return out.iter().filter(|r| r.writable).count();
-            }
-            self.backoff = self.backoff.max(MIN_BACKOFF).saturating_mul(2).min(budget);
-            std::thread::sleep(self.backoff.min(deadline - now));
+            self.fds.len()
+        });
+        if self.fds[0].revents == 0 {
+            return ready;
         }
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake).read(&mut sink), Ok(n) if n > 0) {}
+        ready - 1
+    }
+
+    /// After [`wait`](Poller::wait): would a read on the `nth` pushed
+    /// source make progress — data, EOF, or an error to surface?
+    pub fn readable(&self, nth: usize) -> bool {
+        self.fds[nth + 1].revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
+    use std::time::Instant;
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -168,68 +140,120 @@ mod tests {
         (served, peer)
     }
 
+    const FOREVER: Option<Duration> = None;
+    const NOW: Option<Duration> = Some(Duration::ZERO);
+
     #[test]
     fn quiet_socket_is_not_readable_and_data_makes_it_readable() {
         let (served, mut peer) = pair();
-        let mut poller = ScanPoller::new();
-        let sources = [PollSource {
-            stream: &served,
-            interest: Interest {
-                read: true,
-                write: false,
-            },
-        }];
-        let mut out = [Readiness::default()];
-        assert_eq!(poller.poll(&sources, &mut out, Duration::ZERO), 0);
-        assert!(!out[0].readable);
+        let (mut poller, _waker) = Poller::new().unwrap();
+        poller.push(&served, true, false);
+        assert_eq!(poller.wait(NOW), 0);
+        assert!(!poller.readable(0));
 
         peer.write_all(b"x").unwrap();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            if poller.poll(&sources, &mut out, Duration::from_millis(5)) > 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "delivered byte never readable");
-        }
-        assert!(out[0].readable);
+        assert_eq!(poller.wait(FOREVER), 1);
+        assert!(poller.readable(0));
     }
 
     #[test]
-    fn eof_and_write_interest_both_wake_the_poller() {
+    fn peer_close_and_reset_are_readable() {
         let (served, peer) = pair();
+        let (mut poller, _waker) = Poller::new().unwrap();
+        poller.push(&served, true, false);
         drop(peer);
-        let mut poller = ScanPoller::new();
-        let mut out = [Readiness::default()];
-        // EOF counts as readable: the read observes the close.
-        let deadline = Instant::now() + Duration::from_secs(2);
-        loop {
-            let sources = [PollSource {
-                stream: &served,
-                interest: Interest {
-                    read: true,
-                    write: false,
-                },
-            }];
-            if poller.poll(&sources, &mut out, Duration::from_millis(5)) > 0 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "EOF never became readable");
-        }
-        assert!(out[0].readable);
+        assert_eq!(poller.wait(FOREVER), 1);
+        assert!(poller.readable(0), "EOF: the read observes the close");
 
-        // Write interest alone returns promptly (advisory writable),
-        // bounding the blocked-write retry cadence.
-        let sources = [PollSource {
-            stream: &served,
-            interest: Interest {
-                read: false,
-                write: true,
-            },
-        }];
+        // Writing to the closed peer draws a reset; from then on the
+        // kernel reports the hang-up even to a source that asked only
+        // for writability, and it still counts as readable so the read
+        // path can surface it.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while (&served).write(b"x").is_ok() {
+            assert!(
+                Instant::now() < deadline,
+                "write to a closed peer kept working"
+            );
+            std::thread::yield_now();
+        }
+        poller.clear();
+        poller.push(&served, false, true);
+        assert_eq!(poller.wait(FOREVER), 1);
+        assert!(poller.fds[1].revents & (POLLHUP | POLLERR) != 0);
+        assert!(poller.readable(0));
+    }
+
+    #[test]
+    fn full_send_buffer_is_not_writable_until_the_peer_drains() {
+        let (served, mut peer) = pair();
+        let (mut poller, _waker) = Poller::new().unwrap();
+        // An idle socket has room: write interest is ready at once,
+        // without being mistaken for readable.
+        poller.push(&served, false, true);
+        assert_eq!(poller.wait(FOREVER), 1);
+        assert!(!poller.readable(0));
+
+        let chunk = [0u8; 64 * 1024];
+        let mut queued = 0usize;
+        loop {
+            match (&served).write(&chunk) {
+                Ok(n) => queued += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("filling the send buffer: {e}"),
+            }
+        }
+        // Blocked: write interest alone no longer returns early — not
+        // even once the peer has half-closed, because nobody asked about
+        // reading. Asked, the EOF is readable for good: a connection
+        // that has seen it must drop its read interest or spin.
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
         let start = Instant::now();
-        let ready = poller.poll(&sources, &mut out, Duration::from_millis(50));
-        assert_eq!(ready, 1);
-        assert!(out[0].writable && !out[0].readable);
-        assert!(start.elapsed() < Duration::from_millis(40));
+        assert_eq!(poller.wait(Some(Duration::from_millis(30))), 0);
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        poller.clear();
+        poller.push(&served, true, true);
+        assert_eq!(poller.wait(FOREVER), 1);
+        assert!(poller.readable(0));
+        poller.clear();
+        poller.push(&served, false, true);
+
+        let drainer = std::thread::spawn(move || {
+            let mut left = queued;
+            let mut buf = vec![0u8; 64 * 1024];
+            while left > 0 {
+                left -= peer.read(&mut buf).unwrap();
+            }
+        });
+        assert_eq!(poller.wait(FOREVER), 1, "drained peer makes it writable");
+        drainer.join().unwrap();
+    }
+
+    #[test]
+    fn untimed_wait_returns_on_the_wake_byte_and_not_before() {
+        let (served, _peer) = pair();
+        let (mut poller, waker) = Poller::new().unwrap();
+        poller.push(&served, true, false);
+        let delay = Duration::from_millis(20);
+        let start = Instant::now();
+        let sender = std::thread::spawn(move || {
+            sys::poll_fds(&mut [], Some(delay)).unwrap();
+            waker.wake();
+            waker
+        });
+        assert_eq!(poller.wait(FOREVER), 0, "woken, nothing ready");
+        assert!(start.elapsed() >= delay);
+        let waker = sender.join().unwrap();
+
+        // The byte was consumed: the next wait is quiet again.
+        assert_eq!(poller.wait(NOW), 0);
+
+        // Wakes coalesce, and a full channel is a pending wake, not an
+        // error or a block.
+        for _ in 0..100_000 {
+            waker.wake();
+        }
+        assert_eq!(poller.wait(FOREVER), 0);
+        assert_eq!(poller.wait(NOW), 0, "one wait drains every pending byte");
     }
 }

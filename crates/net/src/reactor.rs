@@ -1,6 +1,6 @@
 //! The event loops behind [`NetServer`](crate::NetServer): nonblocking
-//! connection state machines multiplexed over the [`poll`](crate::poll)
-//! abstraction, each driving a socket-free
+//! connection state machines multiplexed over one
+//! [`Poller`](crate::poll::Poller) per loop, each driving a socket-free
 //! [`Session`](crate::session::Session) per connection.
 //!
 //! # One tick
@@ -8,8 +8,11 @@
 //! 1. **Admit** — drain this loop's inbox of freshly accepted,
 //!    already-nonblocking sockets; give each a [`Session`] around
 //!    pooled buffers.
-//! 2. **Poll** — probe read readiness for every open, unpaused
-//!    connection; connections with unflushed responses bound the wait.
+//! 2. **Wait** — one blocking `poll(2)` over the loop's wake channel,
+//!    every open, unpaused connection (readable?) and every connection
+//!    with unflushed responses (writable?). No timeout, unless a writer
+//!    is blocked: then the nearest write deadline, so a stalled peer is
+//!    still cut off on time. An idle loop makes no syscalls at all.
 //! 3. **Read** — pull up to 16 KiB per readable connection straight
 //!    into its session's frame buffer (no intermediate chunk copy).
 //! 4. **Stage** — each session decodes its complete frames **in
@@ -30,14 +33,16 @@
 //!    output buffer, in per-connection request order. A run error
 //!    (divergence poisons the shard set; nothing partial is usable)
 //!    answers every run slot with the same typed error.
-//! 7. **Flush** — attempted-write model: write until `WouldBlock`,
-//!    killing peers stalled past the write timeout.
+//! 7. **Flush** — write until done or `WouldBlock`; a blocked
+//!    connection joins the next wait for writability, and a peer
+//!    stalled past the write timeout is killed.
 //! 8. **Reap** — dead connections return their session's buffers to
 //!    the pool and drop the active count.
 //!
-//! On shutdown a loop runs one final stage/execute/flush pass over
-//! everything already buffered — bounded by the write timeout — then
-//! retires its client for post-shutdown verification.
+//! On shutdown a loop (woken through its wake channel) runs one final
+//! stage/execute/flush pass over everything already buffered — bounded
+//! by the write timeout — then retires its client for post-shutdown
+//! verification.
 //!
 //! Everything between the socket reads and the socket writes — frame
 //! decoding, staging, validation, response encoding — lives in
@@ -49,13 +54,13 @@ use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ff_store::{Kv, KvOp, StoreClient};
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
-use crate::poll::{Interest, PollSource, Poller, Readiness, ScanPoller};
+use crate::poll::{Poller, Waker};
 use crate::server::{stats, Shared};
 use crate::session::Session;
 
@@ -65,11 +70,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// A connection whose unflushed responses exceed this stops being read
 /// until the peer drains it.
 const PAUSE_WBUF: usize = 256 * 1024;
-/// Upper bound on one poll call, so the loop re-checks its inbox and
-/// the shutdown flag promptly.
-const POLL_TICK: Duration = Duration::from_millis(5);
-/// Sleep when the loop owns no connections at all.
-const IDLE_EMPTY: Duration = Duration::from_millis(2);
 /// Merged runs (server-wide) between two audits of the shard logs. The
 /// cores decide every slot alone and apply their own record without
 /// reading the cell back, so the audit's observer is what notices a cell
@@ -78,10 +78,12 @@ const IDLE_EMPTY: Duration = Duration::from_millis(2);
 const AUDIT_EVERY: u64 = 256;
 
 /// The slice of server state one event loop and the acceptor share.
-#[derive(Default)]
 pub(crate) struct LoopShared {
-    /// Freshly accepted nonblocking sockets pinned to this loop.
+    /// Freshly accepted nonblocking sockets pinned to this loop. Push,
+    /// then [`Waker::wake`]: the loop may be blocked with no timeout.
     pub(crate) inbox: Mutex<Vec<TcpStream>>,
+    /// Wakes this loop out of its wait.
+    pub(crate) waker: Waker,
 }
 
 /// One nonblocking connection's state: the IO shell (socket, write
@@ -112,25 +114,26 @@ impl Conn {
 /// Per-tick scratch, allocated once per loop.
 struct Scratch {
     run_ops: Vec<KvOp>,
-    readiness: Vec<Readiness>,
+    /// Which connection each source pushed to the poller belongs to.
     polled: Vec<usize>,
 }
 
-/// The body of one event-loop worker thread.
-pub(crate) fn event_loop(shared: Arc<Shared>, index: usize) {
+/// The body of one event-loop worker thread. `poller` is the read end
+/// of `shared.loops[index].waker`.
+pub(crate) fn event_loop(shared: Arc<Shared>, index: usize, mut poller: Poller) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut pool = BufferPool::new();
-    let mut poller = ScanPoller::new();
     let mut client = shared.store.client();
     let mut scratch = Scratch {
         run_ops: Vec::new(),
-        readiness: Vec::new(),
         polled: Vec::new(),
     };
+    // Every return from the poller's wait comes back through here:
+    // inbox first, then the shutdown flag.
     loop {
         admit(&shared, index, &mut conns, &mut pool);
         if shared.shutdown.load(Ordering::SeqCst) {
-            drain_all(&shared, conns, &mut client, &mut scratch);
+            drain_all(&shared, conns, &mut client, &mut scratch, &mut poller);
             shared.retired.lock().push(client);
             return;
         }
@@ -169,46 +172,35 @@ fn tick(
     shared: &Shared,
     conns: &mut Vec<Conn>,
     pool: &mut BufferPool,
-    poller: &mut ScanPoller,
+    poller: &mut Poller,
     client: &mut StoreClient,
     scratch: &mut Scratch,
 ) {
-    // Poll: read interest for open unpaused connections; write
-    // interest (pacing only — writes are their own probe) for pending
-    // response bytes.
+    // Wait: read interest for open unpaused connections, write interest
+    // for blocked response bytes. A connection with neither stays out of
+    // the set — the kernel reports a hang-up whatever was asked, and an
+    // EOF connection that regained read interest would spin the loop.
     scratch.polled.clear();
-    {
-        let mut sources: Vec<PollSource<'_>> = Vec::with_capacity(conns.len());
-        for (i, c) in conns.iter().enumerate() {
-            if c.dead {
-                continue;
-            }
-            let interest = Interest {
-                read: !c.eof && !c.session.closing() && !c.paused(),
-                write: c.pending_write() > 0,
-            };
-            if interest.read || interest.write {
-                scratch.polled.push(i);
-                sources.push(PollSource {
-                    stream: &c.stream,
-                    interest,
-                });
-            }
+    poller.clear();
+    for (i, c) in conns.iter().enumerate() {
+        if c.dead {
+            continue;
         }
-        if sources.is_empty() {
-            std::thread::sleep(IDLE_EMPTY);
-        } else {
-            scratch
-                .readiness
-                .resize(sources.len(), Readiness::default());
-            let timeout = POLL_TICK.min(shared.config.read_timeout.max(Duration::from_millis(1)));
-            poller.poll(&sources, &mut scratch.readiness, timeout);
+        let read = !c.eof && !c.session.closing() && !c.paused();
+        let write = c.pending_write() > 0;
+        if read || write {
+            scratch.polled.push(i);
+            poller.push(&c.stream, read, write);
         }
     }
+    // The only timeout: a `write_deadline` is set exactly while a write
+    // is blocked (see `flush`), and the nearest one bounds the wait.
+    let nearest_deadline = conns.iter().filter_map(|c| c.write_deadline).min();
+    poller.wait(nearest_deadline.map(|d| d.saturating_duration_since(Instant::now())));
 
     // Read every readable connection.
     for (slot, &i) in scratch.polled.iter().enumerate() {
-        if !scratch.readiness[slot].readable {
+        if !poller.readable(slot) {
             continue;
         }
         let c = &mut conns[i];
@@ -303,8 +295,10 @@ fn serve_buffered(
     }
 }
 
-/// Attempted-write model: push buffered response bytes until done or
-/// `WouldBlock`; a peer blocked past the write timeout is cut off.
+/// Push buffered response bytes until done or `WouldBlock`. A blocked
+/// connection keeps a `write_deadline` (and with it write interest in
+/// the next wait, which that deadline bounds); a peer blocked past it
+/// is cut off.
 fn flush(c: &mut Conn, shared: &Shared) {
     if c.dead {
         return;
@@ -359,28 +353,33 @@ fn reap(c: Conn, shared: &Shared, pool: &mut BufferPool) {
 }
 
 /// The shutdown drain: one final serve pass over everything already
-/// buffered (backpressured connections included) and a bounded flush.
-/// In-flight requests drain; nothing new is read.
+/// buffered (backpressured connections included) and a flush that waits
+/// for writability, bounded by the write timeout. In-flight requests
+/// drain; nothing new is read.
 fn drain_all(
     shared: &Shared,
     mut conns: Vec<Conn>,
     client: &mut StoreClient,
     scratch: &mut Scratch,
+    poller: &mut Poller,
 ) {
     serve_buffered(shared, &mut conns, client, scratch, true);
     let deadline = Instant::now() + shared.config.write_timeout;
     loop {
+        poller.clear();
         let mut pending = false;
         for c in conns.iter_mut() {
             flush(c, shared);
             if !c.dead && c.pending_write() > 0 {
+                poller.push(&c.stream, false, true);
                 pending = true;
             }
         }
-        if !pending || Instant::now() >= deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if !pending || left.is_zero() {
             break;
         }
-        std::thread::sleep(Duration::from_micros(500));
+        poller.wait(Some(left));
     }
     shared
         .active

@@ -1,16 +1,21 @@
-//! The ff-store TCP service: a std-only, readiness-driven reactor.
+//! The ff-store TCP service: a readiness-driven reactor on `std::net`
+//! and `poll(2)`.
 //!
 //! # Threading model
 //!
-//! One **accept thread** polls a nonblocking listener (~5 ms tick) and
-//! hash-pins each accepted connection to one of N **event loops** (one
-//! worker thread each, [`ServerConfig::loops`]). Every socket is
-//! nonblocking; a loop multiplexes all of its connections through the
-//! [`poll`](crate::poll) abstraction, so ten thousand mostly-idle
-//! connections cost ten thousand readiness probes per tick — not ten
-//! thousand parked threads. No async runtime: the repo's point is the
-//! consensus construction, and `std::net` plus a handful of threads
-//! keeps the service layer auditable.
+//! One **accept thread** waits on a nonblocking listener and hash-pins
+//! each accepted connection to one of N **event loops** (one worker
+//! thread each, [`ServerConfig::loops`]). Every socket is nonblocking; a
+//! loop waits for all of its connections in one blocking `poll(2)` call
+//! per tick (the private `poll` module), so ten thousand mostly-idle
+//! connections cost one syscall when one of them speaks and nothing
+//! while none does — not ten thousand parked threads, and no timer.
+//! Every thread sleeps in the kernel until the thing it waits for
+//! happens: bytes, a drained socket, a new connection, or a byte on its
+//! wake channel (sent with each inbox push and at shutdown). No async
+//! runtime: the repo's point is the consensus construction, and
+//! `std::net`, one foreign function and a handful of threads keep the
+//! service layer auditable. Unix only.
 //!
 //! # One client per loop
 //!
@@ -50,8 +55,8 @@
 //! # Graceful shutdown
 //!
 //! [`NetServer::shutdown`] (or the idempotent
-//! [`NetServer::begin_shutdown`]) flips a flag; each loop notices
-//! within one poll tick, stops reading, serves the complete frames it
+//! [`NetServer::begin_shutdown`]) flips a flag and wakes every thread;
+//! each loop stops reading, serves the complete frames it
 //! had already buffered (in-flight requests drain rather than vanish),
 //! flushes within the write timeout, and retires its client. The
 //! returned [`ServerReport`] hands those clients back so a harness can
@@ -69,6 +74,7 @@ use std::time::Duration;
 use ff_store::{Store, StoreClient};
 use parking_lot::Mutex;
 
+use crate::poll::{Poller, Waker};
 use crate::reactor::{self, LoopShared};
 use crate::wire::{encode_response, ErrorCode, Response, StatsReply};
 
@@ -77,10 +83,6 @@ use crate::wire::{encode_response, ErrorCode, Response, StatsReply};
 pub struct ServerConfig {
     /// Connections beyond this are refused with `Overloaded`.
     pub max_connections: usize,
-    /// Upper bound on how long a quiet loop sleeps between readiness
-    /// scans; bounds shutdown-notice latency. (The name predates the
-    /// reactor: sockets are nonblocking now, nothing blocks in `read`.)
-    pub read_timeout: Duration,
     /// Per-connection write stall bound — the backpressure limit on a
     /// peer that stops draining responses, and the drain deadline at
     /// shutdown.
@@ -94,7 +96,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 64,
-            read_timeout: Duration::from_millis(50),
             write_timeout: Duration::from_secs(2),
             loops: 0,
         }
@@ -156,6 +157,24 @@ pub(crate) struct Shared {
     pub(crate) retired: Mutex<Vec<StoreClient>>,
     /// One inbox per event loop; the acceptor pins connections here.
     pub(crate) loops: Vec<LoopShared>,
+    /// Wakes the accept thread out of its wait on the listener.
+    accept_waker: Waker,
+}
+
+impl Shared {
+    /// Raise the shutdown flag, then wake every thread: they wait with
+    /// no timeout, and read the flag after every wake. Returns whether
+    /// this call was the one that raised it.
+    fn signal_shutdown(&self) -> bool {
+        let first = !self.shutdown.swap(true, Ordering::SeqCst);
+        if first {
+            self.accept_waker.wake();
+            for l in &self.loops {
+                l.waker.wake();
+            }
+        }
+        first
+    }
 }
 
 /// A running ff-store TCP server. Dropping it without calling
@@ -190,7 +209,17 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let nloops = effective_loops(&config);
+        let (accept_poller, accept_waker) = Poller::new()?;
+        let mut pollers = Vec::new();
+        let mut loops = Vec::new();
+        for _ in 0..effective_loops(&config) {
+            let (poller, waker) = Poller::new()?;
+            pollers.push(poller);
+            loops.push(LoopShared {
+                inbox: Mutex::new(Vec::new()),
+                waker,
+            });
+        }
         let shared = Arc::new(Shared {
             store,
             config,
@@ -202,16 +231,20 @@ impl NetServer {
             max_run_ops: AtomicU32::new(0),
             frames_staged: AtomicU64::new(0),
             retired: Mutex::new(Vec::new()),
-            loops: (0..nloops).map(|_| LoopShared::default()).collect(),
+            loops,
+            accept_waker,
         });
-        let workers = (0..nloops)
-            .map(|index| {
+        let workers = pollers
+            .into_iter()
+            .enumerate()
+            .map(|(index, poller)| {
                 let loop_shared = Arc::clone(&shared);
-                std::thread::spawn(move || reactor::event_loop(loop_shared, index))
+                std::thread::spawn(move || reactor::event_loop(loop_shared, index, poller))
             })
             .collect();
         let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::spawn(move || accept_loop(listener, accept_shared));
+        let accept =
+            std::thread::spawn(move || accept_loop(listener, accept_shared, accept_poller));
         Ok(NetServer {
             shared,
             addr,
@@ -234,7 +267,7 @@ impl NetServer {
     /// Returns `true` the first time, `false` on every repeat — a
     /// doubly-signaled shutdown is a no-op, not a panic.
     pub fn begin_shutdown(&self) -> bool {
-        !self.shared.shutdown.swap(true, Ordering::SeqCst)
+        self.shared.signal_shutdown()
     }
 
     /// Stop accepting, drain in-flight requests, join every thread and
@@ -278,9 +311,9 @@ impl NetServer {
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        // Signal-only: threads notice within a tick and drain. Joining
-        // here would turn a leaked server into a hang.
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Signal-only: the threads are woken and drain. Joining here
+        // would turn a leaked server into a hang.
+        self.shared.signal_shutdown();
     }
 }
 
@@ -303,8 +336,16 @@ fn pin_hash(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
+/// How long the acceptor backs off when `accept` fails outright. Out of
+/// descriptors (`EMFILE`/`ENFILE`) the pending connection stays queued
+/// and the listener stays readable, so waiting on it would spin; this
+/// is the server's one timed sleep.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(5);
+
+/// The accept thread. `poller` is the read end of `shared.accept_waker`.
+fn accept_loop(listener: TcpListener, shared: Arc<Shared>, mut poller: Poller) {
     let mut counter: u64 = 0;
+    poller.push(&listener, true, false);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -348,13 +389,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 shared.active.fetch_add(1, Ordering::SeqCst);
                 let index = (pin_hash(counter) % shared.loops.len() as u64) as usize;
                 counter = counter.wrapping_add(1);
-                shared.loops[index].inbox.lock().push(stream);
+                let pinned = &shared.loops[index];
+                pinned.inbox.lock().push(stream);
+                pinned.waker.wake();
             }
-            // Nonblocking accept: nobody waiting — poll again shortly.
+            // Nobody waiting: sleep until someone connects or shutdown
+            // wakes us.
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                poller.wait(None);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
         }
     }
 }

@@ -10,7 +10,7 @@
 //! [`Session::output`], so the same state machine serves both drivers:
 //!
 //! * the production reactor, which feeds it from nonblocking TCP reads
-//!   and flushes its output with the attempted-write model, and
+//!   and flushes its output as the socket accepts it, and
 //! * `ff-dst`'s deterministic simulator, which feeds it the exact wire
 //!   bytes a simulated network delivered — chunked, delayed, reordered
 //!   or truncated as the fault schedule dictates — with no kernel

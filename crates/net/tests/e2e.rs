@@ -386,3 +386,181 @@ fn graceful_shutdown_retires_every_replica_for_verification() {
     assert!(report.ops_served >= driven);
     assert!(store.verify(&mut report.clients).all_consistent());
 }
+
+/// The loops wait in the kernel, not on a timer: however long a
+/// connection has been quiet, its next request is answered at wake-up
+/// speed. (The scan-and-sleep poller this replaced had backed off to a
+/// 5 ms sleep by then, so a round trip after 20 ms of quiet waited out
+/// what was left of one; the gaps vary so that the requests cannot fall
+/// in step with such a timer.)
+#[test]
+fn round_trips_after_idleness_take_well_under_a_millisecond() {
+    let (_store, server) = serve(reliable_config(), ServerConfig::default());
+    let mut c = NetClient::connect(server.addr()).unwrap();
+    c.ping().unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    let mut trips: Vec<Duration> = (0..50)
+        .map(|i| {
+            std::thread::sleep(Duration::from_millis(20 + i % 5));
+            let t = Instant::now();
+            c.ping().unwrap();
+            t.elapsed()
+        })
+        .collect();
+    trips.sort();
+    let median = trips[trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(1),
+        "median idle round trip {median:?} (all: {trips:?})"
+    );
+    server.shutdown();
+}
+
+/// A loop with no connections waits with no timeout at all; the
+/// acceptor's wake byte is the only thing that can tell it about its
+/// first connection.
+#[test]
+fn connection_accepted_while_the_loop_waits_untimed_is_served() {
+    let (_store, server) = serve(
+        reliable_config(),
+        ServerConfig {
+            loops: 1,
+            ..ServerConfig::default()
+        },
+    );
+    std::thread::sleep(Duration::from_millis(100));
+    let mut c = NetClient::connect_with_timeout(server.addr(), Duration::from_secs(2)).unwrap();
+    c.ping()
+        .expect("a lost wake leaves the connection in the inbox");
+    // And again with the loop blocked on one quiet connection.
+    std::thread::sleep(Duration::from_millis(100));
+    let mut d = NetClient::connect_with_timeout(server.addr(), Duration::from_secs(2)).unwrap();
+    d.ping().expect("second connection served");
+    let report = server.shutdown();
+    assert!(report.shutdown_errors.is_empty());
+}
+
+/// Shutdown wakes every thread instead of waiting out their ticks, so
+/// a server full of idle connections stops at once.
+#[test]
+fn shutdown_with_idle_connections_is_woken_not_waited_for() {
+    let (store, server) = serve(reliable_config(), ServerConfig::default());
+    let mut clients: Vec<NetClient> = (0..64)
+        .map(|_| NetClient::connect(server.addr()).unwrap())
+        .collect();
+    for c in &mut clients {
+        c.ping().unwrap();
+    }
+    assert_eq!(server.active_connections(), 64);
+    std::thread::sleep(Duration::from_millis(50));
+    let start = Instant::now();
+    let mut report = server.shutdown();
+    let took = start.elapsed();
+    assert!(
+        report.shutdown_errors.is_empty(),
+        "{:?}",
+        report.shutdown_errors
+    );
+    assert!(took < Duration::from_millis(50), "shutdown took {took:?}");
+    assert!(store.verify(&mut report.clients).all_consistent());
+}
+
+/// STATS requests are 10 bytes and their answers about ten times that:
+/// `frames` of them owe the peer far more than the kernel will buffer
+/// for a reader that is not reading (a 4 MiB send buffer plus a receive
+/// window that only grows while the application reads), so the server's
+/// own response buffer passes its 256 KiB pause and its write blocks.
+/// The writer half-closes behind the last request. Returns the reading
+/// half; the writer thread ignores errors because the server may hang
+/// up on it.
+fn flood_with_stats(addr: std::net::SocketAddr, frames: u32) -> std::net::TcpStream {
+    use std::io::Write;
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        for id in 1..=frames {
+            ff_net::wire::encode_request(&mut bytes, id, &Request::Stats);
+        }
+        let _ = writer.write_all(&bytes);
+        let _ = writer.shutdown(std::net::Shutdown::Write);
+    });
+    stream
+}
+
+const FLOOD_FRAMES: u32 = 200_000;
+
+/// Backpressure end to end: the peer's responses pile up until the
+/// connection is paused and its write blocks; when the peer finally
+/// reads, writability — not a retry timer — resumes the flush and then
+/// the reading, every response arrives in request order, and the EOF
+/// the peer sent behind its last request then closes the connection.
+#[test]
+fn stalled_reader_that_drains_gets_every_response_in_order() {
+    use std::io::Read;
+    let (_store, server) = serve(
+        reliable_config(),
+        ServerConfig {
+            loops: 1,
+            write_timeout: Duration::from_secs(30),
+            ..ServerConfig::default()
+        },
+    );
+    let mut stream = flood_with_stats(server.addr(), FLOOD_FRAMES);
+    std::thread::sleep(Duration::from_millis(300));
+    // The loop is parked on that one blocked writer, and still serves.
+    let mut other = NetClient::connect(server.addr()).unwrap();
+    other.ping().unwrap();
+
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut fb = ff_net::FrameBuffer::new();
+    let mut chunk = vec![0u8; 64 * 1024];
+    let mut next = 1u32;
+    loop {
+        let n = stream.read(&mut chunk).expect("responses keep coming");
+        if n == 0 {
+            break;
+        }
+        fb.extend(&chunk[..n]);
+        while let Some(frame) = fb.pop_response().expect("well-formed response frames") {
+            assert_eq!(frame.id, next, "responses out of order");
+            assert!(matches!(frame.resp, Response::Stats(_)), "{:?}", frame.resp);
+            next += 1;
+        }
+    }
+    assert_eq!(next - 1, FLOOD_FRAMES, "closed before every response");
+    let report = server.shutdown();
+    assert!(report.shutdown_errors.is_empty());
+}
+
+/// The one timeout the loops still pass to `poll`: a peer that never
+/// drains is cut off once its write has been blocked for
+/// `write_timeout`, with no other traffic to wake the loop.
+#[test]
+fn stalled_reader_that_never_drains_is_cut_off_at_the_write_timeout() {
+    let write_timeout = Duration::from_millis(200);
+    let (_store, server) = serve(
+        reliable_config(),
+        ServerConfig {
+            loops: 1,
+            write_timeout,
+            ..ServerConfig::default()
+        },
+    );
+    let start = Instant::now();
+    let _stream = flood_with_stats(server.addr(), FLOOD_FRAMES);
+    let deadline = start + Duration::from_secs(10);
+    while server.active_connections() == 0 {
+        assert!(Instant::now() < deadline, "flood never connected");
+        std::thread::yield_now();
+    }
+    while server.active_connections() != 0 {
+        assert!(Instant::now() < deadline, "stalled peer never cut off");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(start.elapsed() >= write_timeout);
+    let report = server.shutdown();
+    assert!(report.shutdown_errors.is_empty());
+}

@@ -21,7 +21,7 @@
 //! | [`universal`] | `ff-universal` | Replicated objects over fault-tolerant consensus cells |
 //! | [`workload`] | `ff-workload` | The E1–E14 experiment harness and table rendering |
 //! | [`store`] | `ff-store` | Sharded replicated KV store with checkpointed logs, fault knobs, metrics, soak harness (E15), unified `Kv` client API |
-//! | [`net`] | `ff-net` | Binary wire protocol + std-only TCP server/client for the store; network soak (E16) |
+//! | [`net`] | `ff-net` | Binary wire protocol + `poll(2)`-driven TCP reactor and client for the store; network soak (E16) |
 //!
 //! ## Quickstart
 //!
