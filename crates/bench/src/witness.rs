@@ -1,10 +1,9 @@
-//! Print concrete counterexample executions for the paper's lower bounds.
-//!
-//! ```text
-//! cargo run --release -p ff-bench --bin witness -- thm18 [n]   # shortest violating execution
-//! cargo run --release -p ff-bench --bin witness -- thm19 [f]   # covering-attack narrative
-//! ```
+//! `ff witness` — print concrete counterexample executions for the
+//! paper's lower bounds: `thm18 [n]` the shortest violating execution,
+//! `thm19 [f]` the covering-attack narrative.
 
+use crate::cli::{Args, Exit};
+use crate::flags::{THM18_N, THM19_F};
 use ff_adversary::{covering_attack, render_witness};
 use ff_consensus::{one_shots, staged_machines};
 use ff_sim::{explore_bfs, ExplorerConfig, FaultPlan, Heap, SimState};
@@ -14,34 +13,35 @@ fn inputs(n: usize) -> Vec<Input> {
     (0..n as u32).map(|i| Input(10 * (i + 1))).collect()
 }
 
-fn thm18(n: usize) {
-    assert!(
-        n >= 3,
-        "Theorem 18 needs n > 2 (got {n}); n = 2 is safe by Theorem 4"
-    );
+/// The `witness thm18` command.
+pub fn thm18(args: &Args) -> Result<(), Exit> {
+    let n = args.int(&THM18_N) as usize;
     println!(
         "Theorem 18 witness: one unboundedly-faulty CAS object, {n} processes, one-shot protocol.\n"
     );
     let plan = FaultPlan::overriding(1, Bound::Unbounded);
     let state = SimState::new(one_shots(&inputs(n)), Heap::new(1, 0), plan.clone());
     let report = explore_bfs(state, ExplorerConfig::default());
-    match report.violation {
-        Some(w) => {
-            println!(
-                "shortest violating execution ({} steps, found after {} states):\n",
-                w.choices.len(),
-                report.states_expanded
-            );
-            println!(
-                "{}",
-                render_witness(&w, one_shots(&inputs(n)), Heap::new(1, 0), &plan)
-            );
-        }
-        None => println!("no violation found (unexpected — check the configuration)"),
-    }
+    let Some(w) = report.violation else {
+        return Err(Exit::Failed(
+            "no violation found (unexpected — check the configuration)".into(),
+        ));
+    };
+    println!(
+        "shortest violating execution ({} steps, found after {} states):\n",
+        w.choices.len(),
+        report.states_expanded
+    );
+    println!(
+        "{}",
+        render_witness(&w, one_shots(&inputs(n)), Heap::new(1, 0), &plan)
+    );
+    Ok(())
 }
 
-fn thm19(f: usize) {
+/// The `witness thm19` command.
+pub fn thm19(args: &Args) -> Result<(), Exit> {
+    let f = args.int(&THM19_F) as usize;
     let n = f + 2;
     println!(
         "Theorem 19 witness: the covering attack on the staged protocol — \
@@ -70,24 +70,9 @@ fn thm19(f: usize) {
         report.violated()
     );
     if !report.violated() {
-        std::process::exit(1);
+        return Err(Exit::Failed(
+            "the covering attack did not violate consistency".into(),
+        ));
     }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("thm18") => {
-            let n = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(3);
-            thm18(n);
-        }
-        Some("thm19") => {
-            let f = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-            thm19(f);
-        }
-        _ => {
-            eprintln!("usage: witness <thm18 [n] | thm19 [f]>");
-            std::process::exit(2);
-        }
-    }
+    Ok(())
 }

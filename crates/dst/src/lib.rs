@@ -49,18 +49,15 @@ pub mod process;
 pub mod rng;
 pub mod runner;
 pub mod scenario;
-pub mod trace;
-
-pub mod experiment;
 pub mod topology;
+pub mod trace;
 
 pub use clock::SimClock;
 pub use disk::SimDisk;
-pub use experiment::{E19Dst, E20Recovery};
 pub use net::{ConnId, FaultRates, NetConfig, Payload, ScriptMode, SimNet};
 pub use process::{ClientCfg, Proc, RunFlags};
 pub use rng::SimRng;
 pub use runner::{EvKind, ProcSpec, RunReport, Sim};
-pub use scenario::{arm_ok, arms, run_scenario, CORPUS};
+pub use scenario::{arm_ok, arms, check_arm, run_scenario, CORPUS, E19_SEED};
 pub use topology::{MachineId, ProcId, Topology};
-pub use trace::{minimize, FaultAction, FaultScript, GoldenTrace, Trace};
+pub use trace::{minimize, reproduces, violation_of, FaultAction, FaultScript, GoldenTrace, Trace};

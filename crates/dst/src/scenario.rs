@@ -71,13 +71,43 @@ pub const CORPUS: &[ScenarioDef] = &[
     },
 ];
 
-/// Arms of `scenario`, well-behaved arm(s) first.
-pub fn arms(scenario: &str) -> &'static [&'static str] {
-    CORPUS
-        .iter()
-        .find(|d| d.name == scenario)
-        .unwrap_or_else(|| panic!("unknown scenario {scenario:?}"))
-        .arms
+/// Pinned seed for the corpus run (`ff dst corpus`, E19/E20, the
+/// determinism tests and the committed goldens). Any seed works; this
+/// one is fixed so the run is a regression test, not a lottery.
+pub const E19_SEED: u64 = 0xDD57_0001;
+
+/// Arms of `scenario`, well-behaved arm(s) first; `None` if the corpus
+/// has no such scenario.
+pub fn arms(scenario: &str) -> Option<&'static [&'static str]> {
+    CORPUS.iter().find(|d| d.name == scenario).map(|d| d.arms)
+}
+
+/// Is `(scenario, arm)` something [`run_scenario`] can run? Scenarios
+/// whose declared arms are substrate names take *any* registered
+/// substrate (`kw-robust` on partition-ramp resolves through the
+/// registry like `--backend` does); `lease`/`nolease`/`torn` stay
+/// closed. On refusal the error says what would have been accepted.
+pub fn check_arm(scenario: &str, arm: &str) -> Result<(), String> {
+    let Some(known) = arms(scenario) else {
+        let names: Vec<&str> = CORPUS.iter().map(|d| d.name).collect();
+        return Err(format!(
+            "unknown scenario {scenario:?}; scenarios: {}",
+            names.join(" ")
+        ));
+    };
+    let takes_substrates = known.iter().any(|k| k.parse::<Backend>().is_ok());
+    if known.contains(&arm) || (takes_substrates && arm.parse::<Backend>().is_ok()) {
+        Ok(())
+    } else if takes_substrates {
+        Err(format!(
+            "scenario {scenario} has arms {known:?} (or any registered substrate: {}), not {arm:?}",
+            ff_store::substrate_names().join(", ")
+        ))
+    } else {
+        Err(format!(
+            "scenario {scenario} has arms {known:?}, not {arm:?}"
+        ))
+    }
 }
 
 /// Resolve a backend-named arm through the substrate registry: any

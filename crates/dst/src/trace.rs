@@ -29,6 +29,9 @@
 
 use ff_workload::JsonValue;
 
+use crate::runner::RunReport;
+use crate::scenario::arm_ok;
+
 /// What the network does to one chunk, at one decision point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultAction {
@@ -131,18 +134,14 @@ impl FaultScript {
 
     /// Serialize for a golden-trace file.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::Array(
-            self.entries
-                .iter()
-                .map(|&(d, a)| {
-                    JsonValue::Object(vec![
-                        ("decision".into(), JsonValue::Number(d as f64)),
-                        ("action".into(), JsonValue::String(a.name().into())),
-                        ("arg".into(), JsonValue::Number(a.arg() as f64)),
-                    ])
-                })
-                .collect(),
-        )
+        let entry = |&(d, a): &(u64, FaultAction)| {
+            JsonValue::object([
+                ("decision", d.into()),
+                ("action", a.name().into()),
+                ("arg", a.arg().into()),
+            ])
+        };
+        self.entries.iter().map(entry).collect()
     }
 
     /// Parse a script back from golden-trace JSON.
@@ -299,44 +298,55 @@ pub struct GoldenTrace {
 impl GoldenTrace {
     /// Render the golden-trace file.
     pub fn to_json(&self) -> String {
-        JsonValue::Object(vec![
-            ("scenario".into(), JsonValue::String(self.scenario.clone())),
-            ("arm".into(), JsonValue::String(self.arm.clone())),
-            ("seed".into(), JsonValue::Number(self.seed as f64)),
-            (
-                "violation".into(),
-                JsonValue::String(self.violation.clone()),
-            ),
-            ("faults".into(), self.script.to_json()),
-            (
-                "trace_hash".into(),
-                JsonValue::String(self.trace_hash.clone()),
-            ),
+        JsonValue::object([
+            ("scenario", self.scenario.as_str().into()),
+            ("arm", self.arm.as_str().into()),
+            ("seed", JsonValue::seed(self.seed)),
+            ("violation", self.violation.as_str().into()),
+            ("faults", self.script.to_json()),
+            ("trace_hash", self.trace_hash.as_str().into()),
         ])
         .render()
     }
 
     /// Parse a committed golden-trace file.
     pub fn from_json(s: &str) -> Option<GoldenTrace> {
-        let JsonValue::Object(fields) = JsonValue::parse(s).ok()? else {
-            return None;
-        };
-        let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-        let string = |k: &str| match get(k) {
-            Some(JsonValue::String(s)) => Some(s.clone()),
-            _ => None,
-        };
+        let file = JsonValue::parse(s).ok()?;
+        let string = |k: &str| Some(file.get(k)?.as_str()?.to_string());
         Some(GoldenTrace {
             scenario: string("scenario")?,
             arm: string("arm")?,
-            seed: match get("seed")? {
-                JsonValue::Number(n) => *n as u64,
-                _ => return None,
-            },
+            seed: file.get("seed")?.as_seed()?,
             violation: string("violation")?,
-            script: FaultScript::from_json(get("faults")?)?,
+            script: FaultScript::from_json(file.get("faults")?)?,
             trace_hash: string("trace_hash")?,
         })
+    }
+}
+
+/// The violation a golden trace of `r` would pin down, if `r` has one:
+/// for catch-me arms (`naive`, `nolease`) the interesting event IS the
+/// flag/stall (for a durable naive arm, specifically the refused
+/// recovery), so that is what minimization preserves; for well-behaved
+/// arms it is any contract violation.
+pub fn violation_of(r: &RunReport) -> Option<&'static str> {
+    match r.arm.as_str() {
+        "naive" if r.recovery_refused > 0 => Some("recovery-refused"),
+        "naive" => r.flagged.then_some("flagged"),
+        "nolease" => reproduces(r, "stall").then_some("stall"),
+        _ => (!arm_ok(r)).then_some("contract"),
+    }
+}
+
+/// Does `r` still show the `violation` a golden trace recorded (one of
+/// the names [`violation_of`] returns)?
+pub fn reproduces(r: &RunReport, violation: &str) -> bool {
+    match violation {
+        "flagged" => r.flagged,
+        "recovery-refused" => r.recovery_refused > 0,
+        "stall" => r.violations.iter().any(|v| v.starts_with("stall:")),
+        "contract" => !arm_ok(r),
+        _ => false,
     }
 }
 
@@ -422,5 +432,16 @@ mod tests {
         };
         let back = GoldenTrace::from_json(&g.to_json()).expect("parses");
         assert_eq!(g, back);
+        // Seeds a JSON number cannot hold exactly replay the same run.
+        for seed in [u64::MAX, (1 << 53) + 1] {
+            let big = GoldenTrace { seed, ..g.clone() };
+            assert_eq!(GoldenTrace::from_json(&big.to_json()), Some(big));
+        }
+        // A seed no u64 spells is refused, not saturated.
+        for bad in ["-1", "0.5", "1e300"] {
+            let text = g.to_json().replace("\"0xdead\"", bad);
+            assert_ne!(text, g.to_json());
+            assert_eq!(GoldenTrace::from_json(&text), None, "seed {bad}");
+        }
     }
 }

@@ -9,9 +9,8 @@
 //! * the pinned-seed combiner-crash regression: kill-the-combiner
 //!   stalls without the lease/epoch reclaim rule and completes with it.
 
-use ff_dst::experiment::E19_SEED;
 use ff_dst::net::ScriptMode;
-use ff_dst::scenario::{arm_ok, run_scenario, CORPUS};
+use ff_dst::scenario::{arm_ok, run_scenario, CORPUS, E19_SEED};
 
 #[test]
 fn same_seed_same_trace_for_every_scenario_and_arm() {

@@ -5,17 +5,8 @@
 //! notice.
 
 use ff_dst::net::ScriptMode;
-use ff_dst::scenario::run_scenario;
-use ff_dst::trace::GoldenTrace;
-
-fn reproduces(r: &ff_dst::RunReport, violation: &str) -> bool {
-    match violation {
-        "flagged" => r.flagged,
-        "recovery-refused" => r.recovery_refused > 0,
-        "stall" => r.violations.iter().any(|v| v.starts_with("stall:")),
-        other => panic!("unknown golden violation kind {other:?}"),
-    }
-}
+use ff_dst::scenario::{check_arm, run_scenario};
+use ff_dst::trace::{reproduces, GoldenTrace};
 
 #[test]
 fn committed_golden_traces_reproduce() {
@@ -31,6 +22,7 @@ fn committed_golden_traces_reproduce() {
         let text = std::fs::read_to_string(&path).expect("readable golden file");
         let golden = GoldenTrace::from_json(&text)
             .unwrap_or_else(|| panic!("{} is not a golden-trace file", path.display()));
+        check_arm(&golden.scenario, &golden.arm).expect("golden names a corpus scenario and arm");
         let r = run_scenario(
             &golden.scenario,
             &golden.arm,

@@ -21,7 +21,6 @@
 //! | `reactor` (private) | the event-loop state machine itself |
 //! | [`session`] | [`Session`]: one connection's socket-free protocol state machine — the transport seam `ff-dst` drives over a simulated network |
 //! | [`client`] | [`NetClient`]: pipelining TCP client implementing [`Kv`](ff_store::Kv) |
-//! | [`experiment`] | [`E16NetSoak`] and [`E17ReactorSoak`]: the fault-ramp soak over TCP, thread-per-request shape and reactor shape |
 //!
 //! No async runtime and no serialization framework: `std::net`,
 //! threads, one foreign function (`poll(2)`, fenced in `sys`) and
@@ -34,7 +33,6 @@
 
 mod buffer;
 pub mod client;
-pub mod experiment;
 mod poll;
 mod reactor;
 pub mod server;
@@ -44,7 +42,6 @@ mod sys;
 pub mod wire;
 
 pub use client::{NetClient, PipelineTicket};
-pub use experiment::{E16NetSoak, E17ReactorSoak};
 pub use server::{NetServer, ServerConfig, ServerReport, ShutdownError};
 pub use session::{Session, StageSummary};
 pub use wire::{FrameBuffer, Request, Response, StatsReply, MAX_FRAME_LEN, PROTOCOL_VERSION};

@@ -270,29 +270,17 @@ impl CombineSnapshot {
 
     /// Serialize for bench JSON.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("passes".into(), JsonValue::Number(self.passes as f64)),
-            (
-                "combined_ops".into(),
-                JsonValue::Number(self.combined_ops as f64),
-            ),
-            ("mean_batch".into(), JsonValue::Number(self.mean_batch)),
-            ("p50_batch".into(), JsonValue::Number(self.p50_batch as f64)),
-            ("p95_batch".into(), JsonValue::Number(self.p95_batch as f64)),
-            ("max_batch".into(), JsonValue::Number(self.max_batch as f64)),
-            (
-                "fastpath_hits".into(),
-                JsonValue::Number(self.fastpath_hits as f64),
-            ),
-            (
-                "fastpath_misses".into(),
-                JsonValue::Number(self.fastpath_misses as f64),
-            ),
-            (
-                "fastpath_hit_rate".into(),
-                JsonValue::Number(self.hit_rate()),
-            ),
-            ("reclaims".into(), JsonValue::Number(self.reclaims as f64)),
+        JsonValue::object([
+            ("passes", self.passes.into()),
+            ("combined_ops", self.combined_ops.into()),
+            ("mean_batch", self.mean_batch.into()),
+            ("p50_batch", self.p50_batch.into()),
+            ("p95_batch", self.p95_batch.into()),
+            ("max_batch", self.max_batch.into()),
+            ("fastpath_hits", self.fastpath_hits.into()),
+            ("fastpath_misses", self.fastpath_misses.into()),
+            ("fastpath_hit_rate", self.hit_rate().into()),
+            ("reclaims", self.reclaims.into()),
         ])
     }
 }

@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cells;
-pub mod clock;
 pub mod combine;
 pub mod kv;
 pub mod map;
@@ -49,19 +48,14 @@ pub mod soak;
 pub mod substrate;
 pub mod wal;
 
-mod experiment;
-
 pub use cells::{FaultConfig, FaultKnob, GuardedCascadeConsensus, ProcessFault};
-pub use clock::{Clock, ManualClock, WallClock};
 pub use combine::{CombineSnapshot, CombineStats};
-pub use experiment::E15StoreSoak;
 pub use kv::{Kv, KvOp, StoreError};
 pub use map::{KvMap, KV_BITS, KV_MAX};
 pub use metrics::{DurabilitySnapshot, MetricsSnapshot, ShardFaults, StoreMetrics};
 pub use recover::{RecoverError, RecoveryReport, ShardRecovery};
 pub use soak::{
-    drive_clients, drive_clients_with_clock, run_soak, try_run_soak, DriveOutcome, SoakConfig,
-    SoakReport, WorkloadMix,
+    drive_clients, run_soak, try_run_soak, DriveOutcome, SoakConfig, SoakReport, WorkloadMix,
 };
 pub use substrate::{
     all_backends, register, substrate_names, Backend, CellCtx, DuplicateSubstrate, ShardCells,

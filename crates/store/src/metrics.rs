@@ -197,16 +197,15 @@ pub struct DurabilitySnapshot {
 impl DurabilitySnapshot {
     /// Serialize to a JSON object.
     pub fn to_json(&self) -> JsonValue {
-        let n = |v: u64| JsonValue::Number(v as f64);
-        JsonValue::Object(vec![
-            ("records_logged".into(), n(self.records_logged)),
-            ("fsyncs".into(), n(self.fsyncs)),
-            ("checkpoints".into(), n(self.checkpoints)),
-            ("batch_p50".into(), n(self.batch_p50)),
-            ("batch_p95".into(), n(self.batch_p95)),
-            ("records_replayed".into(), n(self.records_replayed)),
-            ("checkpoints_loaded".into(), n(self.checkpoints_loaded)),
-            ("torn_tails".into(), n(self.torn_tails)),
+        JsonValue::object([
+            ("records_logged", self.records_logged.into()),
+            ("fsyncs", self.fsyncs.into()),
+            ("checkpoints", self.checkpoints.into()),
+            ("batch_p50", self.batch_p50.into()),
+            ("batch_p95", self.batch_p95.into()),
+            ("records_replayed", self.records_replayed.into()),
+            ("checkpoints_loaded", self.checkpoints_loaded.into()),
+            ("torn_tails", self.torn_tails.into()),
         ])
     }
 }
@@ -370,66 +369,46 @@ impl MetricsSnapshot {
     /// when the counters were attached).
     pub fn to_json(&self) -> JsonValue {
         let op = |s: &OpSummary| {
-            JsonValue::Object(vec![
-                ("ops".into(), JsonValue::Number(s.ops as f64)),
-                ("ops_per_sec".into(), JsonValue::Number(s.ops_per_sec)),
-                ("p50_ns".into(), JsonValue::Number(s.p50_ns as f64)),
-                ("p95_ns".into(), JsonValue::Number(s.p95_ns as f64)),
-                ("p99_ns".into(), JsonValue::Number(s.p99_ns as f64)),
+            JsonValue::object([
+                ("ops", s.ops.into()),
+                ("ops_per_sec", s.ops_per_sec.into()),
+                ("p50_ns", s.p50_ns.into()),
+                ("p95_ns", s.p95_ns.into()),
+                ("p99_ns", s.p99_ns.into()),
             ])
         };
+        let shard = |f: &ShardFaults| {
+            JsonValue::object([
+                ("shard", f.shard.into()),
+                ("kind", f.kind.as_str().into()),
+                ("cas_ops", f.cas_ops.into()),
+                ("attempted", f.attempted.into()),
+                ("observable", f.observable.into()),
+                ("faulty_objects", f.faulty_objects.into()),
+            ])
+        };
+        let by_kind = self.faults_by_kind().into_iter();
         let mut fields = vec![
-            ("elapsed_secs".into(), JsonValue::Number(self.elapsed_secs)),
+            ("elapsed_secs", self.elapsed_secs.into()),
+            ("total_ops", self.total_ops().into()),
+            ("total_ops_per_sec", self.total_ops_per_sec().into()),
+            ("reads", op(&self.reads)),
+            ("writes", op(&self.writes)),
+            ("deletes", op(&self.deletes)),
+            ("batches", op(&self.batches)),
             (
-                "total_ops".into(),
-                JsonValue::Number(self.total_ops() as f64),
+                "faults_by_kind",
+                JsonValue::Object(by_kind.map(|(k, n)| (k, n.into())).collect()),
             ),
-            (
-                "total_ops_per_sec".into(),
-                JsonValue::Number(self.total_ops_per_sec()),
-            ),
-            ("reads".into(), op(&self.reads)),
-            ("writes".into(), op(&self.writes)),
-            ("deletes".into(), op(&self.deletes)),
-            ("batches".into(), op(&self.batches)),
-            (
-                "faults_by_kind".into(),
-                JsonValue::Object(
-                    self.faults_by_kind()
-                        .into_iter()
-                        .map(|(k, n)| (k, JsonValue::Number(n as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "shards".into(),
-                JsonValue::Array(
-                    self.faults
-                        .iter()
-                        .map(|f| {
-                            JsonValue::Object(vec![
-                                ("shard".into(), JsonValue::Number(f.shard as f64)),
-                                ("kind".into(), JsonValue::String(f.kind.clone())),
-                                ("cas_ops".into(), JsonValue::Number(f.cas_ops as f64)),
-                                ("attempted".into(), JsonValue::Number(f.attempted as f64)),
-                                ("observable".into(), JsonValue::Number(f.observable as f64)),
-                                (
-                                    "faulty_objects".into(),
-                                    JsonValue::Number(f.faulty_objects as f64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("shards", self.faults.iter().map(shard).collect()),
         ];
         if let Some(c) = &self.combining {
-            fields.push(("combining".into(), c.to_json()));
+            fields.push(("combining", c.to_json()));
         }
         if let Some(d) = &self.durability {
-            fields.push(("durability".into(), d.to_json()));
+            fields.push(("durability", d.to_json()));
         }
-        JsonValue::Object(fields)
+        JsonValue::object(fields)
     }
 }
 

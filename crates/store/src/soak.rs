@@ -8,13 +8,12 @@
 //! from those objects stay *consistent* while faults are live" — and,
 //! on the naive arm, demonstrates that it does not.
 
-use crate::clock::{Clock, WallClock};
 use crate::kv::{Kv, KvOp, StoreError};
 use crate::metrics::{MetricsSnapshot, StoreMetrics};
 use crate::recover::{RecoverError, RecoveryReport};
 use crate::substrate::Backend;
 use crate::wal::DurabilityConfig;
-use crate::{ConsistencyReport, Store, StoreClient, StoreConfig, KV_MAX};
+use crate::{ConfigError, ConsistencyReport, Store, StoreClient, StoreConfig, KV_MAX};
 use ff_cas::splitmix64;
 use ff_workload::JsonValue;
 use std::sync::Arc;
@@ -68,11 +67,30 @@ impl Default for SoakConfig {
     }
 }
 
+impl SoakConfig {
+    /// The store this soak runs on — the one place a set of soak knobs
+    /// (the CLI's, an experiment's, the network bench's) becomes a
+    /// validated [`StoreConfig`].
+    pub fn store_config(&self) -> Result<StoreConfig, ConfigError> {
+        StoreConfig::builder()
+            .shards(self.shards)
+            .backend(self.backend.clone())
+            .fault_rate(self.fault_rate)
+            .rotate_kinds(self.backend.injects_faults())
+            .checkpoint_interval(self.checkpoint_interval)
+            .durability(self.durability.clone())
+            .seed(self.seed)
+            .build()
+    }
+}
+
 /// Everything a soak run learned.
 #[derive(Clone, Debug)]
 pub struct SoakReport {
-    /// The configuration that ran.
-    pub config: SoakConfigEcho,
+    /// The configuration that ran — its seed is echoed into the JSON
+    /// so any archived `BENCH_store.json` names the exact run to
+    /// reproduce.
+    pub config: SoakConfig,
     /// Latency/throughput/fault snapshot over the run window.
     pub metrics: MetricsSnapshot,
     /// Post-quiescence consistency verdicts.
@@ -90,30 +108,6 @@ pub struct SoakReport {
     pub client_errors: Vec<String>,
     /// Did every shard verify consistent — and no worker hit an error?
     pub consistent: bool,
-}
-
-/// The subset of [`SoakConfig`] echoed into the report/JSON.
-#[derive(Clone, Debug)]
-pub struct SoakConfigEcho {
-    /// Worker threads.
-    pub threads: usize,
-    /// Shards.
-    pub shards: usize,
-    /// Requested duration.
-    pub secs: f64,
-    /// Fault rate.
-    pub fault_rate: f64,
-    /// Backend label.
-    pub backend: &'static str,
-    /// Checkpoint interval.
-    pub checkpoint_interval: usize,
-    /// Whether the per-shard WAL was on.
-    pub durable: bool,
-    /// Group-commit batch size (meaningful only when `durable`).
-    pub group_commit: usize,
-    /// Seed the workload and fault streams ran under — echoed so any
-    /// archived `BENCH_store.json` names the exact run to reproduce.
-    pub seed: u64,
 }
 
 /// One shard's post-run verdict, condensed for the report.
@@ -136,97 +130,56 @@ pub struct ShardVerdict {
 impl SoakReport {
     /// Serialize for `BENCH_store.json`.
     pub fn to_json(&self) -> JsonValue {
-        let verdicts = self
-            .consistency
-            .iter()
-            .map(|v| {
-                JsonValue::Object(vec![
-                    ("shard".into(), JsonValue::Number(v.shard as f64)),
-                    ("consistent".into(), JsonValue::Bool(v.consistent)),
-                    ("fault_kind".into(), JsonValue::String(v.kind.to_string())),
-                    ("end_slot".into(), JsonValue::Number(v.end_slot as f64)),
-                    ("truncated".into(), JsonValue::Number(v.truncated as f64)),
-                    (
-                        "checkpoints".into(),
-                        JsonValue::Number(v.checkpoints as f64),
-                    ),
-                ])
-            })
-            .collect();
-        let mut json = JsonValue::Object(vec![
+        let verdict = |v: &ShardVerdict| {
+            JsonValue::object([
+                ("shard", v.shard.into()),
+                ("consistent", v.consistent.into()),
+                ("fault_kind", v.kind.into()),
+                ("end_slot", v.end_slot.into()),
+                ("truncated", v.truncated.into()),
+                ("checkpoints", v.checkpoints.into()),
+            ])
+        };
+        let c = &self.config;
+        let mut fields = vec![
             (
-                "config".into(),
-                JsonValue::Object(vec![
-                    (
-                        "threads".into(),
-                        JsonValue::Number(self.config.threads as f64),
-                    ),
-                    (
-                        "shards".into(),
-                        JsonValue::Number(self.config.shards as f64),
-                    ),
-                    ("secs".into(), JsonValue::Number(self.config.secs)),
-                    (
-                        "fault_rate".into(),
-                        JsonValue::Number(self.config.fault_rate),
-                    ),
-                    (
-                        "backend".into(),
-                        JsonValue::String(self.config.backend.to_string()),
-                    ),
-                    (
-                        "checkpoint_interval".into(),
-                        JsonValue::Number(self.config.checkpoint_interval as f64),
-                    ),
-                    ("durable".into(), JsonValue::Bool(self.config.durable)),
-                    (
-                        "group_commit".into(),
-                        JsonValue::Number(self.config.group_commit as f64),
-                    ),
-                    ("seed".into(), JsonValue::Number(self.config.seed as f64)),
+                "config",
+                JsonValue::object([
+                    ("threads", c.threads.into()),
+                    ("shards", c.shards.into()),
+                    ("secs", c.secs.into()),
+                    ("fault_rate", c.fault_rate.into()),
+                    ("backend", c.backend.name().into()),
+                    ("checkpoint_interval", c.checkpoint_interval.into()),
+                    ("durable", c.durability.enabled().into()),
+                    ("group_commit", c.durability.group_commit.into()),
+                    ("seed", JsonValue::seed(c.seed)),
                 ]),
             ),
-            ("metrics".into(), self.metrics.to_json()),
-            ("consistent".into(), JsonValue::Bool(self.consistent)),
-            ("shards".into(), JsonValue::Array(verdicts)),
+            ("metrics", self.metrics.to_json()),
+            ("consistent", self.consistent.into()),
+            ("shards", self.consistency.iter().map(verdict).collect()),
             (
-                "max_retained_during_run".into(),
-                JsonValue::Number(self.max_retained_during_run as f64),
+                "max_retained_during_run",
+                self.max_retained_during_run.into(),
             ),
+            ("retained_after_verify", self.retained_after_verify.into()),
             (
-                "retained_after_verify".into(),
-                JsonValue::Number(self.retained_after_verify as f64),
+                "client_errors",
+                self.client_errors.iter().map(String::as_str).collect(),
             ),
-            (
-                "client_errors".into(),
-                JsonValue::Array(
-                    self.client_errors
-                        .iter()
-                        .map(|e| JsonValue::String(e.clone()))
-                        .collect(),
-                ),
-            ),
-        ]);
-        if let (Some(r), JsonValue::Object(fields)) = (&self.recovery, &mut json) {
+        ];
+        if let Some(r) = &self.recovery {
             fields.push((
-                "recovery".into(),
-                JsonValue::Object(vec![
-                    (
-                        "checkpoints_loaded".into(),
-                        JsonValue::Number(r.checkpoints_loaded() as f64),
-                    ),
-                    (
-                        "records_replayed".into(),
-                        JsonValue::Number(r.records_replayed() as f64),
-                    ),
-                    (
-                        "torn_tails".into(),
-                        JsonValue::Number(r.torn_tails() as f64),
-                    ),
+                "recovery",
+                JsonValue::object([
+                    ("checkpoints_loaded", r.checkpoints_loaded().into()),
+                    ("records_replayed", r.records_replayed().into()),
+                    ("torn_tails", r.torn_tails().into()),
                 ]),
             ));
         }
-        json
+        JsonValue::object(fields)
     }
 
     /// Human-readable run summary (metrics tables + verdict line).
@@ -259,8 +212,8 @@ fn mix(state: &mut u64) -> u64 {
 }
 
 /// The workload shape shared by every driver of a [`Kv`]
-/// implementation: the in-process soak, E16's over-TCP soak and
-/// `netbench` all describe their traffic with this and run it through
+/// implementation: the in-process soak, E16/E17's over-TCP soaks and
+/// `ff net` all describe their traffic with this and run it through
 /// [`drive_clients`] — the transport is the only difference.
 #[derive(Clone, Debug)]
 pub struct WorkloadMix {
@@ -304,34 +257,10 @@ impl<K> DriveOutcome<K> {
 /// nothing) and its error is reported in the outcome. `during` runs
 /// every ~20 ms on the coordinating thread while workers are live —
 /// the soak samples retained log lengths there, E16 ramps fault knobs.
-///
-/// Time is read from a [`WallClock`]; tests and simulators that need
-/// the deadline and latency stamps under their control use
-/// [`drive_clients_with_clock`] directly.
 pub fn drive_clients<K: Kv + Send>(
     clients: Vec<K>,
     mix_cfg: &WorkloadMix,
     deadline: Instant,
-    metrics: &StoreMetrics,
-    during: impl FnMut(),
-) -> DriveOutcome<K> {
-    let clock = WallClock::new();
-    let deadline_nanos = deadline
-        .saturating_duration_since(clock.origin())
-        .as_nanos() as u64;
-    drive_clients_with_clock(&clock, clients, mix_cfg, deadline_nanos, metrics, during)
-}
-
-/// [`drive_clients`] with the time source explicit: every deadline
-/// check and latency stamp goes through `clock`, so a
-/// [`ManualClock`](crate::ManualClock) makes the run's *duration* a
-/// function of what the `during` hook does rather than of wall time.
-/// `deadline_nanos` is an absolute reading on `clock`.
-pub fn drive_clients_with_clock<K: Kv + Send>(
-    clock: &dyn Clock,
-    clients: Vec<K>,
-    mix_cfg: &WorkloadMix,
-    deadline_nanos: u64,
     metrics: &StoreMetrics,
     mut during: impl FnMut(),
 ) -> DriveOutcome<K> {
@@ -349,15 +278,15 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
                 let metrics = &*metrics;
                 scope.spawn(move || {
                     let mut error = None;
-                    'work: while clock.now_nanos() < deadline_nanos {
+                    'work: while Instant::now() < deadline {
                         if batch > 1 {
                             let ops: Vec<KvOp> = (0..batch)
                                 .map(|_| random_op(&mut rng, keyspace, read_pct))
                                 .collect();
-                            let start = clock.now_nanos();
+                            let start = Instant::now();
                             match client.batch(&ops) {
                                 Ok(_) => metrics.batches.record_many(
-                                    clock.now_nanos().saturating_sub(start),
+                                    start.elapsed().as_nanos() as u64,
                                     ops.len() as u64,
                                 ),
                                 Err(e) => {
@@ -367,14 +296,14 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
                             }
                         } else {
                             let op = random_op(&mut rng, keyspace, read_pct);
-                            let start = clock.now_nanos();
+                            let start = Instant::now();
                             let (result, m) = match op {
                                 KvOp::Get(k) => (client.get(k), &metrics.reads),
                                 KvOp::Put(k, v) => (client.put(k, v), &metrics.writes),
                                 KvOp::Del(k) => (client.del(k), &metrics.deletes),
                             };
                             match result {
-                                Ok(_) => m.record(clock.now_nanos().saturating_sub(start)),
+                                Ok(_) => m.record(start.elapsed().as_nanos() as u64),
                                 Err(e) => {
                                     error = Some(e);
                                     break 'work;
@@ -386,7 +315,7 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
                 })
             })
             .collect();
-        while clock.now_nanos() < deadline_nanos {
+        while Instant::now() < deadline {
             during();
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -401,7 +330,11 @@ pub fn drive_clients_with_clock<K: Kv + Send>(
     DriveOutcome { clients, errors }
 }
 
-fn random_op(rng: &mut u64, keyspace: u32, read_pct: u32) -> KvOp {
+/// The next operation of a worker's stream: `read_pct` gets, the
+/// remainder split 2:1 between puts and dels, keys uniform in
+/// `0..keyspace`. Every closed-loop driver draws from this one
+/// generator, so in-process and over-TCP runs issue the same workload.
+pub fn random_op(rng: &mut u64, keyspace: u32, read_pct: u32) -> KvOp {
     let r = mix(rng);
     let key = (r >> 32) as u32 % keyspace;
     let dice = (r % 100) as u32;
@@ -425,21 +358,12 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
 }
 
 /// [`run_soak`], but recovery and configuration failures come back as
-/// a typed [`RecoverError`] instead of a panic — the `soak` binary
+/// a typed [`RecoverError`] instead of a panic — `ff soak`
 /// turns a [`RecoverError::ReplayDivergence`] into a non-zero exit so
 /// CI's kill-recover smoke can assert on it.
 pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
     assert!(config.threads >= 1, "need at least one worker");
-    let store_config = StoreConfig::builder()
-        .shards(config.shards)
-        .backend(config.backend.clone())
-        .fault_rate(config.fault_rate)
-        .rotate_kinds(config.backend.injects_faults())
-        .checkpoint_interval(config.checkpoint_interval)
-        .durability(config.durability.clone())
-        .seed(config.seed)
-        .build()
-        .map_err(RecoverError::Config)?;
+    let store_config = config.store_config().map_err(RecoverError::Config)?;
     let (store, recovery) = if config.recover {
         let (store, report) = Store::recover(store_config)?;
         (Arc::new(store), Some(report))
@@ -503,17 +427,7 @@ pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
         None => true,
     };
     Ok(SoakReport {
-        config: SoakConfigEcho {
-            threads: config.threads,
-            shards: config.shards,
-            secs: config.secs,
-            fault_rate: config.fault_rate,
-            backend: config.backend.name(),
-            checkpoint_interval: config.checkpoint_interval,
-            durable: config.durability.enabled(),
-            group_commit: config.durability.group_commit,
-            seed: config.seed,
-        },
+        config: config.clone(),
         metrics: snapshot,
         consistency,
         recovery,
@@ -527,43 +441,6 @@ pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
-
-    #[test]
-    fn manual_clock_controls_drive_deadline_and_stamps() {
-        let store = Arc::new(Store::new(
-            StoreConfig::builder().shards(2).build().unwrap(),
-        ));
-        let metrics = StoreMetrics::default();
-        let clock = ManualClock::new();
-        let mix_cfg = WorkloadMix {
-            read_pct: 50,
-            keyspace: 64,
-            seed: 7,
-            batch: 1,
-        };
-        let clients: Vec<StoreClient> = (0..2).map(|_| store.client()).collect();
-        // Advance the clock only after the workers have demonstrably run
-        // ops, so the loop provably ended because *we* moved time.
-        let outcome = drive_clients_with_clock(&clock, clients, &mix_cfg, 1_000, &metrics, || {
-            if metrics.reads.count() + metrics.writes.count() + metrics.deletes.count() > 100 {
-                clock.set(1_000);
-            }
-        });
-        assert!(outcome.errors.is_empty(), "{:?}", outcome.errors);
-        assert!(
-            metrics.reads.count() + metrics.writes.count() + metrics.deletes.count() > 100,
-            "workers never ran"
-        );
-        // Latency stamps went through the manual clock: no stamp can
-        // exceed the 1 000 simulated nanoseconds the whole run spanned
-        // (an op in flight across the jump sees exactly that), and the
-        // typical op — clock motionless — records zero. The histogram
-        // reports log₂-bucket upper bounds: 0 ns ⇒ 2, ≤1 000 ns ⇒ 1 024.
-        assert!(metrics.reads.latency().quantile(1.0) <= 1_024);
-        assert!(metrics.writes.latency().quantile(1.0) <= 1_024);
-        assert!(metrics.reads.latency().quantile(0.5) <= 2);
-    }
 
     #[test]
     fn soak_report_json_echoes_seed() {

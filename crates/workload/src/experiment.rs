@@ -6,11 +6,10 @@
 //! *matches the theorem*, including the lower-bound experiments, where
 //! matching means a violation **was** found.
 //!
-//! The system-scale experiments live downstream of this crate and are
-//! registered by the `report` binary instead of [`registry`] (they
-//! depend on `ff-workload`, so naming them here would be a cycle):
-//! E15 (store soak) in `ff-store`, E16 (network soak over TCP) in
-//! `ff-net`.
+//! The system-scale experiments E15–E21 need the store, the network
+//! layer and the simulator, which all depend on this crate — so they
+//! live in `ff-bench`, whose `registry()` is this one plus those seven
+//! and is what `ff report` runs and looks ids up in.
 
 use crate::table::Table;
 
@@ -85,13 +84,6 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
     ]
 }
 
-/// Look up one experiment by id (case-insensitive).
-pub fn find(id: &str) -> Option<Box<dyn Experiment>> {
-    registry()
-        .into_iter()
-        .find(|e| e.id().eq_ignore_ascii_case(id))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,13 +98,6 @@ mod tests {
                 "e14"
             ]
         );
-    }
-
-    #[test]
-    fn find_is_case_insensitive() {
-        assert!(find("E3").is_some());
-        assert!(find("e3").is_some());
-        assert!(find("nope").is_none());
     }
 
     #[test]

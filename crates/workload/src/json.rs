@@ -68,7 +68,50 @@ pub enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+macro_rules! json_number_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(n: $t) -> Self {
+                JsonValue::Number(n as f64)
+            }
+        }
+    )*};
+}
+json_number_from!(f64, u32, u64, usize);
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::String(s.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::String(s)
+    }
+}
+
+impl<T: Into<JsonValue>> FromIterator<T> for JsonValue {
+    /// Collect into a [`JsonValue::Array`].
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        JsonValue::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
 impl JsonValue {
+    /// An object from `(key, value)` pairs, in order — with the `From`
+    /// impls above, `("ops", ops.into())` is a whole field.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+        let owned = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+        JsonValue::Object(owned.collect())
+    }
+
     /// Parse a JSON document (must consume the whole input).
     pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
@@ -152,6 +195,35 @@ impl JsonValue {
             JsonValue::String(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// A `u64` seed as JSON: a `"0x…"` string, because a JSON number is
+    /// an `f64` and rounds every seed above 2^53 to a different run.
+    pub fn seed(seed: u64) -> JsonValue {
+        JsonValue::String(format!("{seed:#x}"))
+    }
+
+    /// Read a seed back: the string form [`JsonValue::seed`] writes (or
+    /// anything else [`parse_seed`] accepts), or the legacy number form
+    /// when it is a non-negative integer below 2^53 — the only numbers
+    /// that survived the trip through `f64` unchanged.
+    pub fn as_seed(&self) -> Option<u64> {
+        match self {
+            JsonValue::String(s) => parse_seed(s),
+            JsonValue::Number(n) if *n >= 0.0 && *n < (1u64 << 53) as f64 && n.fract() == 0.0 => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Parse a seed as every CLI flag and JSON file spells it: decimal, or
+/// hex with a `0x` prefix, over the full `u64` range.
+pub fn parse_seed(s: &str) -> Option<u64> {
+    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
     }
 }
 
@@ -516,6 +588,23 @@ mod tests {
                 pass: false,
             },
         ]
+    }
+
+    #[test]
+    fn seeds_survive_json_and_bad_legacy_numbers_are_refused() {
+        for seed in [0, 0xDD57_0001, (1 << 53) + 1, u64::MAX] {
+            let text = JsonValue::seed(seed).render();
+            assert_eq!(JsonValue::parse(&text).unwrap().as_seed(), Some(seed));
+        }
+        // The legacy number form: exact below 2^53, refused otherwise.
+        assert_eq!(JsonValue::Number(3713466369.0).as_seed(), Some(3713466369));
+        for bad in [-1.0, 0.5, (1u64 << 53) as f64, 2e19, f64::NAN] {
+            assert_eq!(JsonValue::Number(bad).as_seed(), None, "{bad}");
+        }
+        assert_eq!(parse_seed("0XfF"), Some(255));
+        assert_eq!(parse_seed("18446744073709551616"), None);
+        assert_eq!(parse_seed("-1"), None);
+        assert_eq!(JsonValue::String("0xzz".into()).as_seed(), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```no_run
 //! // Render one experiment's tables:
-//! let e3 = ff_workload::find("e3").unwrap();
+//! let e3 = &ff_workload::registry()[2];
 //! println!("{}", e3.run().render());
 //! ```
 
@@ -22,8 +22,8 @@ pub mod stats;
 pub mod sweep;
 pub mod table;
 
-pub use experiment::{find, registry, Experiment, ExperimentResult};
-pub use json::{from_json, to_json, JsonValue};
+pub use experiment::{registry, Experiment, ExperimentResult};
+pub use json::{from_json, parse_seed, to_json, JsonValue};
 pub use runner::{run_trials, time_it, time_trials, TrialBatch};
 pub use stats::Summary;
 pub use sweep::{ft_grid, grid2, grid3};

@@ -19,9 +19,9 @@
 //! | [`consensus`] | `ff-consensus` | Figures 1–3 as library protocols (blocking + step-machine forms) |
 //! | [`adversary`] | `ff-adversary` | Theorem 18/19 adversaries, data-fault separation, hierarchy probes |
 //! | [`universal`] | `ff-universal` | Replicated objects over fault-tolerant consensus cells |
-//! | [`workload`] | `ff-workload` | The E1–E14 experiment harness and table rendering |
-//! | [`store`] | `ff-store` | Sharded replicated KV store with checkpointed logs, fault knobs, metrics, soak harness (E15), unified `Kv` client API |
-//! | [`net`] | `ff-net` | Binary wire protocol + `poll(2)`-driven TCP reactor and client for the store; network soak (E16) |
+//! | [`workload`] | `ff-workload` | The E1–E14 experiment harness and table rendering (the system-scale E15–E21, the full registry and the `ff` binary are `ff-bench`, which depends on this crate's members and is not re-exported) |
+//! | [`store`] | `ff-store` | Sharded replicated KV store with checkpointed logs, fault knobs, metrics, soak harness, unified `Kv` client API |
+//! | [`net`] | `ff-net` | Binary wire protocol + `poll(2)`-driven TCP reactor and client for the store |
 //!
 //! ## Quickstart
 //!
