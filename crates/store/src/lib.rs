@@ -559,6 +559,7 @@ impl Store {
                     combine::ShardCore::new(
                         s,
                         Arc::clone(&sh.log),
+                        wal_layer.as_ref().map(|layer| Arc::clone(&layer.wals[s])),
                         0,
                         Arc::clone(&stats),
                         config.combiner_lease,

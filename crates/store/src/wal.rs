@@ -9,6 +9,38 @@
 //! written tmp-file-then-rename so a crash mid-rotation leaves either
 //! the old file or the new one, never a hybrid.
 //!
+//! # Where the I/O runs
+//!
+//! The log calls the two [`SlotSink`] methods under the shard's replica
+//! write lock and its durable-cursor lock, so they only touch memory:
+//! `slot_decided` encodes the frame onto the shard's buffer,
+//! `checkpoint_installed` decides whether a rotation pays, drops the
+//! covered prefix and stashes the encoded file image. Every
+//! [`WalMedia`] call is made by one routine, under the shard's **I/O
+//! lock** and no other: the crate-private `ShardWal::settle` runs it
+//! after the combiner has let go of the replica, [`ShardWal::flush`]
+//! runs it unconditionally. A commit copies the unwritten suffix out
+//! under the buffer lock, releases it, then appends and syncs — so
+//! other clients' ops on the same shard are decided, buffered and
+//! **acknowledged while a batch syncs**. A sync starts once
+//! `group_commit` records are pending; the acknowledged-but-unsynced
+//! tail of a shard is at most 2 × `group_commit` records: the
+//! `slot_decided` that reaches that
+//! bound blocks on the I/O lock (still holding the replica, so the
+//! shard's writers and readers wait behind it) until the commit in
+//! flight is done. The holder of the I/O lock re-checks before it lets
+//! go, so a quiescent store never sits on a full batch.
+//!
+//! Lock order is replica → durable cursor → buffer. The I/O lock is
+//! only ever *waited for* with the buffer lock released, and its holder
+//! takes nothing but the buffer lock, so there is no cycle. There is no
+//! flusher thread: the deterministic simulator runs the whole store on
+//! one seeded loop, and in a single-threaded run every media call lands
+//! where it always did, between two decided slots. (One difference: a
+//! batch that fills on the very slot that rotates is absorbed by the
+//! rotation's `replace`, which makes it durable anyway, instead of
+//! being synced first and rewritten a moment later.)
+//!
 //! # Record format
 //!
 //! Mirrors `wire.rs` discipline: length-prefixed, checksummed frames
@@ -47,7 +79,7 @@
 
 use crate::metrics::Histogram;
 use ff_universal::{SlotRecord, SlotSink};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,6 +119,13 @@ pub struct DurabilityConfig {
     /// at the cost of a longer unsynced tail lost on crash. Records are
     /// tens of bytes, so the default batches hundreds of them into one
     /// modest write.
+    ///
+    /// A sync *starts* when this many records are pending and runs
+    /// under no shard lock, so ops decided meanwhile are acknowledged
+    /// before it returns: a crash can lose up to 2 × `group_commit`
+    /// acknowledged records per shard, never more — the writer whose
+    /// record reaches that bound waits for the sync in flight (and the
+    /// shard's other clients wait behind it).
     pub group_commit: usize,
     /// Extra reclaimable log bytes required — beyond the snapshot's own
     /// size — before a checkpoint boundary triggers a rotation. A
@@ -149,7 +188,8 @@ impl std::error::Error for WalIoError {}
 /// The WAL's storage backend: a flat namespace of append-only files.
 /// Production is [`FsMedia`]; the DST substitutes an in-memory disk
 /// with crash semantics (unsynced suffixes are lost, the last write may
-/// tear).
+/// tear). Calls on different names may overlap (each shard does its I/O
+/// under its own lock); the store never overlaps two calls on one name.
 pub trait WalMedia: Send + Sync {
     /// The full current contents of `name`, or `None` if it does not
     /// exist.
@@ -173,8 +213,12 @@ pub trait WalMedia: Send + Sync {
 pub struct FsMedia {
     dir: PathBuf,
     /// Cached append handles (reopened after a replace so appends go to
-    /// the renamed-in file, not the unlinked old one).
-    files: Mutex<std::collections::HashMap<String, std::fs::File>>,
+    /// the renamed-in file, not the unlinked old one). A call clones its
+    /// handle out, so no syscall runs under this store-wide lock; that
+    /// an `append` never runs beside a `replace` of the same name — it
+    /// would land in the unlinked inode — is the caller's per-shard I/O
+    /// lock's doing.
+    files: Mutex<std::collections::HashMap<String, Arc<std::fs::File>>>,
 }
 
 impl FsMedia {
@@ -207,20 +251,27 @@ impl FsMedia {
         op: &'static str,
         f: impl FnOnce(&std::fs::File) -> std::io::Result<R>,
     ) -> Result<R, WalIoError> {
-        let mut files = self.files.lock();
-        if !files.contains_key(name) {
-            let file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(self.path(name))
-                .map_err(|e| WalIoError {
-                    op: "open",
-                    path: self.path(name).display().to_string(),
-                    detail: e.to_string(),
-                })?;
-            files.insert(name.to_string(), file);
-        }
-        f(&files[name]).map_err(|e| WalIoError {
+        let file = {
+            let mut files = self.files.lock();
+            match files.get(name) {
+                Some(file) => Arc::clone(file),
+                None => {
+                    let file = std::fs::OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(self.path(name))
+                        .map_err(|e| WalIoError {
+                            op: "open",
+                            path: self.path(name).display().to_string(),
+                            detail: e.to_string(),
+                        })?;
+                    let file = Arc::new(file);
+                    files.insert(name.to_string(), Arc::clone(&file));
+                    file
+                }
+            }
+        };
+        f(&file).map_err(|e| WalIoError {
             op,
             path: self.path(name).display().to_string(),
             detail: e.to_string(),
@@ -329,19 +380,22 @@ pub fn scan(bytes: &[u8]) -> WalScan {
             out.valid_len = off;
             return out;
         }
-        if bytes.len() - off < HEADER_LEN {
+        // `[len u32][checksum u64]`, taken off the front as arrays: a
+        // header that is not all there has no other way through.
+        let header = bytes[off..]
+            .split_first_chunk::<4>()
+            .and_then(|(len, rest)| Some((len, rest.split_first_chunk::<8>()?)));
+        let Some((len, (checksum, rest))) = header else {
             return stop(out, off, "truncated header", bytes.len());
-        }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_le_bytes(*len) as usize;
         if len == 0 || len > MAX_RECORD_LEN {
             return stop(out, off, "bad record length", bytes.len());
         }
-        if bytes.len() - off - HEADER_LEN < len {
+        let Some(body) = rest.get(..len) else {
             return stop(out, off, "truncated body", bytes.len());
-        }
-        let checksum = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap());
-        let body = &bytes[off + HEADER_LEN..off + HEADER_LEN + len];
-        if fnv1a(body) != checksum {
+        };
+        if fnv1a(body) != u64::from_le_bytes(*checksum) {
             return stop(out, off, "checksum mismatch", bytes.len());
         }
         match decode_body(body) {
@@ -519,6 +573,18 @@ impl SlotFrames {
         self.bytes.drain(..bytes);
         self.dropped += bytes as u64;
     }
+
+    /// Where the buffer ends, in bytes since it was created — like the
+    /// index, a position no prefix drop moves.
+    fn end(&self) -> u64 {
+        self.dropped + self.bytes.len() as u64
+    }
+
+    /// The buffered bytes from position `from` (see [`Self::end`]) on;
+    /// `from` must not lie in the dropped prefix.
+    fn since(&self, from: u64) -> &[u8] {
+        &self.bytes[(from - self.dropped) as usize..]
+    }
 }
 
 /// The WAL file name of shard `s`.
@@ -561,22 +627,53 @@ impl WalStats {
     }
 }
 
-/// Mutable writer state of one shard's WAL, under one lock.
+/// A rotation `checkpoint_installed` decided on and encoded, waiting
+/// for the commit routine to hand it to the media.
+struct Rotation {
+    /// The whole new file: the checkpoint frame, then every frame
+    /// buffered at or above its slot when it was cut.
+    image: Vec<u8>,
+    /// [`WalInner::sunk`] when it was cut: its `replace` makes that
+    /// many records durable (the snapshot covers the dropped ones).
+    upto: u64,
+}
+
+/// Mutable writer state of one shard's WAL, under one lock (the
+/// *buffer lock*). No media call is made while it is held.
 struct WalInner {
     /// Every slot frame since the last rotation, kept for the next
     /// rotation's tail. Records are encoded straight onto its end.
     frames: SlotFrames,
-    /// How much of `frames.bytes` has been handed to the media; the
-    /// rest is the group-commit buffer. Group commit batches the `write`
-    /// syscalls too, not just the fsyncs — one record per `append`
-    /// would cost more than the sync it amortizes.
-    written: usize,
-    /// Logged-but-not-fsynced records (buffered or written).
-    pending: usize,
-    /// The slot of the last rotated-in checkpoint (0 = none yet).
+    /// How far `frames` has been handed to the media, as a
+    /// [`SlotFrames::end`] position; the rest is the group-commit
+    /// buffer. Group commit batches the `write` syscalls too, not just
+    /// the fsyncs — one record per `append` would cost more than the
+    /// sync it amortizes.
+    written: u64,
+    /// Records sunk so far.
+    sunk: u64,
+    /// How many of them a sync or a rotation has made durable; the
+    /// difference is the pending tail, a commit in flight included.
+    durable: u64,
+    /// A rotation waiting for its `replace`. A newer one supersedes it:
+    /// its image holds everything the older one's would have.
+    rotation: Option<Rotation>,
+    /// The slot of the last checkpoint rotated in or stashed (0 = none
+    /// yet).
     ckpt_slot: usize,
     /// The first I/O error, if any: the WAL refuses further writes.
     error: Option<WalIoError>,
+}
+
+impl WalInner {
+    /// Is there media work to do: a stashed rotation, a full batch, or
+    /// records below `upto` (a flush's target) still pending?
+    fn due(&self, group_commit: u64, upto: u64) -> bool {
+        self.error.is_none()
+            && (self.rotation.is_some()
+                || self.sunk - self.durable >= group_commit
+                || self.durable < upto)
+    }
 }
 
 /// One shard's write-ahead log writer; also the [`SlotSink`] attached
@@ -584,9 +681,13 @@ struct WalInner {
 pub struct ShardWal {
     media: Arc<dyn WalMedia>,
     name: String,
-    group_commit: usize,
+    group_commit: u64,
     rotate_cost: usize,
     inner: Mutex<WalInner>,
+    /// The shard's I/O lock: its holder is the one thread calling the
+    /// media for this shard. It guards the buffer a commit copies its
+    /// batch into, kept for the next commit.
+    io: Mutex<Vec<u8>>,
     stats: Arc<WalStats>,
 }
 
@@ -603,15 +704,18 @@ impl ShardWal {
         ShardWal {
             media,
             name: shard_file(s),
-            group_commit: group_commit.max(1),
+            group_commit: group_commit.max(1) as u64,
             rotate_cost,
             inner: Mutex::new(WalInner {
                 frames: SlotFrames::default(),
                 written: 0,
-                pending: 0,
+                sunk: 0,
+                durable: 0,
+                rotation: None,
                 ckpt_slot: 0,
                 error: None,
             }),
+            io: Mutex::new(Vec::new()),
             stats,
         }
     }
@@ -635,10 +739,9 @@ impl ShardWal {
         contents.extend_from_slice(&tail.bytes);
         self.media.replace(&self.name, &contents)?;
         let mut inner = self.inner.lock();
-        inner.written = tail.bytes.len();
+        inner.written = tail.end();
         inner.frames = tail;
         inner.ckpt_slot = ckpt_slot;
-        inner.pending = 0;
         Ok(())
     }
 
@@ -650,34 +753,76 @@ impl ShardWal {
         }
     }
 
-    fn sync_locked(&self, inner: &mut WalInner) {
-        if inner.pending == 0 || inner.error.is_some() {
+    /// The one routine that calls the media once the store is open.
+    /// Holding the I/O lock, do what is [due](WalInner::due) — a
+    /// stashed rotation first, then the unwritten suffix as one append
+    /// and sync — until nothing is. The buffer lock is held to pick the
+    /// work and to book its outcome, never across a media call; an
+    /// error latches and ends the loop.
+    fn commit(&self, mut io: MutexGuard<'_, Vec<u8>>, upto: u64) {
+        let mut inner = self.inner.lock();
+        while inner.due(self.group_commit, upto) {
+            let rotation = inner.rotation.take();
+            let (covered, end) = match &rotation {
+                Some(rotation) => (rotation.upto, inner.written),
+                None => {
+                    // Copied, not borrowed: a rotation stashed while
+                    // the append runs shifts the buffer's bytes.
+                    io.clear();
+                    io.extend_from_slice(inner.frames.since(inner.written));
+                    (inner.sunk, inner.frames.end())
+                }
+            };
+            drop(inner);
+            let result = match &rotation {
+                Some(rotation) => self.media.replace(&self.name, &rotation.image),
+                None => self
+                    .media
+                    .append(&self.name, &io)
+                    .and_then(|()| self.media.sync(&self.name)),
+            };
+            inner = self.inner.lock();
+            match result {
+                Ok(()) => {
+                    // A rotation stashed meanwhile has already moved
+                    // `written` past this batch.
+                    inner.written = inner.written.max(end);
+                    if covered > inner.durable {
+                        self.stats.batch.record(covered - inner.durable);
+                        inner.durable = covered;
+                    }
+                    self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+                    if rotation.is_some() {
+                        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                Err(e) => self.fail(&mut inner, e),
+            }
+        }
+        // Let go of the I/O lock while the buffer lock still shows
+        // nothing due: a record sunk from here on finds the I/O lock
+        // free, so no full batch is left without a committer.
+        drop(io);
+    }
+
+    /// Do the media work the sinks left due, unless another thread is
+    /// at it already (it re-checks before it lets go). The combiner
+    /// calls this after every pass, holding no lock.
+    pub(crate) fn settle(&self) {
+        if !self.inner.lock().due(self.group_commit, 0) {
             return;
         }
-        if inner.written < inner.frames.bytes.len() {
-            if let Err(e) = self
-                .media
-                .append(&self.name, &inner.frames.bytes[inner.written..])
-            {
-                self.fail(inner, e);
-                return;
-            }
-            inner.written = inner.frames.bytes.len();
-        }
-        match self.media.sync(&self.name) {
-            Ok(()) => {
-                self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                self.stats.batch.record(inner.pending as u64);
-                inner.pending = 0;
-            }
-            Err(e) => self.fail(inner, e),
+        if let Some(io) = self.io.try_lock() {
+            self.commit(io, 0);
         }
     }
 
-    /// Force-fsync any pending records (shutdown / verification edge).
+    /// Make everything sunk before the call durable (shutdown /
+    /// verification edge), waiting out a commit another thread has in
+    /// flight. On return that holds, or an error is latched.
     pub fn flush(&self) {
-        let mut inner = self.inner.lock();
-        self.sync_locked(&mut inner);
+        let upto = self.inner.lock().sunk;
+        self.commit(self.io.lock(), upto);
     }
 }
 
@@ -688,10 +833,15 @@ impl SlotSink for ShardWal {
             return;
         }
         inner.frames.push(slot, opid, digest_after, record);
-        inner.pending += 1;
+        inner.sunk += 1;
         self.stats.records.fetch_add(1, Ordering::Relaxed);
-        if inner.pending >= self.group_commit {
-            self.sync_locked(&mut inner);
+        // Back-pressure: two batches pending means one is syncing and a
+        // second filled behind it. Wait for the I/O lock — with the
+        // buffer lock released, or its holder could never finish — and
+        // commit whatever is still due by then.
+        if inner.sunk - inner.durable >= self.group_commit.saturating_mul(2) {
+            drop(inner);
+            self.commit(self.io.lock(), 0);
         }
     }
 
@@ -719,25 +869,18 @@ impl SlotSink for ShardWal {
             return;
         }
         inner.frames.drop_below(slot);
-        let mut contents = Vec::with_capacity(ckpt_len + inner.frames.bytes.len());
-        encode_checkpoint_into(&mut contents, slot, digest, words);
-        contents.extend_from_slice(&inner.frames.bytes);
-        match self.media.replace(&self.name, &contents) {
-            Ok(()) => {
-                inner.ckpt_slot = slot;
-                // The replace made the pending records durable too:
-                // buffered frames at slots >= S are in the tail it
-                // wrote, and earlier ones are covered by the snapshot.
-                inner.written = inner.frames.bytes.len();
-                if inner.pending > 0 {
-                    self.stats.batch.record(inner.pending as u64);
-                    inner.pending = 0;
-                }
-                self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-                self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => self.fail(&mut inner, e),
-        }
+        let mut image = Vec::with_capacity(ckpt_len + inner.frames.bytes.len());
+        encode_checkpoint_into(&mut image, slot, digest, words);
+        image.extend_from_slice(&inner.frames.bytes);
+        // The image holds every buffered frame at or above `slot` and
+        // the snapshot covers the rest, so its `replace` leaves nothing
+        // buffered so far to append, and makes all of it durable.
+        inner.written = inner.frames.end();
+        inner.ckpt_slot = slot;
+        inner.rotation = Some(Rotation {
+            image,
+            upto: inner.sunk,
+        });
     }
 }
 
@@ -848,46 +991,112 @@ mod tests {
         assert_eq!(frames.below(usize::MAX), (2, frames.bytes.len()));
     }
 
-    #[test]
-    fn writer_group_commits_and_rotates() {
-        let dir = std::env::temp_dir().join(format!("ff-wal-test-{}", std::process::id()));
+    /// A writer over a fresh temp dir with group commit 4 and rotation
+    /// at every boundary that pays.
+    fn test_writer(
+        tag: &str,
+    ) -> (
+        std::path::PathBuf,
+        Arc<dyn WalMedia>,
+        Arc<WalStats>,
+        ShardWal,
+    ) {
+        let dir = std::env::temp_dir().join(format!("ff-wal-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let media: Arc<dyn WalMedia> = Arc::new(FsMedia::open(&dir).unwrap());
         let stats = Arc::new(WalStats::default());
         let wal = ShardWal::new(Arc::clone(&media), 0, 4, 0, Arc::clone(&stats));
-        for slot in 0..6usize {
+        (dir, media, stats, wal)
+    }
+
+    fn sink_slots(wal: &ShardWal, slots: std::ops::Range<usize>, settle: bool) {
+        for slot in slots {
             wal.slot_decided(
                 slot,
                 slot as u32,
                 &SlotRecord::Single(slot as u64),
                 slot as u64,
             );
+            if settle {
+                wal.settle();
+            }
         }
+    }
+
+    /// The file's checkpoint slot (if it starts with one) and the slots
+    /// of the records after it; the file must scan clean.
+    fn file_slots(media: &Arc<dyn WalMedia>) -> (Option<usize>, Vec<usize>) {
+        let scanned = scan(&media.read(&shard_file(0)).unwrap().unwrap_or_default());
+        assert!(scanned.corrupt.is_none(), "{:?}", scanned.corrupt);
+        let mut ckpt = None;
+        let mut slots = Vec::new();
+        for (i, e) in scanned.entries.iter().enumerate() {
+            match e {
+                WalEntry::Checkpoint { slot, .. } => {
+                    assert_eq!(i, 0, "a checkpoint past the head of the file");
+                    ckpt = Some(*slot);
+                }
+                WalEntry::Slot { slot, .. } => slots.push(*slot),
+            }
+        }
+        (ckpt, slots)
+    }
+
+    #[test]
+    fn writer_group_commits_and_rotates() {
+        // Driven as a combiner drives it: settle after every pass.
+        let (dir, media, stats, wal) = test_writer("settled");
+        sink_slots(&wal, 0..6, true);
         // 6 records, group commit 4: one fsync so far, 2 pending.
         assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 1);
+        assert_eq!(file_slots(&media), (None, vec![0, 1, 2, 3]));
         wal.checkpoint_installed(4, 0xabc, &[1, 2]);
-        let scanned = scan(&media.read(&shard_file(0)).unwrap().unwrap());
-        assert!(scanned.corrupt.is_none());
+        // The sink only stashes the rotation; the file is as it was.
+        assert_eq!(file_slots(&media), (None, vec![0, 1, 2, 3]));
+        wal.settle();
         // Rotation: checkpoint first, then only slots >= 4.
-        assert!(matches!(
-            scanned.entries[0],
-            WalEntry::Checkpoint { slot: 4, .. }
-        ));
-        let slots: Vec<usize> = scanned.entries[1..]
-            .iter()
-            .map(|e| match e {
-                WalEntry::Slot { slot, .. } => *slot,
-                _ => panic!("unexpected checkpoint"),
-            })
-            .collect();
-        assert_eq!(slots, vec![4, 5]);
+        assert_eq!(file_slots(&media), (Some(4), vec![4, 5]));
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.checkpoints.load(Ordering::Relaxed), 1);
         // A stale (older) checkpoint must not roll the file back.
         wal.checkpoint_installed(2, 0xdef, &[3]);
-        let scanned = scan(&media.read(&shard_file(0)).unwrap().unwrap());
-        assert!(matches!(
-            scanned.entries[0],
-            WalEntry::Checkpoint { slot: 4, .. }
-        ));
+        wal.settle();
+        assert_eq!(file_slots(&media), (Some(4), vec![4, 5]));
+        // The rotation made the two pending records durable: the next
+        // batch is four more, appended after the rotated-in image.
+        sink_slots(&wal, 6..10, true);
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 3);
+        assert_eq!(file_slots(&media), (Some(4), vec![4, 5, 6, 7, 8, 9]));
+        assert!(wal.error().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_sink_driven_without_settle_syncs_at_twice_the_batch_and_on_flush() {
+        // Verify's observer, `audit`'s catch-up and raw handles sink
+        // slots with no combiner behind them: nothing reaches the media
+        // until the tail bound, and `flush` covers the rest.
+        let (dir, media, stats, wal) = test_writer("unsettled");
+        sink_slots(&wal, 0..7, false);
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 0);
+        assert_eq!(media.read(&shard_file(0)).unwrap(), None);
+        // The 8th record is 2 x group commit: it commits all eight.
+        sink_slots(&wal, 7..8, false);
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 1);
+        assert_eq!(file_slots(&media), (None, (0..8).collect()));
+        // A rotation and three more records sit in memory...
+        sink_slots(&wal, 8..10, false);
+        wal.checkpoint_installed(8, 0xabc, &[1, 2]);
+        sink_slots(&wal, 10..11, false);
+        assert_eq!(file_slots(&media), (None, (0..8).collect()));
+        // ...until flush: the rotation first, then the record behind it.
+        wal.flush();
+        assert_eq!(file_slots(&media), (Some(8), vec![8, 9, 10]));
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 3);
+        assert_eq!(stats.records.load(Ordering::Relaxed), 11);
+        // Nothing pending: a second flush touches nothing.
+        wal.flush();
+        assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 3);
         assert!(wal.error().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
