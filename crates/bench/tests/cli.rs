@@ -257,6 +257,23 @@ fn a_golden_file_is_input_too() {
 }
 
 #[test]
+fn the_corpus_prints_what_is_committed() {
+    // The simulator is a pure function of (scenario, arm, seed), so the
+    // 13 report lines — events, decisions, completions, trace hashes,
+    // violations — are an oracle for "DST behaviour unchanged" that
+    // needs no parent binary.
+    let ran = ff(&["dst", "corpus"]);
+    assert_eq!(ran.code, Some(0), "{}", ran.stderr);
+    assert_eq!(
+        ran.stdout,
+        include_str!("../../dst/golden/corpus.txt"),
+        "`ff dst corpus` changed. If that is intended, regenerate with \
+         `./target/release/ff dst corpus > crates/dst/golden/corpus.txt` \
+         and explain the new hashes in CHANGES.md"
+    );
+}
+
+#[test]
 fn the_table_declares_each_flag_once_and_its_defaults_are_the_librarys() {
     let mut declared: Vec<*const Flag> = Vec::new();
     for cmd in &COMMANDS {

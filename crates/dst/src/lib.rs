@@ -27,9 +27,9 @@
 //! | [`topology`] | machines and processes — failure and partition domains |
 //! | [`disk`] | [`SimDisk`]: per-machine durable bytes that survive kills, with torn power-fail semantics |
 //! | [`net`] | [`SimNet`]: the lossy fabric, fault decisions, record/replay |
-//! | [`process`] | server / durable-server / client / worker / combiner state machines |
-//! | [`runner`] | [`Sim`]: the event heap, kills, power-fails, respawns, the run loop |
-//! | [`scenario`] | the seeded scenario corpus and per-arm contracts |
+//! | [`process`] | the four state machines — server (fronting the shared store or owning a durable one), client, worker, combiner — and the [`Ctx`](process::Ctx) every handler takes |
+//! | [`runner`] | [`Sim`]: the event heap, kills, power-fails, respawns, one dispatch, the run loop |
+//! | [`scenario`] | [`CORPUS`]: one row per scenario (population × fault schedule), the interpreter that runs any row, and the per-arm contracts |
 //! | [`trace`] | fault scripts, trace fingerprints, ddmin minimization, golden traces |
 //!
 //! The point, in the paper's terms: the store's fault-tolerant

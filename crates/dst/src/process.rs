@@ -3,13 +3,18 @@
 //!
 //! Four process kinds cover the stack the simulator kills:
 //!
-//! * [`ServerProc`] — the network face of the real [`Store`]: one
+//! * [`ServerProc`] — the network face of a real [`Store`]: one
 //!   socket-free [`Session`] (the *same* state machine the production
 //!   reactor drives) per simulated connection, staged into one merged
-//!   run and executed through a real [`StoreClient`]. Killing it models
-//!   a server crash: sessions and buffered responses vanish, the store
-//!   itself survives (its logs are the durable shared object, like
-//!   shared memory survives a thread crash in the paper's model).
+//!   run and executed through a real [`StoreClient`]. There is one
+//!   server process and two places its store can live. Fronting the
+//!   world's shared store, a kill models a server crash: sessions and
+//!   buffered responses vanish, the store itself survives (its logs
+//!   are the durable shared object, like shared memory survives a
+//!   thread crash in the paper's model). [Owning](OwnedStore) a store
+//!   recovered from its machine's [`SimDisk`](crate::disk::SimDisk),
+//!   the store dies with the process and the next incarnation rebuilds
+//!   it from the surviving bytes.
 //! * [`ClientProc`] — a transaction generator speaking the real wire
 //!   protocol: encodes `BATCH` frames with [`encode_request`], decodes
 //!   responses with [`decode_response`], and recovers from timeouts,
@@ -23,9 +28,10 @@
 //!   the two** drops the ticket — the real crashed-combiner window the
 //!   lease/epoch rule in `ff-store` exists to recover from.
 //!
-//! Handlers never touch the event heap directly: they push follow-up
-//! wakes and network deliveries into an [`Outbox`] the runner drains,
-//! which keeps every process a pure state machine over (time, input).
+//! Every handler is `fn(&mut self, &mut Ctx, …)`. Handlers never touch
+//! the event heap directly: they push follow-up wakes and network
+//! deliveries into the [`Ctx`]'s [`Outbox`], which the runner drains —
+//! every process stays a pure state machine over (time, input).
 
 use std::collections::BTreeMap;
 
@@ -33,7 +39,9 @@ use ff_net::session::Session;
 use ff_net::wire::{
     decode_response, encode_request, Decoded, ErrorCode, Request, Response, StatsReply,
 };
-use ff_store::{CombineTicket, Kv, KvOp, PendingCombined, StoreClient, StoreError};
+use ff_store::{
+    CombineTicket, Kv, KvOp, PendingCombined, RecoveryReport, Store, StoreClient, StoreError,
+};
 
 use crate::net::{ConnId, Delivery, Payload, SimNet};
 use crate::rng::SimRng;
@@ -44,20 +52,15 @@ use crate::trace::Trace;
 /// serves it (keeps wakes strictly after their triggering arrival).
 pub const HANDLE_DELAY: u64 = 10_000; // 10 µs
 
-/// Follow-up work a handler schedules.
+/// Follow-up work a handler schedules. The runner enqueues deliveries
+/// first, then wakes, each in push order — same-instant ties break by
+/// that order, so it is part of the trace.
 #[derive(Default)]
 pub struct Outbox {
     /// Network arrivals to enqueue.
     pub deliveries: Vec<Delivery>,
     /// `(at, who)` wake-ups to enqueue.
     pub wakes: Vec<(u64, ProcId)>,
-}
-
-impl Outbox {
-    /// Queue a wake for `who` at `at`.
-    pub fn wake(&mut self, at: u64, who: ProcId) {
-        self.wakes.push((at, who));
-    }
 }
 
 /// Cross-cutting observations the report aggregates.
@@ -69,19 +72,65 @@ pub struct RunFlags {
     pub client_stream_resets: u64,
     /// Sessions the server closed after a malformed request stream.
     pub malformed_closes: u64,
-    /// Durable-server respawns whose WAL recovery was refused (replay
-    /// divergence or I/O failure) — the respawn stays down.
+    /// Respawns of a store-owning server whose WAL recovery was refused
+    /// (replay divergence or I/O failure) — the respawn stays down.
     pub recovery_refused: u64,
+}
+
+/// The world as one handler call sees it: the instant, the fabric, the
+/// labels and flags, and the [`Outbox`] the runner drains afterwards.
+/// Built by the runner's one dispatch function, so whatever else a
+/// handler should observe or report (an invoke/response history, typed
+/// events) is one more field here, not one more parameter everywhere.
+pub struct Ctx<'a> {
+    /// Simulated time of this call.
+    pub now: u64,
+    /// The lossy fabric.
+    pub net: &'a mut SimNet,
+    /// Which process runs on which machine.
+    pub topo: &'a Topology,
+    /// The decision log.
+    pub trace: &'a mut Trace,
+    /// Cross-cutting observations.
+    pub flags: &'a mut RunFlags,
+    /// Who currently holds each role.
+    pub roles: &'a BTreeMap<String, ProcId>,
+    /// Follow-up work scheduled by this call.
+    pub outbox: Outbox,
+}
+
+impl Ctx<'_> {
+    /// Append a trace line stamped with this call's time.
+    pub fn log(&mut self, line: String) {
+        self.trace.log(self.now, line);
+    }
+
+    /// Wake `who` again `after` nanoseconds from now.
+    pub fn wake(&mut self, after: u64, who: ProcId) {
+        self.outbox.wakes.push((self.now + after, who));
+    }
+
+    /// Send one chunk from `from` over `conn`; whatever the fabric lets
+    /// through is queued for delivery.
+    pub fn send(&mut self, conn: ConnId, from: ProcId, bytes: Vec<u8>) {
+        let sends = self
+            .net
+            .send(self.now, conn, from, bytes, self.topo, self.trace);
+        self.outbox.deliveries.extend(sends);
+    }
+
+    /// Close `conn` from `by`'s side and queue the peer's notification.
+    pub fn close(&mut self, conn: ConnId, by: ProcId) {
+        self.outbox
+            .deliveries
+            .extend(self.net.close(self.now, conn, by));
+    }
 }
 
 /// Any simulated process.
 pub enum Proc {
-    /// The store's network front-end.
+    /// A store's network front-end.
     Server(ServerProc),
-    /// A server owning its *own* durable store over a machine's
-    /// [`SimDisk`](crate::disk::SimDisk) — killing it drops the store,
-    /// and the respawn recovers from the surviving bytes.
-    DurableServer(DurableServerProc),
     /// A wire-protocol transaction generator.
     Client(ClientProc),
     /// A split-phase combining publisher.
@@ -95,29 +144,70 @@ impl Proc {
     pub fn id(&self) -> ProcId {
         match self {
             Proc::Server(p) => p.id,
-            Proc::DurableServer(p) => p.id,
             Proc::Client(p) => p.id,
             Proc::Worker(p) => p.id,
             Proc::Combiner(p) => p.id,
         }
     }
 
-    /// The process just got killed: release anything that must not
-    /// survive a crash. For a durable server that is its whole store —
-    /// sessions, the combining layer, and crucially the WAL's in-memory
-    /// group-commit buffer all vanish; only the [`SimDisk`]'s bytes
-    /// remain for the respawn to recover from.
+    /// `(completed, divergence_seen)` of a workload process — a client
+    /// or a worker; servers and combiners deliver no units of their own.
+    pub fn progress(&self) -> Option<(u64, u64)> {
+        match self {
+            Proc::Client(p) => Some((p.completed, p.divergence_seen)),
+            Proc::Worker(p) => Some((p.completed, p.divergence_seen)),
+            Proc::Server(_) | Proc::Combiner(_) => None,
+        }
+    }
+
+    /// Run the process's timer handler.
+    pub fn wake(&mut self, ctx: &mut Ctx) {
+        match self {
+            Proc::Server(p) => p.wake(ctx),
+            Proc::Client(p) => p.wake(ctx),
+            Proc::Worker(p) => p.wake(ctx),
+            Proc::Combiner(p) => p.wake(ctx),
+        }
+    }
+
+    /// Bytes or a close arrived on `conn`.
+    pub fn on_deliver(&mut self, ctx: &mut Ctx, conn: ConnId, payload: Payload) {
+        match self {
+            Proc::Server(p) => p.on_deliver(ctx, conn, payload),
+            Proc::Client(p) => p.on_deliver(ctx, conn, payload),
+            // Store-level procs have no network face.
+            Proc::Worker(_) | Proc::Combiner(_) => {}
+        }
+    }
+
+    /// The process just got killed: release what must not survive a
+    /// crash. A server that owns its store loses all of it — the
+    /// combining layer and, crucially, the WAL's in-memory group-commit
+    /// buffer; only the [`SimDisk`]'s bytes remain for the respawn to
+    /// recover from. Everything else stays allocated in the graveyard:
+    /// dropping a corpse's [`StoreClient`] would unregister its announce
+    /// slots and un-park the claims of a dead combiner, which is the
+    /// very bug the `nolease` arm exists to show.
     ///
     /// [`SimDisk`]: crate::disk::SimDisk
     pub fn crashed(&mut self) {
-        if let Proc::DurableServer(p) = self {
-            p.server = None;
-            p.store = None;
+        if let Proc::Server(p) = self {
+            p.own = None;
         }
     }
 }
 
 // ---------------------------------------------------------------- server
+
+/// A store a [`ServerProc`] owns, recovered from its machine's disk via
+/// [`Store::recover_with_media`] when the process booted.
+pub struct OwnedStore {
+    /// The recovered store; it lives exactly as long as the process.
+    pub store: Store,
+    /// What recovery found at that boot (zeros on the first boot over
+    /// an empty disk).
+    pub recovery: RecoveryReport,
+}
 
 /// The network-facing store server (see module docs).
 pub struct ServerProc {
@@ -130,15 +220,29 @@ pub struct ServerProc {
     pub sessions: BTreeMap<u32, Session>,
     /// Shard count, echoed in any STATS answer.
     pub shards: u32,
+    /// The store this server owns; `None` when it fronts the world's
+    /// shared store, and after a crash.
+    pub own: Option<OwnedStore>,
 }
 
 impl ServerProc {
+    /// A server in front of `store`, which it does not own (yet).
+    pub fn new(id: ProcId, store: &Store) -> Self {
+        ServerProc {
+            id,
+            client: store.client(),
+            sessions: BTreeMap::new(),
+            shards: store.shards() as u32,
+            own: None,
+        }
+    }
+
     /// Bytes or a close arrived on `conn`.
-    pub fn on_deliver(&mut self, now: u64, conn: ConnId, payload: Payload, outbox: &mut Outbox) {
+    pub fn on_deliver(&mut self, ctx: &mut Ctx, conn: ConnId, payload: Payload) {
         match payload {
             Payload::Bytes(bytes) => {
                 self.sessions.entry(conn.0).or_default().ingest(&bytes);
-                outbox.wake(now + HANDLE_DELAY, self.id);
+                ctx.wake(HANDLE_DELAY, self.id);
             }
             Payload::Closed => {
                 self.sessions.remove(&conn.0);
@@ -148,16 +252,7 @@ impl ServerProc {
 
     /// One serve pass: stage every session into a merged run, execute
     /// it on the real store, resolve, and ship each session's output.
-    #[allow(clippy::too_many_arguments)]
-    pub fn wake(
-        &mut self,
-        now: u64,
-        net: &mut SimNet,
-        topo: &Topology,
-        trace: &mut Trace,
-        flags: &mut RunFlags,
-        outbox: &mut Outbox,
-    ) {
+    pub fn wake(&mut self, ctx: &mut Ctx) {
         let mut run: Vec<KvOp> = Vec::new();
         for session in self.sessions.values_mut() {
             session.stage(&mut run);
@@ -168,15 +263,15 @@ impl ServerProc {
             let result = self.client.batch(&run);
             if let Err(e) = &result {
                 if matches!(e, StoreError::Divergence { .. }) {
-                    flags.server_divergence += 1;
+                    ctx.flags.server_divergence += 1;
                 }
-                trace.log(now, format!("server run-error {e}"));
+                ctx.log(format!("server run-error {e}"));
             }
             Some(result)
         };
         let stats = StatsReply {
             shards: self.shards,
-            diverged: flags.server_divergence > 0,
+            diverged: ctx.flags.server_divergence > 0,
             ..Default::default()
         };
         let mut closed = Vec::new();
@@ -186,66 +281,18 @@ impl ServerProc {
             }
             let out = session.take_output();
             if !out.is_empty() {
-                let sends = net.send(now, ConnId(cid), self.id, out, topo, trace);
-                outbox.deliveries.extend(sends);
+                ctx.send(ConnId(cid), self.id, out);
             }
             if session.closing() {
                 // Framing lost: answer shipped, connection done.
-                flags.malformed_closes += 1;
-                trace.log(now, format!("server close c{cid} (malformed stream)"));
+                ctx.flags.malformed_closes += 1;
+                ctx.log(format!("server close c{cid} (malformed stream)"));
                 closed.push(cid);
             }
         }
         for cid in closed {
             self.sessions.remove(&cid);
-            if let Some(d) = net.close(now, ConnId(cid), self.id) {
-                outbox.deliveries.push(d);
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------- durable server
-
-/// A server that owns its own durable [`Store`] recovered from a
-/// machine's [`SimDisk`](crate::disk::SimDisk). The protocol face is a
-/// plain [`ServerProc`] (same sessions, same merged-run execution); the
-/// difference is ownership — the store dies with the process, and the
-/// next incarnation rebuilds it from the disk via
-/// [`Store::recover_with_media`](ff_store::Store::recover_with_media).
-pub struct DurableServerProc {
-    /// Own process id.
-    pub id: ProcId,
-    /// The protocol face; `None` after a crash (the corpse never acts).
-    pub server: Option<ServerProc>,
-    /// The recovered store this incarnation owns; `None` after a crash.
-    pub store: Option<std::sync::Arc<ff_store::Store>>,
-    /// What recovery found when this incarnation booted (zeros on the
-    /// first boot over an empty disk).
-    pub recovery: ff_store::RecoveryReport,
-}
-
-impl DurableServerProc {
-    /// Delegate to the inner protocol face (no-op on a corpse).
-    pub fn on_deliver(&mut self, now: u64, conn: ConnId, payload: Payload, outbox: &mut Outbox) {
-        if let Some(s) = &mut self.server {
-            s.on_deliver(now, conn, payload, outbox);
-        }
-    }
-
-    /// Delegate to the inner protocol face (no-op on a corpse).
-    #[allow(clippy::too_many_arguments)]
-    pub fn wake(
-        &mut self,
-        now: u64,
-        net: &mut SimNet,
-        topo: &Topology,
-        trace: &mut Trace,
-        flags: &mut RunFlags,
-        outbox: &mut Outbox,
-    ) {
-        if let Some(s) = &mut self.server {
-            s.wake(now, net, topo, trace, flags, outbox);
+            ctx.close(ConnId(cid), self.id);
         }
     }
 }
@@ -331,35 +378,34 @@ impl ClientProc {
             .collect()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_current(
-        &mut self,
-        now: u64,
-        net: &mut SimNet,
-        topo: &Topology,
-        trace: &mut Trace,
-        roles: &BTreeMap<String, ProcId>,
-        outbox: &mut Outbox,
-    ) {
+    /// Abandon the current connection, if any; the resend path opens a
+    /// fresh one.
+    fn hang_up(&mut self, ctx: &mut Ctx) {
+        if let Some(c) = self.conn.take() {
+            ctx.close(c, self.id);
+        }
+    }
+
+    fn send_current(&mut self, ctx: &mut Ctx) {
         let Some(inflight) = &mut self.inflight else {
             return;
         };
+        inflight.sent_at = ctx.now;
         let conn = match self.conn {
-            Some(c) if net.alive(c) => c,
+            Some(c) if ctx.net.alive(c) => c,
             _ => {
-                let Some(&server) = roles.get(&self.server_role) else {
+                let Some(&server) = ctx.roles.get(&self.server_role) else {
                     // Server down and not yet restarted; the timeout
                     // wake retries.
-                    trace.log(
-                        now,
-                        format!("{} no server for role {}", self.id, self.server_role),
-                    );
-                    outbox.wake(now + self.cfg.timeout, self.id);
-                    inflight.sent_at = now;
+                    ctx.log(format!(
+                        "{} no server for role {}",
+                        self.id, self.server_role
+                    ));
+                    ctx.wake(self.cfg.timeout, self.id);
                     return;
                 };
                 self.rx.clear();
-                let c = net.connect(self.id, server);
+                let c = ctx.net.connect(self.id, server);
                 self.conn = Some(c);
                 c
             }
@@ -370,44 +416,26 @@ impl ClientProc {
             inflight.id,
             &Request::Batch(inflight.ops.clone()),
         );
-        inflight.sent_at = now;
-        let sends = net.send(now, conn, self.id, wire, topo, trace);
-        outbox.deliveries.extend(sends);
-        outbox.wake(now + self.cfg.timeout, self.id);
+        ctx.send(conn, self.id, wire);
+        ctx.wake(self.cfg.timeout, self.id);
     }
 
     /// Start the next transaction, or resend the current one after a
     /// timeout or lost connection.
-    #[allow(clippy::too_many_arguments)]
-    pub fn wake(
-        &mut self,
-        now: u64,
-        net: &mut SimNet,
-        topo: &Topology,
-        trace: &mut Trace,
-        roles: &BTreeMap<String, ProcId>,
-        outbox: &mut Outbox,
-    ) {
+    pub fn wake(&mut self, ctx: &mut Ctx) {
         if let Some(inflight) = &self.inflight {
-            let lost = self.conn.is_none_or(|c| !net.alive(c));
-            if lost || now >= inflight.sent_at + self.cfg.timeout {
+            let lost = self.conn.is_none_or(|c| !ctx.net.alive(c));
+            if lost || ctx.now >= inflight.sent_at + self.cfg.timeout {
                 self.retries += 1;
-                trace.log(
-                    now,
-                    format!(
-                        "{} retry txn={} (retry #{}, {})",
-                        self.id,
-                        inflight.id,
-                        self.retries,
-                        if lost { "conn lost" } else { "timeout" }
-                    ),
-                );
-                if let Some(c) = self.conn.take() {
-                    if let Some(d) = net.close(now, c, self.id) {
-                        outbox.deliveries.push(d);
-                    }
-                }
-                self.send_current(now, net, topo, trace, roles, outbox);
+                ctx.log(format!(
+                    "{} retry txn={} (retry #{}, {})",
+                    self.id,
+                    inflight.id,
+                    self.retries,
+                    if lost { "conn lost" } else { "timeout" }
+                ));
+                self.hang_up(ctx);
+                self.send_current(ctx);
             }
             // Else: a stale wake (the response already arrived, or a
             // newer send reset the timer); the live timer wake handles
@@ -423,23 +451,13 @@ impl ClientProc {
         self.inflight = Some(InFlight {
             id,
             ops,
-            sent_at: now,
+            sent_at: ctx.now,
         });
-        self.send_current(now, net, topo, trace, roles, outbox);
+        self.send_current(ctx);
     }
 
     /// Response bytes or a close arrived.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_deliver(
-        &mut self,
-        now: u64,
-        conn: ConnId,
-        payload: Payload,
-        net: &mut SimNet,
-        trace: &mut Trace,
-        flags: &mut RunFlags,
-        outbox: &mut Outbox,
-    ) {
+    pub fn on_deliver(&mut self, ctx: &mut Ctx, conn: ConnId, payload: Payload) {
         if self.conn != Some(conn) {
             return; // stale connection's leftovers
         }
@@ -448,7 +466,7 @@ impl ClientProc {
                 self.conn = None;
                 self.rx.clear();
                 if self.inflight.is_some() {
-                    outbox.wake(now + HANDLE_DELAY, self.id);
+                    ctx.wake(HANDLE_DELAY, self.id);
                 }
             }
             Payload::Bytes(bytes) => {
@@ -459,22 +477,18 @@ impl ClientProc {
                         Ok(Decoded::NeedMoreData) => break,
                         Ok(Decoded::Frame { frame, consumed }) => {
                             at += consumed;
-                            self.on_response(now, frame.id, frame.resp, trace, outbox);
+                            self.on_response(ctx, frame.id, frame.resp);
                         }
                         Err(e) => {
                             // The lossy fabric corrupted the stream
                             // (dropped/reordered chunk mid-frame):
                             // abandon the connection, the resend path
                             // recovers.
-                            flags.client_stream_resets += 1;
-                            trace.log(now, format!("{} response stream corrupt: {e}", self.id));
+                            ctx.flags.client_stream_resets += 1;
+                            ctx.log(format!("{} response stream corrupt: {e}", self.id));
                             self.rx.clear();
-                            if let Some(c) = self.conn.take() {
-                                if let Some(d) = net.close(now, c, self.id) {
-                                    outbox.deliveries.push(d);
-                                }
-                            }
-                            outbox.wake(now + HANDLE_DELAY, self.id);
+                            self.hang_up(ctx);
+                            ctx.wake(HANDLE_DELAY, self.id);
                             return;
                         }
                     }
@@ -484,14 +498,7 @@ impl ClientProc {
         }
     }
 
-    fn on_response(
-        &mut self,
-        now: u64,
-        id: u32,
-        resp: Response,
-        trace: &mut Trace,
-        outbox: &mut Outbox,
-    ) {
+    fn on_response(&mut self, ctx: &mut Ctx, id: u32, resp: Response) {
         let current = self.inflight.as_ref().map(|f| f.id);
         if current != Some(id) {
             // A duplicate of an already-answered frame, or the id-0
@@ -505,7 +512,7 @@ impl ClientProc {
             Response::Batch(_) => {
                 self.completed += 1;
                 self.inflight = None;
-                outbox.wake(now + self.cfg.think, self.id);
+                ctx.wake(self.cfg.think, self.id);
             }
             Response::Error {
                 code: ErrorCode::Divergence,
@@ -516,14 +523,14 @@ impl ClientProc {
                 self.divergence_seen += 1;
                 self.completed += 1;
                 self.inflight = None;
-                trace.log(now, format!("{} divergence error on txn={id}", self.id));
-                outbox.wake(now + self.cfg.think, self.id);
+                ctx.log(format!("{} divergence error on txn={id}", self.id));
+                ctx.wake(self.cfg.think, self.id);
             }
             Response::Error { .. } => {
                 self.errors_seen += 1;
                 self.completed += 1;
                 self.inflight = None;
-                outbox.wake(now + self.cfg.think, self.id);
+                ctx.wake(self.cfg.think, self.id);
             }
             // A BATCH is never answered with these.
             Response::Value(_) | Response::Stats(_) | Response::Pong => {}
@@ -590,7 +597,7 @@ impl WorkerProc {
     }
 
     /// Publish, poll, or escalate.
-    pub fn wake(&mut self, now: u64, trace: &mut Trace, outbox: &mut Outbox) {
+    pub fn wake(&mut self, ctx: &mut Ctx) {
         match &mut self.pending {
             None => {
                 if self.completed >= self.target {
@@ -603,7 +610,7 @@ impl WorkerProc {
                     .publish_to_shard(self.shard, &[KvOp::Put(key, value)])
                 {
                     Ok(p) => self.pending = Some(p),
-                    Err(e) => trace.log(now, format!("{} publish refused: {e}", self.id)),
+                    Err(e) => ctx.log(format!("{} publish refused: {e}", self.id)),
                 }
             }
             Some(pending) => match self.client.poll_published(pending) {
@@ -619,7 +626,7 @@ impl WorkerProc {
                         // take over, force past the advisory flag.
                         if let Some(ticket) = self.client.combine_begin(self.shard, true) {
                             self.client.combine_finish(ticket);
-                            trace.log(now, format!("{} escalated combine", self.id));
+                            ctx.log(format!("{} escalated combine", self.id));
                         }
                     }
                 }
@@ -627,11 +634,11 @@ impl WorkerProc {
                     self.divergence_seen += 1;
                     self.pending = None;
                     self.polls = 0;
-                    trace.log(now, format!("{} poll error: {e}", self.id));
+                    ctx.log(format!("{} poll error: {e}", self.id));
                 }
             },
         }
-        outbox.wake(now + self.poll_interval, self.id);
+        ctx.wake(self.poll_interval, self.id);
     }
 }
 
@@ -674,7 +681,7 @@ impl CombinerProc {
     }
 
     /// Claim on one wake, execute on the next.
-    pub fn wake(&mut self, now: u64, trace: &mut Trace, outbox: &mut Outbox) {
+    pub fn wake(&mut self, ctx: &mut Ctx) {
         match self.held.take() {
             Some(ticket) => {
                 self.client.combine_finish(ticket);
@@ -684,11 +691,11 @@ impl CombinerProc {
                 let shard = self.rr % self.shards;
                 self.rr += 1;
                 if let Some(ticket) = self.client.combine_begin(shard, false) {
-                    trace.log(now, format!("{} combine begin shard={shard}", self.id));
+                    ctx.log(format!("{} combine begin shard={shard}", self.id));
                     self.held = Some(ticket);
                 }
             }
         }
-        outbox.wake(now + self.interval, self.id);
+        ctx.wake(self.interval, self.id);
     }
 }

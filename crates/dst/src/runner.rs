@@ -1,26 +1,30 @@
 //! The deterministic event loop: one heap, one clock, zero host
 //! nondeterminism.
 //!
-//! A [`Sim`] owns the whole world — the real [`Store`], the simulated
-//! fabric, every process — and executes a single totally-ordered event
-//! sequence. Events are ordered by `(time, insertion seq)`: two events
-//! at the same simulated instant run in the order they were scheduled,
-//! which is itself deterministic, so the entire run is a pure function
-//! of (scenario, seed, fault script).
+//! A [`Sim`] owns the whole world — every real [`Store`] in it, the
+//! simulated fabric, every process — and executes a single
+//! totally-ordered event sequence. Events are ordered by `(time,
+//! insertion seq)`: two events at the same simulated instant run in
+//! the order they were scheduled, which is itself deterministic, so the
+//! entire run is a pure function of (scenario, seed, fault script).
 //!
 //! Faults and workloads are *different event kinds on the same heap*:
 //! [`EvKind::Kill`], [`EvKind::Partition`], [`EvKind::SetNetRates`] and
 //! [`EvKind::SetStoreFaultRate`] are the fault plane; process wakes and
 //! deliveries are the workload plane. A scenario is just an initial
-//! population of both.
+//! population of both (and [`crate::scenario`] writes it down as one
+//! table row).
 //!
 //! Kills are role-based: killing `"server"` takes down whichever
 //! incarnation currently holds that role, closes every connection it
 //! touched (peers see [`Payload::Closed`]), and parks the corpse in a
-//! graveyard — its [`StoreClient`] (and any claimed-but-unfinished
-//! [`CombineTicket`](ff_store::CombineTicket)) stays allocated but
-//! forever idle, which is exactly the crashed-process model of the
-//! paper: the shared object survives, the operation parks mid-flight.
+//! graveyard — its [`StoreClient`](ff_store::StoreClient) (and any
+//! claimed-but-unfinished [`CombineTicket`](ff_store::CombineTicket))
+//! stays allocated but forever idle, which is exactly the
+//! crashed-process model of the paper: the shared object survives, the
+//! operation parks mid-flight. A store the dead server *owned* is the
+//! exception: it dies with the process, and only its machine's
+//! [`SimDisk`] bytes survive.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -30,9 +34,9 @@ use ff_store::{Store, StoreConfig};
 
 use crate::clock::SimClock;
 use crate::disk::SimDisk;
-use crate::net::{ConnId, FaultRates, NetConfig, Payload, ScriptMode, SimNet};
+use crate::net::{ConnId, Delivery, FaultRates, NetConfig, Payload, ScriptMode, SimNet};
 use crate::process::{
-    ClientCfg, ClientProc, CombinerProc, DurableServerProc, Outbox, Proc, RunFlags, ServerProc,
+    ClientCfg, ClientProc, CombinerProc, Ctx, Outbox, OwnedStore, Proc, RunFlags, ServerProc,
     WorkerProc, HANDLE_DELAY,
 };
 use crate::rng::{splitmix64, SimRng};
@@ -42,28 +46,22 @@ use crate::trace::{FaultScript, Trace};
 /// How to create a process — also the respawn recipe after a kill.
 #[derive(Clone, Debug)]
 pub enum ProcSpec {
-    /// A store server (network face of the shared [`Store`]).
+    /// A store server: the network face of the world's shared
+    /// [`Store`], or of a store of its own.
     Server {
-        /// Host machine.
+        /// Host machine — also names the disk an owned store lives on.
         machine: MachineId,
         /// Role name clients connect to.
         role: String,
-    },
-    /// A server owning its own durable store, recovered from the host
-    /// machine's [`SimDisk`] at every (re)spawn. Killing it drops the
-    /// store; the machine's disk bytes survive for the next
-    /// incarnation. If recovery is refused (replay divergence under a
-    /// faulty backend), the respawn stays down and the refusal is
-    /// flagged — never served as data.
-    DurableServer {
-        /// Host machine — also names the surviving disk.
-        machine: MachineId,
-        /// Role name clients connect to.
-        role: String,
-        /// The store configuration every incarnation recovers under
-        /// (durability knobs apply to the simulated disk; no data dir
-        /// is needed).
-        config: StoreConfig,
+        /// `Some`: the server owns a durable store under this
+        /// configuration, recovered from the host machine's [`SimDisk`]
+        /// at every (re)spawn (durability knobs apply to the simulated
+        /// disk; no data dir is needed). Killing it drops the store; the
+        /// machine's disk bytes survive for the next incarnation. If
+        /// recovery is refused (replay divergence under a faulty
+        /// backend), the respawn stays down and the refusal is flagged —
+        /// never served as data.
+        own: Option<StoreConfig>,
     },
     /// A wire-protocol transaction generator.
     Client {
@@ -105,13 +103,13 @@ pub enum ProcSpec {
 }
 
 impl ProcSpec {
-    fn role(&self) -> &str {
+    /// Where the process runs and the role it takes.
+    pub fn place(&self) -> (MachineId, &str) {
         match self {
-            ProcSpec::Server { role, .. }
-            | ProcSpec::DurableServer { role, .. }
-            | ProcSpec::Client { role, .. }
-            | ProcSpec::Worker { role, .. }
-            | ProcSpec::Combiner { role, .. } => role,
+            ProcSpec::Server { machine, role, .. }
+            | ProcSpec::Client { machine, role, .. }
+            | ProcSpec::Worker { machine, role, .. }
+            | ProcSpec::Combiner { machine, role, .. } => (*machine, role),
         }
     }
 }
@@ -122,14 +120,7 @@ pub enum EvKind {
     /// Run a process's wake handler.
     Wake(ProcId),
     /// A network arrival.
-    Deliver {
-        /// Connection it arrived on.
-        conn: ConnId,
-        /// Receiving process.
-        to: ProcId,
-        /// Bytes or close notification.
-        payload: Payload,
-    },
+    Deliver(Delivery),
     /// Kill whichever process currently holds `role`.
     Kill(String),
     /// Power-fail the machine hosting `role`: kill the process *and*
@@ -213,12 +204,13 @@ pub struct RunReport {
     pub violations: Vec<String>,
     /// Total transactions/units completed across all workload procs.
     pub completed: u64,
-    /// Durable-server respawns whose WAL recovery was refused (replay
-    /// divergence under a faulty backend) — always flagged.
+    /// Respawns of a store-owning server whose WAL recovery was refused
+    /// (replay divergence under a faulty backend) — always flagged.
     pub recovery_refused: u64,
-    /// Checkpoint snapshots loaded at the live durable server's boot.
+    /// Checkpoint snapshots loaded at the live store-owning server's
+    /// boot.
     pub recovered_checkpoints: u64,
-    /// Slot records replayed at the live durable server's boot.
+    /// Slot records replayed at that boot.
     pub recovered_records: u64,
     /// Shards whose WAL ended in a torn/corrupt tail at that boot.
     pub recovered_torn: u64,
@@ -236,8 +228,9 @@ pub struct Sim {
     pub net: SimNet,
     /// The decision log.
     pub trace: Trace,
-    /// The real store under test, shared by every server and worker.
-    pub store: Store,
+    /// The store every worker, combiner and store-less server shares;
+    /// `None` in a world whose server owns its store.
+    pub store: Option<Store>,
     /// Cross-cutting observations.
     pub flags: RunFlags,
     /// Per-machine durable bytes — they survive kills by construction
@@ -259,12 +252,12 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// A fresh world around `store`. The root seed is forked into
-    /// independent fault, jitter and workload streams, so a scenario
-    /// that adds workload draws does not shift fault decisions (and
-    /// vice versa).
+    /// A fresh world, around `store` if anything in it shares one. The
+    /// root seed is forked into independent fault, jitter and workload
+    /// streams, so a scenario that adds workload draws does not shift
+    /// fault decisions (and vice versa).
     pub fn new(
-        store: Store,
+        store: Option<Store>,
         net_cfg: NetConfig,
         seed: u64,
         horizon: u64,
@@ -303,6 +296,22 @@ impl Sim {
         Arc::clone(self.disks.entry(machine).or_default())
     }
 
+    /// The store and boot report of every live server that owns one. A
+    /// store that died with its server is not here.
+    pub fn owned_stores(&self) -> impl Iterator<Item = &OwnedStore> {
+        self.procs.iter().flatten().filter_map(|p| match p {
+            Proc::Server(s) => s.own.as_ref(),
+            _ => None,
+        })
+    }
+
+    /// Every store alive in the world: the shared one, then each live
+    /// server's own.
+    pub fn stores(&self) -> impl Iterator<Item = &Store> {
+        let owned = self.owned_stores().map(|own| &own.store);
+        self.store.iter().chain(owned)
+    }
+
     /// Schedule `kind` at absolute simulated time `at`.
     pub fn at(&mut self, at: u64, kind: EvKind) {
         let seq = self.seq;
@@ -331,164 +340,101 @@ impl Sim {
     /// wake. Respawns reuse the role name and get a fresh [`ProcId`]
     /// and a fresh (but deterministic) workload stream keyed on
     /// `(role, incarnation)`.
+    ///
+    /// A server that owns its store recovers it from its machine's
+    /// surviving disk bytes first (a first boot over an empty disk
+    /// recovers to a fresh store, zero report). A refused recovery —
+    /// replay divergence under a faulty backend, the discriminator the
+    /// kill-recover scenario pins — leaves the role down and is counted
+    /// in [`RunFlags::recovery_refused`]: the store never serves state
+    /// it cannot vouch for.
     pub fn spawn(&mut self, spec: ProcSpec) -> ProcId {
         let now = self.clock.now();
-        let role = spec.role().to_string();
+        let (machine, role) = spec.place();
+        let role = role.to_string();
         let inc = self.incarnations.entry(role.clone()).or_insert(0);
         *inc += 1;
         let label = format!("{role}#{inc}");
         let rng_label = splitmix64(fnv(&role)).wrapping_add(*inc);
         let rng = self.workload_rng.fork(rng_label);
-        if let ProcSpec::DurableServer {
-            machine,
-            role: _,
-            mut config,
-        } = spec
-        {
-            // A restarted process does not re-experience the previous
-            // incarnation's fault randomness: key the store's fault
-            // streams on (role, incarnation). This is what gives the
-            // recovery digest cross-check teeth — a naive backend's
-            // replay diverges instead of faithfully re-corrupting.
-            config.seed = splitmix64(config.seed ^ rng_label);
-            return self.spawn_durable(now, machine, role, label, config);
-        }
-        let (machine, proc_ctor): (MachineId, Box<dyn FnOnce(ProcId, SimRng) -> Proc>) = match spec
-        {
-            ProcSpec::Server { machine, role: _ } => {
-                let client = self.store.client();
-                let shards = self.store.shards() as u32;
-                (
-                    machine,
-                    Box::new(move |id, _| {
-                        Proc::Server(ServerProc {
-                            id,
-                            client,
-                            sessions: BTreeMap::new(),
-                            shards,
-                        })
-                    }),
-                )
+        // The pid is taken even if the process never comes up: ids are
+        // dense and appear in trace lines.
+        let pid = self.topo.process(machine, label.clone());
+        debug_assert_eq!(pid.0 as usize, self.procs.len());
+        let shared = || {
+            self.store
+                .as_ref()
+                .expect("a row that spawns this process has a shared store (check_row)")
+        };
+        let proc = match spec {
+            ProcSpec::Server { own: None, .. } => Proc::Server(ServerProc::new(pid, shared())),
+            ProcSpec::Server {
+                own: Some(mut config),
+                ..
+            } => {
+                // A restarted process does not re-experience the previous
+                // incarnation's fault randomness: key the store's fault
+                // streams on (role, incarnation). This is what gives the
+                // recovery digest cross-check teeth — a naive backend's
+                // replay diverges instead of faithfully re-corrupting.
+                config.seed = splitmix64(config.seed ^ rng_label);
+                match Store::recover_with_media(config, self.disk(machine)) {
+                    Ok((store, recovery)) => {
+                        self.trace.log(
+                            now,
+                            format!(
+                                "recover {label}: {} checkpoint(s), {} record(s) replayed, {} torn tail(s)",
+                                recovery.checkpoints_loaded(),
+                                recovery.records_replayed(),
+                                recovery.torn_tails()
+                            ),
+                        );
+                        let mut server = ServerProc::new(pid, &store);
+                        server.own = Some(OwnedStore { store, recovery });
+                        Proc::Server(server)
+                    }
+                    Err(e) => {
+                        self.flags.recovery_refused += 1;
+                        self.trace.log(now, format!("recover {label} REFUSED: {e}"));
+                        // The slot stays empty and the role vacant:
+                        // clients keep retrying.
+                        self.procs.push(None);
+                        return pid;
+                    }
+                }
             }
             ProcSpec::Client {
-                machine,
-                role: _,
-                server_role,
-                cfg,
-            } => (
-                machine,
-                Box::new(move |id, rng| Proc::Client(ClientProc::new(id, server_role, cfg, rng))),
-            ),
+                server_role, cfg, ..
+            } => Proc::Client(ClientProc::new(pid, server_role, cfg, rng)),
             ProcSpec::Worker {
-                machine,
-                role: _,
                 shard,
                 keys,
                 poll_interval,
                 escalate_after,
                 target,
-            } => {
-                let client = self.store.client();
-                (
-                    machine,
-                    Box::new(move |id, rng| {
-                        Proc::Worker(WorkerProc::new(
-                            id,
-                            client,
-                            shard,
-                            keys,
-                            rng,
-                            poll_interval,
-                            escalate_after,
-                            target,
-                        ))
-                    }),
-                )
-            }
-            ProcSpec::Combiner {
-                machine,
-                role: _,
+                ..
+            } => Proc::Worker(WorkerProc::new(
+                pid,
+                shared().client(),
+                shard,
+                keys,
+                rng,
+                poll_interval,
+                escalate_after,
+                target,
+            )),
+            ProcSpec::Combiner { interval, .. } => Proc::Combiner(CombinerProc::new(
+                pid,
+                shared().client(),
+                shared().shards(),
                 interval,
-            } => {
-                let client = self.store.client();
-                let shards = self.store.shards();
-                (
-                    machine,
-                    Box::new(move |id, _| {
-                        Proc::Combiner(CombinerProc::new(id, client, shards, interval))
-                    }),
-                )
-            }
-            ProcSpec::DurableServer { .. } => unreachable!("handled above"),
+            )),
         };
-        let pid = self.topo.process(machine, label.clone());
-        debug_assert_eq!(pid.0 as usize, self.procs.len());
-        self.procs.push(Some(proc_ctor(pid, rng)));
+        self.procs.push(Some(proc));
         self.roles.insert(role, pid);
         self.trace.log(now, format!("spawn {label} as {pid}"));
         self.at(now + HANDLE_DELAY, EvKind::Wake(pid));
         pid
-    }
-
-    /// (Re)boot a durable server: recover its store from the machine's
-    /// surviving disk bytes. First boot over an empty disk recovers to
-    /// a fresh store (zero report). A refused recovery — replay
-    /// divergence under a faulty backend, the discriminator the
-    /// kill-recover scenario pins — leaves the role down and is
-    /// counted in [`RunFlags::recovery_refused`]: the store never
-    /// serves state it cannot vouch for.
-    fn spawn_durable(
-        &mut self,
-        now: u64,
-        machine: MachineId,
-        role: String,
-        label: String,
-        config: StoreConfig,
-    ) -> ProcId {
-        let disk = self.disk(machine);
-        match Store::recover_with_media(config, disk) {
-            Ok((store, recovery)) => {
-                self.trace.log(
-                    now,
-                    format!(
-                        "recover {label}: {} checkpoint(s), {} record(s) replayed, {} torn tail(s)",
-                        recovery.checkpoints_loaded(),
-                        recovery.records_replayed(),
-                        recovery.torn_tails()
-                    ),
-                );
-                let store = Arc::new(store);
-                let client = store.client();
-                let shards = store.shards() as u32;
-                let pid = self.topo.process(machine, label.clone());
-                debug_assert_eq!(pid.0 as usize, self.procs.len());
-                self.procs.push(Some(Proc::DurableServer(DurableServerProc {
-                    id: pid,
-                    server: Some(ServerProc {
-                        id: pid,
-                        client,
-                        sessions: BTreeMap::new(),
-                        shards,
-                    }),
-                    store: Some(store),
-                    recovery,
-                })));
-                self.roles.insert(role, pid);
-                self.trace.log(now, format!("spawn {label} as {pid}"));
-                self.at(now + HANDLE_DELAY, EvKind::Wake(pid));
-                pid
-            }
-            Err(e) => {
-                self.flags.recovery_refused += 1;
-                self.trace.log(now, format!("recover {label} REFUSED: {e}"));
-                // The pid stays registered (dense ids) but the slot is
-                // empty and the role vacant: clients keep retrying.
-                let pid = self.topo.process(machine, label);
-                debug_assert_eq!(pid.0 as usize, self.procs.len());
-                self.procs.push(None);
-                pid
-            }
-        }
     }
 
     fn kill(&mut self, role: &str) {
@@ -501,8 +447,8 @@ impl Sim {
         let mut corpse = self.procs[pid.0 as usize]
             .take()
             .expect("role table pointed at an empty slot");
-        // Volatile state dies with the process — for a durable server
-        // that drops its store (and the WAL's unsynced group-commit
+        // Volatile state dies with the process — for a server that owns
+        // its store, the store (and the WAL's unsynced group-commit
         // buffer with it); the machine's disk bytes survive in
         // `self.disks`.
         corpse.crashed();
@@ -510,18 +456,11 @@ impl Sim {
             now,
             format!("kill {role} ({pid} on {})", self.topo.machine_of(pid)),
         );
+        let mut outbox = Outbox::default();
         for conn in self.net.conns_of(pid) {
-            if let Some(d) = self.net.close(now, conn, pid) {
-                self.at(
-                    d.at,
-                    EvKind::Deliver {
-                        conn: d.conn,
-                        to: d.to,
-                        payload: d.payload,
-                    },
-                );
-            }
+            outbox.deliveries.extend(self.net.close(now, conn, pid));
         }
+        self.drain(outbox);
         self.graveyard.push(corpse);
     }
 
@@ -548,82 +487,42 @@ impl Sim {
 
     fn drain(&mut self, outbox: Outbox) {
         for d in outbox.deliveries {
-            self.at(
-                d.at,
-                EvKind::Deliver {
-                    conn: d.conn,
-                    to: d.to,
-                    payload: d.payload,
-                },
-            );
+            self.at(d.at, EvKind::Deliver(d));
         }
         for (at, who) in outbox.wakes {
             self.at(at, EvKind::Wake(who));
         }
     }
 
-    fn dispatch_wake(&mut self, pid: ProcId) {
-        let Some(mut proc) = self.procs[pid.0 as usize].take() else {
-            return; // woke a corpse — stale timer, drop it
-        };
+    /// Run one handler of `pid` — its wake, or the arrival of
+    /// `arrival` — over a [`Ctx`] of the world, then enqueue what it
+    /// scheduled.
+    fn dispatch(&mut self, pid: ProcId, arrival: Option<(ConnId, Payload)>) {
         let now = self.clock.now();
-        let mut outbox = Outbox::default();
-        match &mut proc {
-            Proc::Server(p) => p.wake(
-                now,
-                &mut self.net,
-                &self.topo,
-                &mut self.trace,
-                &mut self.flags,
-                &mut outbox,
-            ),
-            Proc::DurableServer(p) => p.wake(
-                now,
-                &mut self.net,
-                &self.topo,
-                &mut self.trace,
-                &mut self.flags,
-                &mut outbox,
-            ),
-            Proc::Client(p) => p.wake(
-                now,
-                &mut self.net,
-                &self.topo,
-                &mut self.trace,
-                &self.roles,
-                &mut outbox,
-            ),
-            Proc::Worker(p) => p.wake(now, &mut self.trace, &mut outbox),
-            Proc::Combiner(p) => p.wake(now, &mut self.trace, &mut outbox),
-        }
-        self.procs[pid.0 as usize] = Some(proc);
-        self.drain(outbox);
-    }
-
-    fn dispatch_deliver(&mut self, conn: ConnId, to: ProcId, payload: Payload) {
-        let Some(mut proc) = self.procs[to.0 as usize].take() else {
-            self.trace
-                .log(self.clock.now(), format!("deliver to dead {to} dropped"));
+        let Some(mut proc) = self.procs[pid.0 as usize].take() else {
+            // A stale timer on a corpse is dropped silently; lost bytes
+            // are worth a line.
+            if arrival.is_some() {
+                self.trace
+                    .log(now, format!("deliver to dead {pid} dropped"));
+            }
             return;
         };
-        let now = self.clock.now();
-        let mut outbox = Outbox::default();
-        match &mut proc {
-            Proc::Server(p) => p.on_deliver(now, conn, payload, &mut outbox),
-            Proc::DurableServer(p) => p.on_deliver(now, conn, payload, &mut outbox),
-            Proc::Client(p) => p.on_deliver(
-                now,
-                conn,
-                payload,
-                &mut self.net,
-                &mut self.trace,
-                &mut self.flags,
-                &mut outbox,
-            ),
-            // Store-level procs have no network face.
-            Proc::Worker(_) | Proc::Combiner(_) => {}
+        let mut ctx = Ctx {
+            now,
+            net: &mut self.net,
+            topo: &self.topo,
+            trace: &mut self.trace,
+            flags: &mut self.flags,
+            roles: &self.roles,
+            outbox: Outbox::default(),
+        };
+        match arrival {
+            None => proc.wake(&mut ctx),
+            Some((conn, payload)) => proc.on_deliver(&mut ctx, conn, payload),
         }
-        self.procs[to.0 as usize] = Some(proc);
+        let outbox = ctx.outbox;
+        self.procs[pid.0 as usize] = Some(proc);
         self.drain(outbox);
     }
 
@@ -641,8 +540,8 @@ impl Sim {
             );
             self.clock.advance_to(ev.at);
             match ev.kind {
-                EvKind::Wake(pid) => self.dispatch_wake(pid),
-                EvKind::Deliver { conn, to, payload } => self.dispatch_deliver(conn, to, payload),
+                EvKind::Wake(pid) => self.dispatch(pid, None),
+                EvKind::Deliver(d) => self.dispatch(d.to, Some((d.conn, d.payload))),
                 EvKind::Kill(role) => self.kill(&role),
                 EvKind::PowerFail(role) => self.power_fail(&role),
                 EvKind::Spawn(spec) => {
@@ -661,8 +560,10 @@ impl Sim {
                 EvKind::SetStoreFaultRate(rate) => {
                     self.trace
                         .log(self.clock.now(), format!("store fault rate -> {rate}"));
-                    for s in 0..self.store.shards() {
-                        self.store.fault_knob(s).set_rate(rate);
+                    for store in self.stores() {
+                        for s in 0..store.shards() {
+                            store.fault_knob(s).set_rate(rate);
+                        }
                     }
                 }
                 EvKind::Partition { a, b, on } => {

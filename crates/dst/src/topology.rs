@@ -41,10 +41,15 @@ impl Topology {
         Topology::default()
     }
 
-    /// Add a machine.
-    pub fn machine(&mut self, name: impl Into<String>) -> MachineId {
-        self.machines.push(name.into());
-        MachineId(self.machines.len() as u32 - 1)
+    /// The machine called `name`, added at first mention — ids are
+    /// dense in first-mention order.
+    pub fn machine(&mut self, name: &str) -> MachineId {
+        let known = self.machines.iter().position(|m| m == name);
+        let at = known.unwrap_or_else(|| {
+            self.machines.push(name.to_string());
+            self.machines.len() - 1
+        });
+        MachineId(at as u32)
     }
 
     /// Add a process on `machine`.
@@ -88,5 +93,10 @@ mod tests {
         assert_eq!(t.machine_of(q), b);
         assert_eq!(t.label(q), "client-0");
         assert_eq!(t.procs(), 2);
+        assert_eq!(
+            t.machine("rack-a"),
+            a,
+            "a second mention is the same machine"
+        );
     }
 }

@@ -144,7 +144,13 @@ impl FaultScript {
         self.entries.iter().map(entry).collect()
     }
 
-    /// Parse a script back from golden-trace JSON.
+    /// Parse a script back from golden-trace JSON. A file that does not
+    /// spell exactly one script is refused, never approximated: numbers
+    /// are read with [`JsonValue::as_seed`]'s rule (only non-negative
+    /// integers below 2^53 survive a JSON number — an `as` cast would
+    /// turn `-1`, `1.5` and `1e30` into 0, 1 and `u64::MAX`), `arg` must
+    /// fit a `u32`, and no decision may be listed twice (which of the
+    /// two [`FaultScript::action_at`] found would be an accident).
     pub fn from_json(v: &JsonValue) -> Option<FaultScript> {
         let JsonValue::Array(items) = v else {
             return None;
@@ -155,22 +161,17 @@ impl FaultScript {
                 return None;
             };
             let get = |k: &str| fields.iter().find(|(n, _)| n == k).map(|(_, v)| v);
-            let decision = match get("decision")? {
-                JsonValue::Number(n) => *n as u64,
-                _ => return None,
-            };
+            let decision = get("decision")?.as_seed()?;
             let arg = match get("arg") {
-                Some(JsonValue::Number(n)) => *n as u32,
-                _ => 0,
+                Some(arg) => u32::try_from(arg.as_seed()?).ok()?,
+                None => 0,
             };
-            let action = match get("action")? {
-                JsonValue::String(s) => FaultAction::from_parts(s, arg)?,
-                _ => return None,
-            };
+            let action = FaultAction::from_parts(get("action")?.as_str()?, arg)?;
             entries.push((decision, action));
         }
         entries.sort_by_key(|&(d, _)| d);
-        Some(FaultScript { entries })
+        let repeated = entries.windows(2).any(|w| w[0].0 == w[1].0);
+        (!repeated).then_some(FaultScript { entries })
     }
 }
 
@@ -364,6 +365,55 @@ mod tests {
         assert_eq!(s, back);
         assert_eq!(back.action_at(9), FaultAction::Delay(5));
         assert_eq!(back.action_at(10), FaultAction::Deliver);
+    }
+
+    #[test]
+    fn a_script_file_that_spells_no_exact_script_is_refused() {
+        let parse = |faults: &str| {
+            FaultScript::from_json(&JsonValue::parse(faults).expect("well-formed JSON"))
+        };
+        let entry = |decision: &str, arg: &str| {
+            format!(r#"{{"decision": {decision}, "action": "delay", "arg": {arg}}}"#)
+        };
+        let one = |decision: &str, arg: &str| parse(&format!("[{}]", entry(decision, arg)));
+        // What a cast would have made of it is in the comment.
+        for (decision, arg, why) in [
+            ("-1", "0", "negative decision (cast: 0)"),
+            ("1.5", "0", "fractional decision (cast: 1)"),
+            ("1e30", "0", "decision past u64 (cast: u64::MAX)"),
+            (
+                "9007199254740992",
+                "0",
+                "decision at 2^53, where f64 stops being exact",
+            ),
+            ("\"x\"", "0", "decision that is no number"),
+            ("7", "-1", "negative arg (cast: 0)"),
+            ("7", "2.5", "fractional arg (cast: 2)"),
+            ("7", "4294967296", "arg past u32 (cast: u32::MAX)"),
+            ("7", "null", "arg that is no number (was: 0)"),
+        ] {
+            assert_eq!(one(decision, arg), None, "{why}");
+        }
+        // The largest values that are still exact load as themselves.
+        let edge = one("9007199254740991", "4294967295").expect("in range");
+        assert_eq!(
+            edge.entries(),
+            [((1 << 53) - 1, FaultAction::Delay(u32::MAX))]
+        );
+        // One decision listed twice: `action_at` would return whichever
+        // the binary search landed on.
+        let twice = format!(
+            "[{}, {}, {}]",
+            entry("7", "3"),
+            entry("2", "1"),
+            entry("7", "9")
+        );
+        assert_eq!(parse(&twice), None, "repeated decision");
+        let once = format!("[{}, {}]", entry("7", "3"), entry("2", "1"));
+        assert_eq!(
+            parse(&once).expect("distinct").action_at(7),
+            FaultAction::Delay(3)
+        );
     }
 
     #[test]

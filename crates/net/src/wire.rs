@@ -286,16 +286,21 @@ impl<'a> BatchRef<'a> {
 
     /// Decode the operations in order, straight off the wire bytes.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = KvOp> + 'a {
-        self.ops.chunks_exact(9).map(|op| {
-            let key = u32::from_le_bytes(op[1..5].try_into().unwrap());
-            let value = u32::from_le_bytes(op[5..9].try_into().unwrap());
-            match op[0] {
+        self.ops.as_chunks().0.iter().map(|op| {
+            let (tag, key, value) = op_parts(op);
+            match tag {
                 OP_PUT => KvOp::Put(key, value),
                 OP_GET => KvOp::Get(key),
                 _ => KvOp::Del(key),
             }
         })
     }
+}
+
+/// One batch op in wire form, split into `(tag, key, value)`.
+fn op_parts(&[tag, k0, k1, k2, k3, v0, v1, v2, v3]: &[u8; 9]) -> (u8, u32, u32) {
+    let key = u32::from_le_bytes([k0, k1, k2, k3]);
+    (tag, key, u32::from_le_bytes([v0, v1, v2, v3]))
 }
 
 /// One decoded server → client frame.
@@ -487,20 +492,28 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes, as the array the integer decoders want.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let short = DecodeError::Malformed("payload shorter than its shape");
+        let (head, _) = self.buf[self.pos..].split_first_chunk().ok_or(short)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn bool(&mut self) -> Result<bool, DecodeError> {
@@ -525,26 +538,27 @@ type RawFrame<'a> = (u8, u32, &'a [u8]);
 
 /// Split off one raw frame from the front of `buf`.
 fn raw_frame(buf: &[u8]) -> Result<Decoded<RawFrame<'_>>, DecodeError> {
-    if buf.len() < 4 {
+    let Some((len, after_len)) = buf.split_first_chunk() else {
         return Ok(Decoded::NeedMoreData);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
+    };
+    let len = u32::from_le_bytes(*len);
     if len < HEADER_AFTER_LEN as u32 || len > MAX_FRAME_LEN {
         return Err(DecodeError::BadLength(len));
     }
-    let total = 4 + len as usize;
-    if buf.len() < total {
+    let len = len as usize;
+    let Some((header, payload)) = after_len
+        .get(..len)
+        .and_then(|body| body.split_first_chunk::<HEADER_AFTER_LEN>())
+    else {
         return Ok(Decoded::NeedMoreData);
-    }
-    let version = buf[4];
+    };
+    let &[version, ftype, i0, i1, i2, i3] = header;
     if version != PROTOCOL_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let ftype = buf[5];
-    let id = u32::from_le_bytes(buf[6..10].try_into().unwrap());
     Ok(Decoded::Frame {
-        frame: (ftype, id, &buf[10..total]),
-        consumed: total,
+        frame: (ftype, u32::from_le_bytes([i0, i1, i2, i3]), payload),
+        consumed: 4 + len,
     })
 }
 
@@ -580,9 +594,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<Decoded<FrameRef<'_>>, DecodeError> {
                 return Err(DecodeError::Malformed("batch count disagrees with length"));
             }
             let ops = c.take(count * 9)?;
-            for op in ops.chunks_exact(9) {
-                let value = u32::from_le_bytes(op[5..9].try_into().unwrap());
-                match op[0] {
+            for op in ops.as_chunks().0 {
+                let (tag, _, value) = op_parts(op);
+                match tag {
                     OP_PUT => {}
                     OP_GET | OP_DEL if value == 0 => {}
                     OP_GET | OP_DEL => {

@@ -58,7 +58,7 @@ use ff_consensus::{Consensus, HerlihyConsensus, SilentRetryConsensus, WafConsens
 use ff_spec::{Bound, FaultKind};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Everything a substrate may use while constructing one cell: the
 /// shard's fault environment, its live knob, its shared stats sink, and
@@ -499,10 +499,14 @@ impl Substrate for WfaRobustSubstrate {
 }
 
 /// The process-wide substrate registry, seeded with the built-ins on
-/// first touch.
-fn registry() -> &'static Mutex<Vec<Arc<dyn Substrate>>> {
+/// first touch. Locking never fails: the only write is one `push`, so
+/// the `Vec` is whole at every step, and a guard poisoned by a panic in
+/// a third-party [`Substrate::name`] is taken back with `into_inner` —
+/// one bad substrate must not cost the process every later
+/// [`Backend::robust`].
+fn registry() -> MutexGuard<'static, Vec<Arc<dyn Substrate>>> {
     static REGISTRY: OnceLock<Mutex<Vec<Arc<dyn Substrate>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
+    let registry = REGISTRY.get_or_init(|| {
         Mutex::new(vec![
             Arc::new(ReliableSubstrate) as Arc<dyn Substrate>,
             Arc::new(RobustSubstrate),
@@ -512,7 +516,8 @@ fn registry() -> &'static Mutex<Vec<Arc<dyn Substrate>>> {
             Arc::new(WfaSubstrate),
             Arc::new(WfaRobustSubstrate),
         ])
-    })
+    });
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A registration was refused because the name is already taken —
@@ -531,9 +536,11 @@ impl std::error::Error for DuplicateSubstrate {}
 /// Register a third-party substrate, making it resolvable by name from
 /// every CLI and from [`Backend::from_str`].
 pub fn register(substrate: Arc<dyn Substrate>) -> Result<(), DuplicateSubstrate> {
-    let mut reg = registry().lock().expect("substrate registry poisoned");
-    if reg.iter().any(|s| s.name() == substrate.name()) {
-        return Err(DuplicateSubstrate(substrate.name()));
+    // Foreign code runs before the lock is taken, not under it.
+    let name = substrate.name();
+    let mut reg = registry();
+    if reg.iter().any(|s| s.name() == name) {
+        return Err(DuplicateSubstrate(name));
     }
     reg.push(substrate);
     Ok(())
@@ -542,22 +549,12 @@ pub fn register(substrate: Arc<dyn Substrate>) -> Result<(), DuplicateSubstrate>
 /// Every registered substrate, as backend handles, in registration
 /// order (built-ins first).
 pub fn all_backends() -> Vec<Backend> {
-    registry()
-        .lock()
-        .expect("substrate registry poisoned")
-        .iter()
-        .map(|s| Backend(Arc::clone(s)))
-        .collect()
+    registry().iter().map(|s| Backend(Arc::clone(s))).collect()
 }
 
 /// The names of every registered substrate, in registration order.
 pub fn substrate_names() -> Vec<&'static str> {
-    registry()
-        .lock()
-        .expect("substrate registry poisoned")
-        .iter()
-        .map(|s| s.name())
-        .collect()
+    registry().iter().map(|s| s.name()).collect()
 }
 
 /// A name did not resolve against the substrate registry. The message
@@ -720,8 +717,6 @@ impl FromStr for Backend {
         // Resolve and *release* the registry lock before building the
         // error: `substrate_names` takes the same lock.
         let found = registry()
-            .lock()
-            .expect("substrate registry poisoned")
             .iter()
             .find(|sub| sub.name() == s)
             .map(|sub| Backend(Arc::clone(sub)));
