@@ -15,21 +15,23 @@
 //! `O_j` sticks, every process adopts `x` there, and from then on every
 //! process carries `x` through the remaining objects — so all return `x`.
 
-use crate::protocol::Consensus;
+use crate::machines::CascadeMachine;
+use crate::protocol::{drive, Consensus};
 use ff_cas::CasEnsemble;
-use ff_spec::{Input, ObjectId, Tolerance, BOTTOM};
-use std::sync::Arc;
+use ff_spec::{Input, Tolerance};
 
-/// The Figure 2 protocol over `f + 1` CAS objects.
-pub struct CascadeConsensus<E: CasEnsemble + ?Sized> {
-    ensemble: Arc<E>,
+/// The Figure 2 protocol over `f + 1` CAS objects. Owns its ensemble,
+/// so a cell is one heap object; pass an `Arc` (itself a
+/// [`CasEnsemble`]) to keep a handle on it.
+pub struct CascadeConsensus<E: CasEnsemble> {
+    ensemble: E,
     f: usize,
 }
 
-impl<E: CasEnsemble + ?Sized> CascadeConsensus<E> {
+impl<E: CasEnsemble> CascadeConsensus<E> {
     /// Build the `f`-tolerant protocol; `ensemble` must hold exactly
     /// `f + 1` objects.
-    pub fn new(ensemble: Arc<E>, f: usize) -> Self {
+    pub fn new(ensemble: E, f: usize) -> Self {
         assert_eq!(
             ensemble.len(),
             f + 1,
@@ -46,16 +48,14 @@ impl<E: CasEnsemble + ?Sized> CascadeConsensus<E> {
     }
 }
 
-impl<E: CasEnsemble + ?Sized> Consensus for CascadeConsensus<E> {
+impl<E: CasEnsemble> Consensus for CascadeConsensus<E> {
     fn decide(&self, val: Input) -> Input {
-        let mut output = val;
-        for i in 0..=self.f {
-            let old = self.ensemble.cas(ObjectId(i), BOTTOM, output.to_word());
-            if old != BOTTOM {
-                output = Input::from_word(old).expect("cascade cells hold ⊥ or input values only");
-            }
-        }
-        output
+        drive(
+            &self.ensemble,
+            CascadeMachine::new(val, self.f),
+            self.f as u64 + 1,
+            format_args!("Figure 2 decides in f + 1 steps"),
+        )
     }
 
     fn tolerance(&self) -> Tolerance {
@@ -76,6 +76,7 @@ mod tests {
     use super::*;
     use ff_cas::{AlwaysPolicy, AtomicCasArray, FaultyCasArray, ProbabilisticPolicy};
     use ff_spec::{check_consensus, Bound, Outcome, ProcessId};
+    use std::sync::Arc;
 
     fn check(decisions: &[(u32, Input)]) {
         let outcomes: Vec<Outcome> = decisions

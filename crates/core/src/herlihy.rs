@@ -7,39 +7,33 @@
 //! `n ≥ 3` (experiment E9), which is what motivates the paper's
 //! constructions.
 
-use crate::protocol::Consensus;
+use crate::machines::OneShotMachine;
+use crate::protocol::{drive, Consensus};
 use ff_cas::CasEnsemble;
-use ff_spec::{Bound, Input, ObjectId, Tolerance, BOTTOM};
+use ff_spec::{Bound, Input, Tolerance};
 
 /// Herlihy's consensus from one CAS object. Owns its ensemble; pass an
 /// `Arc` (itself a [`CasEnsemble`]) to keep a handle on it.
 pub struct HerlihyConsensus<E: CasEnsemble> {
     ensemble: E,
-    object: ObjectId,
 }
 
 impl<E: CasEnsemble> HerlihyConsensus<E> {
     /// Build over object 0 of `ensemble` (which must have ≥ 1 object).
     pub fn new(ensemble: E) -> Self {
-        Self::on_object(ensemble, ObjectId(0))
-    }
-
-    /// Build over a specific object of `ensemble`.
-    pub fn on_object(ensemble: E, object: ObjectId) -> Self {
-        assert!(object.0 < ensemble.len(), "object {object} out of range");
-        HerlihyConsensus { ensemble, object }
+        assert!(!ensemble.is_empty(), "object O0 out of range");
+        HerlihyConsensus { ensemble }
     }
 }
 
 impl<E: CasEnsemble> Consensus for HerlihyConsensus<E> {
     fn decide(&self, val: Input) -> Input {
-        let old = self.ensemble.cas(self.object, BOTTOM, val.to_word());
-        match Input::from_word(old) {
-            // Someone wrote first: their value is the decision.
-            Some(winner) => winner,
-            // The object held ⊥: our write chose the value.
-            None => val,
-        }
+        drive(
+            &self.ensemble,
+            OneShotMachine::new(val),
+            1,
+            format_args!("the single-CAS protocol decides in one step"),
+        )
     }
 
     fn tolerance(&self) -> Tolerance {

@@ -14,15 +14,17 @@
 //! | [`StagedConsensus`] | Fig. 3 / Thm 6 | f | `(f, t, f+1)` |
 //! | [`SilentRetryConsensus`] | §3.4 | 1 | bounded silent faults |
 //!
-//! Every protocol exists in two executable forms sharing the same logic:
-//! a **blocking** form (this module's types, generic over
-//! [`ff_cas::CasEnsemble`], for real threads over std atomics) and a
-//! **step-machine** form ([`machines`], implementing
-//! [`ff_sim::Process`], for the deterministic simulator and the
-//! exhaustive model checker). The [`factory`] picks the construction
-//! matching a requested `(f, t, n)` tolerance, per Section 4's case
-//! analysis; [`runner::run_native`] drives a protocol on real threads and
-//! checks the consensus properties.
+//! Every protocol is written once, as a **step machine** ([`machines`],
+//! implementing [`ff_sim::Process`]): that is what the deterministic
+//! simulator runs and the exhaustive model checker verifies. The
+//! **blocking** types above (generic over [`ff_cas::CasEnsemble`], for
+//! real threads over std atomics) add the constructor checks, the
+//! participant caps and the metadata, and their `decide` runs the same
+//! machine over the ensemble through one driver — so the code that
+//! ships is the code that was checked. The [`factory`] picks the
+//! construction matching a requested `(f, t, n)` tolerance, per
+//! Section 4's case analysis; [`runner::run_native`] drives a protocol
+//! on real threads and checks the consensus properties.
 //!
 //! ```
 //! use ff_consensus::{CascadeConsensus, Consensus};

@@ -1,10 +1,25 @@
-//! Step-machine form of Figure 2 (the `f`-tolerant cascade).
+//! Figure 2 (the `f`-tolerant cascade) — the one description, explored
+//! by `ff-sim` and run natively by [`CascadeConsensus`](crate::CascadeConsensus).
 
 use ff_sim::{Op, OpResult, Process, Status};
 use ff_spec::{Input, ObjectId, BOTTOM};
 
 /// Sweeps `O_0 … O_f`, CASing the current estimate in and adopting any
-/// non-`⊥` value found; decides after the last object.
+/// input value found; decides after the last object.
+///
+/// **Junk words.** Under *arbitrary* faults a faulty object can return
+/// a word that is neither `⊥` nor an input. The machine skips it —
+/// keeps its estimate and moves on — and that is sound: Theorem 5's
+/// guarantee rests on the reliable object `O_j`, where every process
+/// adopts the first value written; a reliable object only ever holds
+/// what some process CASed in, which is always an input, so skipping a
+/// non-input word never skips *that* value, and agreement and validity
+/// survive. (With overriding or silent faults every word in a cell is
+/// `⊥` or an input, so the branch never runs and the explored state
+/// spaces are those of the paper's Figure 2.) The accepted residue: a
+/// junk word that happens to fall in the input range is adopted like an
+/// input, and agreement or validity can then break — probability 2⁻³²
+/// per arbitrary fault for uniformly random 64-bit junk.
 #[derive(Clone, Debug)]
 pub struct CascadeMachine {
     input: Input,
@@ -16,6 +31,7 @@ pub struct CascadeMachine {
 
 impl CascadeMachine {
     /// Machine for the `f`-tolerant protocol (over `f + 1` objects).
+    #[inline]
     pub fn new(input: Input, f: usize) -> Self {
         CascadeMachine {
             input,
@@ -28,6 +44,7 @@ impl CascadeMachine {
 }
 
 impl Process for CascadeMachine {
+    #[inline]
     fn next_op(&self) -> Op {
         Op::Cas {
             obj: ObjectId(self.i),
@@ -36,10 +53,11 @@ impl Process for CascadeMachine {
         }
     }
 
+    #[inline]
     fn apply(&mut self, result: OpResult) -> Status {
-        let old = result.cas_old();
-        if old != BOTTOM {
-            self.output = Input::from_word(old).expect("cascade cells hold ⊥ or input values only");
+        // `⊥` and junk words both decode to `None` and leave `output` alone.
+        if let Some(found) = Input::from_word(result.cas_old()) {
+            self.output = found;
         }
         self.i += 1;
         if self.i > self.f {
@@ -102,6 +120,19 @@ mod tests {
     }
 
     #[test]
+    fn junk_words_are_skipped() {
+        // An arbitrary fault's garbage is neither ⊥ nor an input: the
+        // estimate stands, whether it is the input or an adopted value.
+        let mut m = CascadeMachine::new(Input(3), 2);
+        assert_eq!(m.apply(OpResult::Cas { old: 1 << 40 }), Status::Running);
+        assert_eq!(m.apply(OpResult::Cas { old: 9 }), Status::Running);
+        assert_eq!(
+            m.apply(OpResult::Cas { old: 1 << 40 }),
+            Status::Decided(Input(9))
+        );
+    }
+
+    #[test]
     fn theorem5_f1_verified_exhaustively() {
         // f = 1: 2 objects, O_0 faulty (unbounded), n = 3 — exhaustively
         // correct (Theorem 5 at the smallest nontrivial size).
@@ -125,6 +156,25 @@ mod tests {
         let state = SimState::new(cascades(&inputs, 1), Heap::new(2, 0), plan);
         let report = explore(state, ExplorerConfig::default());
         assert!(report.verified(), "{report:?}");
+    }
+
+    #[test]
+    fn theorem5_arbitrary_faulty_object_first_and_last() {
+        // The kind the `robust` substrates advertise: one object faults
+        // arbitrarily (unbounded), the other is reliable, n = 3 —
+        // exhaustively correct wherever the faulty object sits.
+        for faulty in [ObjectId(0), ObjectId(1)] {
+            let plan = FaultPlan {
+                kind: ff_spec::FaultKind::Arbitrary,
+                faulty: vec![faulty],
+                per_object: Bound::Unbounded,
+                kind_overrides: Default::default(),
+            };
+            let inputs = [Input(10), Input(20), Input(30)];
+            let state = SimState::new(cascades(&inputs, 1), Heap::new(2, 0), plan);
+            let report = explore(state, ExplorerConfig::default());
+            assert!(report.verified(), "faulty {faulty}: {report:?}");
+        }
     }
 
     #[test]

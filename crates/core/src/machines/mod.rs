@@ -1,10 +1,15 @@
-//! Step-machine forms of the protocols, for the `ff-sim` substrate.
+//! The protocols, each written once as an [`ff_sim::Process`] step
+//! machine: one shared step at a time, which is what the exhaustive
+//! explorer and the adversarial schedulers need.
 //!
-//! Each machine replays the corresponding blocking protocol one shared
-//! step at a time, which is what the exhaustive explorer and the
-//! adversarial schedulers need. The two forms are cross-validated in
-//! integration tests: on matched scripted executions they make the same
-//! decisions.
+//! These machines are the only place a protocol's decisions (adopt,
+//! retry, stage jump, decide) are written. The blocking types
+//! ([`HerlihyConsensus`](crate::HerlihyConsensus) …
+//! [`StagedConsensus`](crate::StagedConsensus)) run the same machine
+//! over real CAS objects through one driver, so the code the store
+//! ships is the code the explorer checked. `tests/cross_validation.rs`
+//! holds that driver to `ff_sim::run` on matched executions, fault-free
+//! and faulty.
 
 mod cascade;
 mod one_shot;

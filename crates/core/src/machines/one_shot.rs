@@ -1,10 +1,18 @@
-//! Step-machine form of the single-CAS protocol (Herlihy's baseline and,
-//! with two processes, Figure 1).
+//! The single-CAS protocol (Herlihy's baseline and, with two processes,
+//! Figure 1) — the one description, explored by `ff-sim` and run natively
+//! by [`HerlihyConsensus`](crate::HerlihyConsensus) and
+//! [`TwoProcessConsensus`](crate::TwoProcessConsensus).
 
 use ff_sim::{Op, OpResult, Process, Status};
 use ff_spec::{Input, ObjectId, BOTTOM};
 
-/// One CAS on `O_0`, then decide the winner's value.
+/// One CAS on `O_0`, then `if (old ≠ ⊥) return old else return val`.
+///
+/// The paper's rule takes whatever the object returns, so a junk word
+/// from an *arbitrary* fault becomes a junk decision (masked into the
+/// input range so it can be carried): the protocol inherits whatever
+/// its one object does, which is what lets a soak over the `naive`
+/// substrate *observe* the divergence instead of crashing on it.
 #[derive(Clone, Debug)]
 pub struct OneShotMachine {
     input: Input,
@@ -13,6 +21,7 @@ pub struct OneShotMachine {
 
 impl OneShotMachine {
     /// Machine with the given input.
+    #[inline]
     pub fn new(input: Input) -> Self {
         OneShotMachine {
             input,
@@ -22,6 +31,7 @@ impl OneShotMachine {
 }
 
 impl Process for OneShotMachine {
+    #[inline]
     fn next_op(&self) -> Op {
         Op::Cas {
             obj: ObjectId(0),
@@ -30,11 +40,14 @@ impl Process for OneShotMachine {
         }
     }
 
+    #[inline]
     fn apply(&mut self, result: OpResult) -> Status {
         let old = result.cas_old();
-        let decided = match Input::from_word(old) {
-            Some(winner) => winner, // someone wrote first
-            None => self.input,     // the cell held ⊥: we chose
+        let decided = if old == BOTTOM {
+            self.input // the cell held ⊥: we chose
+        } else {
+            // Someone wrote first — or the object returned junk.
+            Input::from_word(old).unwrap_or(Input(old as u32 & 0x7fff_ffff))
         };
         self.status = Status::Decided(decided);
         self.status
@@ -86,6 +99,17 @@ mod tests {
     fn adopts_winner() {
         let mut m = OneShotMachine::new(Input(5));
         assert_eq!(m.apply(OpResult::Cas { old: 9 }), Status::Decided(Input(9)));
+    }
+
+    #[test]
+    fn carries_junk() {
+        // `old ≠ ⊥ → return old`, even when `old` is an arbitrary
+        // fault's garbage (masked into the input range).
+        let mut m = OneShotMachine::new(Input(5));
+        assert_eq!(
+            m.apply(OpResult::Cas { old: (1 << 40) | 9 }),
+            Status::Decided(Input(9))
+        );
     }
 
     #[test]

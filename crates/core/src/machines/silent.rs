@@ -1,4 +1,6 @@
-//! Step-machine form of the silent-fault retry protocol (Section 3.4).
+//! The silent-fault retry protocol (Section 3.4) — the one description,
+//! explored by `ff-sim` and run natively by
+//! [`SilentRetryConsensus`](crate::SilentRetryConsensus).
 
 use ff_sim::{Op, OpResult, Process, Status};
 use ff_spec::{Input, ObjectId, BOTTOM};
@@ -16,6 +18,7 @@ pub struct SilentRetryMachine {
 
 impl SilentRetryMachine {
     /// Machine with the given input.
+    #[inline]
     pub fn new(input: Input) -> Self {
         SilentRetryMachine {
             input,
@@ -31,6 +34,7 @@ impl SilentRetryMachine {
 }
 
 impl Process for SilentRetryMachine {
+    #[inline]
     fn next_op(&self) -> Op {
         Op::Cas {
             obj: ObjectId(0),
@@ -39,6 +43,7 @@ impl Process for SilentRetryMachine {
         }
     }
 
+    #[inline]
     fn apply(&mut self, result: OpResult) -> Status {
         self.attempts += 1;
         let old = result.cas_old();

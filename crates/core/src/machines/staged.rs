@@ -1,6 +1,6 @@
-//! Step-machine form of Figure 3 (the `(f, t, f+1)`-tolerant staged
-//! protocol) — one CAS per step, replicating the blocking implementation
-//! in `crate::staged` decision for decision.
+//! Figure 3 (the `(f, t, f+1)`-tolerant staged protocol), one CAS per
+//! step — the one description, explored by `ff-sim` and run natively by
+//! [`StagedConsensus`](crate::StagedConsensus).
 
 use crate::stage_value::{max_stage, StageValue};
 use ff_sim::{Op, OpResult, Process, Status};
@@ -16,9 +16,10 @@ enum Phase {
 
 /// The staged protocol as a step machine.
 ///
-/// Unlike the blocking form, the machine does **not** enforce the
-/// `n ≤ f + 1` participant cap: the lower-bound experiments (Theorem 19)
-/// deliberately run it with `f + 2` processes to exhibit the violation.
+/// The machine does **not** enforce the `n ≤ f + 1` participant cap
+/// (`StagedConsensus::decide` does): the lower-bound experiments
+/// (Theorem 19) deliberately run it with `f + 2` processes to exhibit
+/// the violation.
 #[derive(Clone, Debug)]
 pub struct StagedMachine {
     input: Input,
@@ -39,6 +40,7 @@ impl StagedMachine {
     }
 
     /// Machine with an explicit stage bound (ablations).
+    #[inline]
     pub fn with_max_stage(input: Input, f: u64, max_stage: u32) -> Self {
         assert!(f >= 1, "Theorem 6 needs f ∈ ℕ⁺");
         assert!(max_stage >= 1, "need at least one stage");
@@ -74,6 +76,7 @@ impl StagedMachine {
 }
 
 impl Process for StagedMachine {
+    #[inline]
     fn next_op(&self) -> Op {
         match self.phase {
             Phase::Main => Op::Cas {
@@ -89,6 +92,7 @@ impl Process for StagedMachine {
         }
     }
 
+    #[inline]
     fn apply(&mut self, result: OpResult) -> Status {
         let old = result.cas_old();
         match self.phase {
@@ -230,8 +234,8 @@ mod tests {
 
     #[test]
     fn machine_matches_blocking_form_solo() {
-        // Cross-validation: a solo machine run and a solo blocking run
-        // decide identically and issue the same number of CASes.
+        // The native driver against the simulator's executor: a solo
+        // machine run and a solo blocking run decide identically.
         use crate::protocol::Consensus;
         use crate::staged::StagedConsensus;
         use ff_cas::AtomicCasArray;

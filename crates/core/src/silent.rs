@@ -11,9 +11,10 @@
 //! unbounded faults an adversary can starve it forever — the paper's
 //! nontermination claim, checked mechanically in experiment E8.
 
-use crate::protocol::Consensus;
+use crate::machines::SilentRetryMachine;
+use crate::protocol::{drive, Consensus};
 use ff_cas::CasEnsemble;
-use ff_spec::{Bound, Input, ObjectId, Tolerance, BOTTOM};
+use ff_spec::{Bound, Input, Tolerance};
 
 /// Herlihy-with-retries, tolerant of a bounded total number of silent
 /// faults on its single object. Owns its ensemble; pass an `Arc` (itself
@@ -42,19 +43,15 @@ impl<E: CasEnsemble> SilentRetryConsensus<E> {
 
 impl<E: CasEnsemble> Consensus for SilentRetryConsensus<E> {
     fn decide(&self, val: Input) -> Input {
-        for _ in 0..self.retry_cap {
-            let old = self.ensemble.cas(ObjectId(0), BOTTOM, val.to_word());
-            if old != BOTTOM {
-                return Input::from_word(old)
-                    .expect("silent-retry cell holds ⊥ or input values only");
-            }
-            // old = ⊥: either our write landed (the next CAS will observe
-            // it) or it was silently dropped (retry).
-        }
-        panic!(
-            "silent-retry protocol exceeded its retry cap ({}): more than t = {} silent faults?",
-            self.retry_cap, self.t
-        );
+        drive(
+            &self.ensemble,
+            SilentRetryMachine::new(val),
+            self.retry_cap,
+            format_args!(
+                "silent-retry protocol exceeded its retry cap ({}): more than t = {} silent faults?",
+                self.retry_cap, self.t
+            ),
+        )
     }
 
     fn tolerance(&self) -> Tolerance {

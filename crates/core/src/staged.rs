@@ -16,15 +16,16 @@
 //! from *faulty-only* objects — which is the paper's headline separation
 //! between functional and data faults.
 
-use crate::protocol::Consensus;
-use crate::stage_value::{max_stage, StageValue};
+use crate::machines::StagedMachine;
+use crate::protocol::{drive, Consensus};
+use crate::stage_value::max_stage;
 use ff_cas::CasEnsemble;
-use ff_spec::{Bound, Input, ObjectId, Tolerance, Word, BOTTOM};
+use ff_spec::{Bound, Input, Tolerance};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Iteration guard on the inner retry loops: within tolerance the proof
-/// bounds retries, so tripping this indicates an out-of-contract
+/// Step budget for one `decide`: within tolerance the proof bounds
+/// retries, so tripping this indicates an out-of-contract
 /// execution (more faults than budgeted, or more than `f + 1` processes).
 const RETRY_GUARD: u64 = 100_000_000;
 
@@ -71,14 +72,6 @@ impl<E: CasEnsemble + ?Sized> StagedConsensus<E> {
         self.max_stage = max_stage;
         self
     }
-
-    /// Line 17 of Figure 3: `exp.stage ← s`, with `⊥` left as `⊥`.
-    fn retarget_stage(exp: Word, s: u32) -> Word {
-        match StageValue::unpack(exp) {
-            None => BOTTOM,
-            Some(sv) => StageValue::new(sv.val, s).pack(),
-        }
-    }
 }
 
 impl<E: CasEnsemble + ?Sized> Consensus for StagedConsensus<E> {
@@ -91,66 +84,12 @@ impl<E: CasEnsemble + ?Sized> Consensus for StagedConsensus<E> {
             self.f + 1
         );
 
-        let mut output = val;
-        let mut exp: Word = BOTTOM;
-        let mut s: u32 = 0;
-        let mut guard = 0u64;
-
-        // Lines 3–18: the maxStage ordinary stages.
-        while s < self.max_stage {
-            for i in 0..self.f as usize {
-                loop {
-                    guard += 1;
-                    assert!(guard < RETRY_GUARD, "staged protocol retry guard tripped");
-                    let old =
-                        self.ensemble
-                            .cas(ObjectId(i), exp, StageValue::new(output, s).pack());
-                    if old != exp {
-                        if StageValue::stage_of(old) >= s as i64 {
-                            // Another process is at our stage or later:
-                            // adopt its value and stage (lines 9–13).
-                            let sv = StageValue::unpack(old)
-                                .expect("stage ≥ s ≥ 0 implies a non-⊥ pair");
-                            output = sv.val;
-                            s = sv.stage;
-                            if s == self.max_stage {
-                                return output; // line 12
-                            }
-                            // Line 13 (immediately retargeted by line 17
-                            // below, so only the value part survives).
-                            exp = StageValue::new(sv.val, sv.stage.saturating_sub(1)).pack();
-                            break; // line 14: no need to update O_i
-                        } else {
-                            exp = old; // line 15: still needs to update O_i
-                        }
-                    } else {
-                        break; // line 16: successful CAS
-                    }
-                }
-                exp = Self::retarget_stage(exp, s); // line 17
-            }
-            s += 1; // line 18
-        }
-
-        // Lines 19–23: the final stage funnels into O_0.
-        loop {
-            guard += 1;
-            assert!(
-                guard < RETRY_GUARD,
-                "staged protocol final-stage guard tripped"
-            );
-            let old = self.ensemble.cas(
-                ObjectId(0),
-                exp,
-                StageValue::new(output, self.max_stage).pack(),
-            );
-            if old != exp && StageValue::stage_of(old) < self.max_stage as i64 {
-                exp = old; // line 22
-            } else {
-                break; // line 23
-            }
-        }
-        output // line 24
+        drive(
+            &*self.ensemble,
+            StagedMachine::with_max_stage(val, self.f, self.max_stage),
+            RETRY_GUARD,
+            format_args!("staged protocol retry guard tripped"),
+        )
     }
 
     fn tolerance(&self) -> Tolerance {

@@ -16,9 +16,10 @@
 //! CAS can read the overridden value — which is why this tolerance is
 //! stated for `n = 2` only (and why Theorem 18 kills `n > 2`).
 
-use crate::protocol::Consensus;
+use crate::machines::OneShotMachine;
+use crate::protocol::{drive, Consensus};
 use ff_cas::CasEnsemble;
-use ff_spec::{Bound, Input, ObjectId, Tolerance, BOTTOM};
+use ff_spec::{Bound, Input, Tolerance};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +27,6 @@ use std::sync::Arc;
 /// overriding faults tolerated.
 pub struct TwoProcessConsensus<E: CasEnsemble + ?Sized> {
     ensemble: Arc<E>,
-    object: ObjectId,
     participants: AtomicUsize,
 }
 
@@ -36,7 +36,6 @@ impl<E: CasEnsemble + ?Sized> TwoProcessConsensus<E> {
         assert!(!ensemble.is_empty(), "needs one CAS object");
         TwoProcessConsensus {
             ensemble,
-            object: ObjectId(0),
             participants: AtomicUsize::new(0),
         }
     }
@@ -49,11 +48,12 @@ impl<E: CasEnsemble + ?Sized> Consensus for TwoProcessConsensus<E> {
             joined < 2,
             "TwoProcessConsensus supports exactly two participants (Theorem 4 is for n = 2)"
         );
-        let old = self.ensemble.cas(self.object, BOTTOM, val.to_word());
-        match Input::from_word(old) {
-            Some(other) => other,
-            None => val,
-        }
+        drive(
+            &*self.ensemble,
+            OneShotMachine::new(val),
+            1,
+            format_args!("Figure 1 decides in one step"),
+        )
     }
 
     fn tolerance(&self) -> Tolerance {

@@ -15,14 +15,10 @@ pub struct SimRng {
     state: u64,
 }
 
-/// The splitmix64 output function (also used by the store for shard
-/// routing — one shared definition of "mix this word").
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The splitmix64 output function — `ff-cas`'s, the one the store
+/// routes shards and salts fault streams with: one shared definition of
+/// "mix this word".
+pub use ff_store::splitmix64;
 
 impl SimRng {
     /// A stream rooted at `seed`.
@@ -34,11 +30,11 @@ impl SimRng {
 
     /// Next raw word.
     pub fn next_u64(&mut self) -> u64 {
+        // `splitmix64` adds the increment before mixing, so the output
+        // at `state` is the stream's next word; then step the state.
+        let out = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 
     /// Uniform draw in `0..n` (`n > 0`).

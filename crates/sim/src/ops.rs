@@ -109,6 +109,7 @@ pub enum OpResult {
 impl OpResult {
     /// The old value, for CAS results. Panics on other variants — protocol
     /// machines only call this right after requesting a CAS.
+    #[inline]
     pub fn cas_old(&self) -> Word {
         match self {
             OpResult::Cas { old } => *old,

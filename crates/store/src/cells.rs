@@ -12,15 +12,12 @@
 //! * **Runtime knobs.** The fault rate is an atomic the operator can
 //!   turn mid-run ([`FaultKnob::set_rate`]) — per shard, without
 //!   rebuilding anything.
-//! * **Junk tolerance.** Under *arbitrary* faults a faulty object can
-//!   return garbage words. [`GuardedCascadeConsensus`] runs the
-//!   Figure 2 cascade but skips non-input words instead of panicking:
-//!   the construction's guarantee rests on the reliable spare object
-//!   `O_j` — every process adopts the first value written to `O_j` —
-//!   and a junk word can never *be* that value (values are always
-//!   announced inputs), so ignoring junk preserves agreement. A junk
-//!   word colliding with a valid input encoding goes undetected with
-//!   probability 2⁻³² per fault; acceptable for a soak harness.
+//!
+//! The protocols themselves are not here: a cell is one of
+//! `ff-consensus`'s types, whose `decide` runs the model-checked step
+//! machine. Junk words from *arbitrary* faults are the machines'
+//! business too — the cascade skips them (`CascadeMachine`'s doc holds
+//! the soundness argument), the single-CAS protocol carries them.
 //!
 //! Tolerable fault kinds per substrate follow the paper's results:
 //! overriding and arbitrary kinds get the `f`-tolerant cascade
@@ -33,9 +30,8 @@
 //! declares its own envelope via
 //! [`Substrate::tolerated_kinds`](crate::substrate::Substrate::tolerated_kinds).
 
-use ff_cas::{splitmix64, CasEnsemble, FaultPolicy};
-use ff_consensus::Consensus;
-use ff_spec::{Bound, FaultKind, Input, ObjectId, Tolerance, BOTTOM};
+use ff_cas::{splitmix64, FaultPolicy};
+use ff_spec::{Bound, FaultKind, ObjectId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -92,99 +88,6 @@ impl FaultPolicy for KnobPolicy {
     }
 }
 
-/// Figure 2's cascade, hardened for *arbitrary* faults: non-input words
-/// are skipped instead of aborting (see the module docs for why this is
-/// sound). Owns its ensemble, so a cell is one heap object; pass an
-/// `Arc` (itself a [`CasEnsemble`]) to keep a handle on it.
-pub struct GuardedCascadeConsensus<E: CasEnsemble> {
-    ensemble: E,
-    f: usize,
-}
-
-impl<E: CasEnsemble> GuardedCascadeConsensus<E> {
-    /// Build the `f`-tolerant protocol; `ensemble` must hold exactly
-    /// `f + 1` objects.
-    pub fn new(ensemble: E, f: usize) -> Self {
-        assert_eq!(
-            ensemble.len(),
-            f + 1,
-            "cascade needs exactly f + 1 = {} objects, got {}",
-            f + 1,
-            ensemble.len()
-        );
-        GuardedCascadeConsensus { ensemble, f }
-    }
-}
-
-impl<E: CasEnsemble> Consensus for GuardedCascadeConsensus<E> {
-    fn decide(&self, val: Input) -> Input {
-        let mut output = val;
-        for i in 0..=self.f {
-            let old = self.ensemble.cas(ObjectId(i), BOTTOM, output.to_word());
-            if old != BOTTOM {
-                if let Some(adopted) = Input::from_word(old) {
-                    output = adopted;
-                }
-                // Non-input word: a faulty object returned garbage.
-                // Keep the current output; the reliable object's value
-                // still propagates.
-            }
-        }
-        output
-    }
-
-    fn tolerance(&self) -> Tolerance {
-        Tolerance::f_tolerant(self.f as u64)
-    }
-
-    fn objects_used(&self) -> usize {
-        self.f + 1
-    }
-
-    fn name(&self) -> &'static str {
-        "guarded-cascade"
-    }
-}
-
-/// Herlihy's protocol straight over one faulty object — the naive
-/// substrate the paper proves broken (E10's negative arm), here with
-/// junk words degraded deterministically instead of panicking so a soak
-/// can *observe* the divergence rather than crash on it.
-pub(crate) struct NaiveConsensus<E: CasEnsemble> {
-    ensemble: E,
-}
-
-impl<E: CasEnsemble> NaiveConsensus<E> {
-    pub(crate) fn new(ensemble: E) -> Self {
-        NaiveConsensus { ensemble }
-    }
-}
-
-impl<E: CasEnsemble> Consensus for NaiveConsensus<E> {
-    fn decide(&self, val: Input) -> Input {
-        let old = self.ensemble.cas(ObjectId(0), BOTTOM, val.to_word());
-        if old == BOTTOM {
-            val
-        } else {
-            // A junk word (arbitrary fault) becomes a junk decision —
-            // the naive construction inherits whatever the object does.
-            Input::from_word(old).unwrap_or(Input(old as u32 & 0x7fff_ffff))
-        }
-    }
-
-    fn tolerance(&self) -> Tolerance {
-        Tolerance::f_tolerant(0)
-    }
-
-    fn objects_used(&self) -> usize {
-        1
-    }
-
-    fn name(&self) -> &'static str {
-        "naive-direct"
-    }
-}
-
 /// Process-level faults, orthogonal to the paper's *object*-level
 /// taxonomy. The paper's cells lie; its processes are immortal. The
 /// recoverable-consensus line of work (Golab; Lundström–Raynal–Schiller
@@ -238,6 +141,7 @@ impl Default for FaultConfig {
 mod tests {
     use super::*;
     use crate::substrate::{Backend, ShardCells};
+    use ff_spec::Input;
     use ff_universal::CellFactory;
 
     #[test]

@@ -48,7 +48,7 @@ pub mod soak;
 pub mod substrate;
 pub mod wal;
 
-pub use cells::{FaultConfig, FaultKnob, GuardedCascadeConsensus, ProcessFault};
+pub use cells::{FaultConfig, FaultKnob, ProcessFault};
 pub use combine::{CombineSnapshot, CombineStats};
 pub use kv::{Kv, KvOp, StoreError};
 pub use map::{KvMap, KV_BITS, KV_MAX};
@@ -63,7 +63,11 @@ pub use substrate::{
 };
 pub use wal::{DurabilityConfig, FsMedia, WalIoError, WalMedia};
 
-use ff_cas::{splitmix64, EnsembleStats};
+/// The workspace's one `splitmix64` (`ff-cas`'s): shard routing and
+/// fault-stream salts here, `ff-dst`'s `SimRng` stream downstream.
+pub use ff_cas::splitmix64;
+
+use ff_cas::EnsembleStats;
 use ff_universal::{digests_consistent, Handle, UniversalLog};
 use std::sync::Arc;
 

@@ -43,18 +43,25 @@
 //! | `wfa` | write-and-f-array aggregation + reliable arbitration | consensus number 2 | — (nothing injected) |
 //! | `wfa-robust` | write-and-f-array aggregation + robust arbitration | consensus number 2 | overriding, silent, arbitrary |
 //!
+//! No substrate writes a protocol: every cell is an `ff-consensus` type
+//! over the substrate's objects, and its `decide` runs the step machine
+//! `ff-sim` model-checks — `naive`'s junk decisions and `robust`'s
+//! junk-skipping are `OneShotMachine`'s and `CascadeMachine`'s.
+//!
 //! `kw-robust` declares **arbitrary** intolerable not because the
 //! cascade would fail but because the fault itself is unrepresentable:
 //! an arbitrary fault swaps full-width junk into the cell, and a KW
 //! word only encodes `⊥` or 32-bit inputs — the substrate refuses the
 //! environment rather than silently truncating the fault model.
 
-use crate::cells::{FaultConfig, FaultKnob, GuardedCascadeConsensus, KnobPolicy, NaiveConsensus};
+use crate::cells::{FaultConfig, FaultKnob, KnobPolicy};
 use crate::ConfigError;
 use ff_cas::{
     splitmix64, AtomicCasArray, CasEnsemble, EnsembleStats, FaultyCasArray, KwCasArray, RawCas,
 };
-use ff_consensus::{Consensus, HerlihyConsensus, SilentRetryConsensus, WafConsensus};
+use ff_consensus::{
+    CascadeConsensus, Consensus, HerlihyConsensus, SilentRetryConsensus, WafConsensus,
+};
 use ff_spec::{Bound, FaultKind};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -227,13 +234,13 @@ fn robust_objects(fault: &FaultConfig) -> usize {
 }
 
 /// The paper's construction choice over an injected ensemble: bounded
-/// retry for silent environments, the guarded Figure 2 cascade
-/// otherwise.
+/// retry for silent environments, the Figure 2 cascade otherwise (its
+/// machine skips the junk words an arbitrary fault can return).
 fn robust_cell(ctx: &CellCtx, ensemble: impl CasEnsemble + 'static) -> Arc<dyn Consensus> {
     if ctx.fault().kind == FaultKind::Silent {
         Arc::new(SilentRetryConsensus::new(ensemble, ctx.silent_budget()))
     } else {
-        Arc::new(GuardedCascadeConsensus::new(ensemble, ctx.fault().f))
+        Arc::new(CascadeConsensus::new(ensemble, ctx.fault().f))
     }
 }
 
@@ -345,7 +352,7 @@ impl Substrate for NaiveSubstrate {
         Ok(())
     }
     fn make_cell(&self, ctx: &CellCtx) -> Arc<dyn Consensus> {
-        Arc::new(NaiveConsensus::new(ctx.faulty_ensemble(1, 1)))
+        Arc::new(HerlihyConsensus::new(ctx.faulty_ensemble(1, 1)))
     }
 }
 

@@ -16,7 +16,7 @@
 //! | [`spec`] | `ff-spec` | Hoare triples, `⟨O, Φ'⟩`-faults, `(f, t, n)`-tolerance, consensus checker |
 //! | [`sim`] | `ff-sim` | Deterministic simulator, schedulers, exhaustive explorer, valency analysis |
 //! | [`cas`] | `ff-cas` | Native CAS ensembles with fault injection at the linearization point |
-//! | [`consensus`] | `ff-consensus` | Figures 1–3 as library protocols (blocking + step-machine forms) |
+//! | [`consensus`] | `ff-consensus` | Figures 1–3 as library protocols (one step machine each, explored by `sim`, run natively by the blocking types) |
 //! | [`adversary`] | `ff-adversary` | Theorem 18/19 adversaries, data-fault separation, hierarchy probes |
 //! | [`universal`] | `ff-universal` | Replicated objects over fault-tolerant consensus cells |
 //! | [`workload`] | `ff-workload` | The E1–E14 experiment harness and table rendering (the system-scale E15–E21, the full registry and the `ff` binary are `ff-bench`, which depends on this crate's members and is not re-exported) |

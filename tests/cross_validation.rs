@@ -1,16 +1,18 @@
-//! Cross-validation between the two executable forms of each protocol:
-//! the blocking (native-thread) implementations and the step machines
-//! must decide identically on matched executions.
+//! Cross-validation between the two executors of each protocol's one
+//! step machine: the native driver behind every blocking `decide` and
+//! the simulator's `ff_sim::run` must decide identically on matched
+//! executions — fault-free and faulty.
 
-use functional_faults::cas::AtomicCasArray;
+use functional_faults::cas::{AlwaysPolicy, AtomicCasArray, FaultyCasArray};
 use functional_faults::consensus::{
     cascades, one_shots, silent_retries, staged_machines, CascadeConsensus, Consensus,
     HerlihyConsensus, SilentRetryConsensus, StagedConsensus,
 };
 use functional_faults::sim::{
-    run, FaultPlan, Heap, NeverFault, Process, RoundRobin, RunConfig, Scripted,
+    run, FaultPlan, GreedyFault, Heap, NeverFault, Process, RoundRobin, RunConfig, RunReport,
+    Scripted,
 };
-use functional_faults::spec::{check_consensus, Input, ProcessId};
+use functional_faults::spec::{check_consensus, Bound, History, Input, ProcessId};
 use std::sync::Arc;
 
 fn inputs(n: usize) -> Vec<Input> {
@@ -42,6 +44,11 @@ fn sim_decisions(
             RunConfig::default(),
         ),
     };
+    checked_decisions(&report)
+}
+
+/// The decisions of a completed, consensus-satisfying run, in pid order.
+fn checked_decisions(report: &RunReport) -> Vec<Input> {
     assert!(report.completed);
     assert!(check_consensus(&report.outcomes, None).ok());
     report
@@ -86,6 +93,42 @@ fn cascade_forms_agree_sequentially() {
         let native = blocking_sequential(&blocking, &ins);
         assert_eq!(sim, native, "f = {f}");
     }
+}
+
+#[test]
+fn cascade_forms_agree_under_an_always_overriding_first_object() {
+    // The one faulty matched execution: O_0 overrides at every
+    // opportunity (p1 and p2 each clobber it and read a stale value),
+    // O_1 is reliable. Same decisions, and the same CAS records step
+    // for step — the driver and the simulator saw the same faults.
+    let ins = inputs(3);
+    let plan = FaultPlan::overriding(1, Bound::Unbounded);
+    let report = run(
+        cascades(&ins, 1),
+        Heap::new(2, 0),
+        &plan,
+        &mut Scripted::new(sequential_schedule(3, 2)),
+        &mut GreedyFault::new(plan.clone()),
+        RunConfig::default(),
+    );
+    let sim = checked_decisions(&report);
+
+    let ensemble = Arc::new(
+        FaultyCasArray::builder(2)
+            .faulty_first(1)
+            .per_object(Bound::Unbounded)
+            .policy(AlwaysPolicy)
+            .build(),
+    );
+    let blocking = CascadeConsensus::new(Arc::clone(&ensemble), 1);
+    let native = blocking_sequential(&blocking, &ins);
+    assert_eq!(sim, native);
+
+    let steps =
+        |h: &History| -> Vec<_> { h.events().iter().map(|e| (e.object, e.record)).collect() };
+    let native_history = ensemble.history();
+    assert_eq!(steps(&report.history), steps(&native_history));
+    assert_eq!(native_history.max_faults_per_object(), 2);
 }
 
 #[test]
