@@ -253,6 +253,10 @@ fn a_golden_file_is_input_too() {
         "not a golden-trace file",
     );
     replay(&dir.join("absent.json").to_string_lossy(), "cannot read");
+    // 200 KB of `[` once overflowed the parser's stack (exit 134).
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+    replay(&deep.to_string_lossy(), "not a golden-trace file");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -375,7 +375,7 @@ impl<P: FaultPolicy> FaultyCasArrayBuilder<P> {
     /// Not every fault kind is realizable over every inner object: an
     /// *arbitrary* fault swaps a full-width junk word in, which an
     /// inner object with a narrower value domain (e.g.
-    /// [`KwCas`](crate::KwCas), whose packed encoding holds inputs and
+    /// `ff_consensus::KwCas`, whose packed encoding holds inputs and
     /// `⊥` only) will refuse by panicking. Substrates declare which
     /// kinds they tolerate; configuration layers enforce it.
     pub fn over_cells(mut self, cells: Vec<Arc<dyn RawCas>>) -> Self {

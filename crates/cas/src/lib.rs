@@ -11,6 +11,10 @@
 //! instance, is emulated by an unconditional atomic `swap` — precisely the
 //! postcondition `R = val ∧ old = R'`.
 //!
+//! The CAS object built from consensus-number-1 primitives,
+//! `ff_consensus::KwCas`, lives with the step machines it is written
+//! as; its cells plug into the injector here through [`RawCas`].
+//!
 //! ```
 //! use ff_cas::{CasEnsemble, FaultyCasArray, AlwaysPolicy};
 //! use ff_spec::{Bound, ObjectId, BOTTOM};
@@ -35,7 +39,6 @@ pub mod atomic;
 pub mod budget;
 pub mod cell;
 pub mod faulty;
-pub mod kw;
 pub mod policy;
 pub mod raw;
 pub mod stats;
@@ -45,7 +48,6 @@ pub use atomic::{AtomicCas, AtomicCasArray};
 pub use budget::NativeBudget;
 pub use cell::{CasCell, CasEnsemble, EnsembleCell};
 pub use faulty::{set_thread_process_id, thread_process_id, FaultyCasArray, FaultyCasArrayBuilder};
-pub use kw::{KwCas, KwCasArray};
 pub use policy::{
     splitmix64, AlwaysPolicy, EveryNthPolicy, FaultPolicy, FirstKPolicy, NeverPolicy,
     ProbabilisticPolicy, ScriptedPolicy,

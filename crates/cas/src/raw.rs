@@ -6,7 +6,7 @@
 //! inner objects to [`AtomicCas`]. Making the inner surface a trait lets
 //! the same injection machinery — policies, `(f, t)` budgets,
 //! Definition-1 refunds — wrap *any* CAS implementation, in particular
-//! the [`KwCas`](crate::KwCas) object built from consensus-number-1
+//! the KW object `ff_consensus::KwCas` built from consensus-number-1
 //! primitives, so the paper's fault-tolerant constructions can be
 //! composed over weaker substrates (hierarchy corollary, §5.2).
 //!

@@ -55,6 +55,7 @@
 pub mod cascade;
 pub mod factory;
 pub mod herlihy;
+pub mod kw;
 pub mod machines;
 pub mod protocol;
 pub mod runner;
@@ -69,6 +70,7 @@ pub use factory::{
     build, recommend, NoConstruction, ProtocolKind, Recommendation, TOLERABLE_KINDS,
 };
 pub use herlihy::HerlihyConsensus;
+pub use kw::{KwBlock, KwCas, KwCasArray, KwOp, OverKw};
 pub use machines::{
     cascades, one_shots, silent_retries, staged as staged_machines, staged_with_max_stage,
     CascadeMachine, OneShotMachine, SilentRetryMachine, StagedMachine, TasConsensusMachine,

@@ -30,6 +30,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
+use ff_spec::{fnv1a, FNV_BASIS};
 use ff_store::{Store, StoreConfig};
 
 use crate::clock::SimClock;
@@ -166,15 +167,6 @@ impl Ord for Ev {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Everything a finished run reports.
@@ -355,7 +347,7 @@ impl Sim {
         let inc = self.incarnations.entry(role.clone()).or_insert(0);
         *inc += 1;
         let label = format!("{role}#{inc}");
-        let rng_label = splitmix64(fnv(&role)).wrapping_add(*inc);
+        let rng_label = splitmix64(fnv1a(FNV_BASIS, role.as_bytes())).wrapping_add(*inc);
         let rng = self.workload_rng.fork(rng_label);
         // The pid is taken even if the process never comes up: ids are
         // dense and appear in trace lines.

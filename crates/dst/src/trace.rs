@@ -27,6 +27,7 @@
 //! removing each survivor alone. The fixpoint is a 1-minimal fault set —
 //! the committed "golden trace" a regression test replays forever after.
 
+use ff_spec::{fnv1a, FNV_BASIS};
 use ff_workload::JsonValue;
 
 use crate::runner::RunReport;
@@ -197,18 +198,12 @@ impl Trace {
         &self.lines
     }
 
-    /// FNV-1a over every line — the determinism fingerprint.
+    /// FNV-1a over every line, each ended by `\n` — the determinism
+    /// fingerprint.
     pub fn hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for line in &self.lines {
-            for &b in line.as_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-            h ^= b'\n' as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        self.lines
+            .iter()
+            .fold(FNV_BASIS, |h, line| fnv1a(fnv1a(h, line.as_bytes()), b"\n"))
     }
 }
 

@@ -117,6 +117,11 @@ pub(crate) fn execute_step(
             let status = process.apply(OpResult::Read(val));
             (StepEffect::Advanced(status), None, false)
         }
+        Op::Rmw { reg, f, arg } => {
+            let old = heap.rmw_register(reg, f, arg);
+            let status = process.apply(OpResult::Read(old));
+            (StepEffect::Advanced(status), None, false)
+        }
         Op::Write(reg, val) => {
             heap.write_register(reg, val);
             let status = process.apply(OpResult::Write);
@@ -179,6 +184,8 @@ pub struct RunReport {
     /// step limit was hit or a process was blocked by a nonresponsive
     /// fault.
     pub completed: bool,
+    /// The shared memory as the execution left it.
+    pub heap: Heap,
 }
 
 /// Drive `processes` to completion over `heap` under `plan`.
@@ -267,6 +274,7 @@ pub fn run(
         trace,
         total_steps,
         completed,
+        heap,
     }
 }
 

@@ -5,7 +5,7 @@
 //! exhaustive explorer can snapshot and memoize execution states without
 //! any loss of precision.
 
-use crate::ops::FaultDecision;
+use crate::ops::{FaultDecision, RmwFn};
 use ff_spec::{CasRecord, ObjectId, Word, BOTTOM};
 
 /// Identifier of a read/write register (a separate namespace from the CAS
@@ -116,6 +116,13 @@ impl Heap {
     /// Write a register.
     pub fn write_register(&mut self, reg: RegId, val: Word) {
         self.registers[reg.0] = val;
+    }
+
+    /// Apply a read-modify-write to a register; returns its old content.
+    pub fn rmw_register(&mut self, reg: RegId, f: RmwFn, arg: Word) -> Word {
+        let old = self.registers[reg.0];
+        self.registers[reg.0] = f.apply(old, arg);
+        old
     }
 
     /// Overwrite a CAS cell directly — a *data fault* in the sense of
@@ -242,6 +249,15 @@ mod tests {
         h.write_register(RegId(1), 77);
         assert_eq!(h.read_register(RegId(1)), 77);
         assert_eq!(h.read_register(RegId(0)), 0);
+    }
+
+    #[test]
+    fn registers_read_modify_write() {
+        let mut h = Heap::new(0, 1);
+        assert_eq!(h.rmw_register(RegId(0), RmwFn::Add, 1), 0);
+        assert_eq!(h.rmw_register(RegId(0), RmwFn::Max, 9), 1);
+        assert_eq!(h.rmw_register(RegId(0), RmwFn::Or, 1 << 63), 9);
+        assert_eq!(h.read_register(RegId(0)), 9 | 1 << 63);
     }
 
     #[test]

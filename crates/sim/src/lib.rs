@@ -55,7 +55,7 @@ pub use fault_ctl::{
     ScriptedFault, StepDecision,
 };
 pub use heap::{Heap, RegId};
-pub use ops::{FaultDecision, Op, OpResult};
+pub use ops::{FaultDecision, Op, OpResult, RmwFn};
 pub use parallel::{default_threads, explore_parallel};
 pub use process::{Process, SoloDecider, Status};
 pub use scheduler::{RoundRobin, Scheduler, Scripted, SeededRandom, SoloFirst};

@@ -27,6 +27,17 @@ pub enum Op {
     Read(RegId),
     /// Write a read/write register.
     Write(RegId, Word),
+    /// `old ← f(reg, arg)`: a consensus-number-1 read-modify-write of a
+    /// register, answered with [`OpResult::Read`]`(old)`. Never faulty:
+    /// the explorer does not branch on it.
+    Rmw {
+        /// Target register.
+        reg: RegId,
+        /// The combining function.
+        f: RmwFn,
+        /// Its argument.
+        arg: Word,
+    },
     /// A purely local step (no shared-memory access).
     Local,
 }
@@ -38,6 +49,40 @@ impl Op {
             Op::Cas { obj, .. } => Some(*obj),
             _ => None,
         }
+    }
+}
+
+/// The read-modify-writes of [`Op::Rmw`]: each leaves `f(old, arg)` in
+/// the register.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum RmwFn {
+    /// Max-write: `max(old, arg)`.
+    Max,
+    /// Bitwise or — on one bit, a half-max: once set, never unset.
+    Or,
+    /// Wrapping add (a naming ticket).
+    Add,
+}
+
+impl RmwFn {
+    /// The register's content after the step.
+    #[inline]
+    pub fn apply(self, old: Word, arg: Word) -> Word {
+        match self {
+            RmwFn::Max => old.max(arg),
+            RmwFn::Or => old | arg,
+            RmwFn::Add => old.wrapping_add(arg),
+        }
+    }
+}
+
+impl std::fmt::Display for RmwFn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RmwFn::Max => "fetch_max",
+            RmwFn::Or => "fetch_or",
+            RmwFn::Add => "fetch_add",
+        })
     }
 }
 
@@ -98,7 +143,7 @@ pub enum OpResult {
         /// The value the operation reported as the previous content.
         old: Word,
     },
-    /// The value read from a register.
+    /// The value read from a register (for [`Op::Rmw`], its old content).
     Read(Word),
     /// A register write completed.
     Write,
@@ -133,6 +178,21 @@ mod tests {
         assert_eq!(op.cas_target(), Some(ObjectId(2)));
         assert_eq!(Op::Local.cas_target(), None);
         assert_eq!(Op::Read(RegId(0)).cas_target(), None);
+    }
+
+    #[test]
+    fn rmw_is_no_wider_than_cas() {
+        // Ops are copied on every step of every explored state.
+        assert_eq!(std::mem::size_of::<Op>(), 32);
+    }
+
+    #[test]
+    fn rmw_functions() {
+        assert_eq!(RmwFn::Max.apply(3, 7), 7);
+        assert_eq!(RmwFn::Max.apply(7, 3), 7);
+        assert_eq!(RmwFn::Or.apply(0b01, 0b10), 0b11);
+        assert_eq!(RmwFn::Add.apply(u64::MAX, 2), 1);
+        assert_eq!(RmwFn::Max.to_string(), "fetch_max");
     }
 
     #[test]

@@ -113,6 +113,9 @@ impl Trace {
                 Op::Write(reg, val) => {
                     let _ = write!(out, "write({reg}, {val})");
                 }
+                Op::Rmw { reg, f, arg } => {
+                    let _ = write!(out, "{f}({reg}, {arg:#x})");
+                }
                 Op::Local => {
                     let _ = write!(out, "local");
                 }
@@ -180,6 +183,20 @@ mod tests {
         assert!(text.contains("OVERRIDE FAULT"), "{text}");
         assert!(text.contains("DECIDES 5"), "{text}");
         assert!(text.contains("CAS(O0, ⊥, 5)"), "{text}");
+    }
+
+    #[test]
+    fn render_rmw() {
+        let mut t = Trace::new();
+        let mut e = cas_event(0, 0, false, None);
+        e.op = Op::Rmw {
+            reg: crate::heap::RegId(2),
+            f: crate::ops::RmwFn::Or,
+            arg: 1 << 63,
+        };
+        e.record = None;
+        t.push(e);
+        assert!(t.render().contains("fetch_or(r2, 0x8000000000000000)"));
     }
 
     #[test]

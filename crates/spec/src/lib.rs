@@ -35,6 +35,7 @@
 pub mod assertion;
 pub mod consensus_spec;
 pub mod fault;
+pub mod fnv;
 pub mod history;
 pub mod severity;
 pub mod tolerance;
@@ -44,6 +45,7 @@ pub mod value;
 pub use assertion::{conjunction, Assertion};
 pub use consensus_spec::{check_consensus, ConsensusVerdict, ConsensusViolation, Outcome};
 pub use fault::{classify_cas, CasClassification, FaultKind};
+pub use fnv::{fnv1a, FNV_BASIS};
 pub use history::{History, ObjectId, OpEvent, ProcessId};
 pub use severity::{
     data_fault_reduction, gracefully_degrades, Behavior, DataFaultClass, Responsiveness,

@@ -62,11 +62,10 @@
 
 use crate::cells::{FaultConfig, FaultKnob, KnobPolicy};
 use crate::ConfigError;
-use ff_cas::{
-    splitmix64, AtomicCasArray, CasEnsemble, EnsembleStats, FaultyCasArray, KwCasArray, RawCas,
-};
+use ff_cas::{splitmix64, AtomicCasArray, CasEnsemble, EnsembleStats, FaultyCasArray, RawCas};
 use ff_consensus::{
-    build, recommend, Consensus, NoConstruction, Recommendation, WafConsensus, TOLERABLE_KINDS,
+    build, recommend, Consensus, KwCasArray, NoConstruction, Recommendation, WafConsensus,
+    TOLERABLE_KINDS,
 };
 use ff_spec::{Bound, FaultKind};
 use std::str::FromStr;

@@ -78,6 +78,7 @@
 //! store that cannot persist refuses loudly instead of pretending.
 
 use crate::metrics::Histogram;
+use ff_spec::{fnv1a, FNV_BASIS};
 use ff_universal::{SlotRecord, SlotSink};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
@@ -98,15 +99,6 @@ const HEADER_LEN: usize = 12;
 /// Upper bound on one record body — rejects absurd lengths from
 /// corrupt headers before any allocation.
 pub const MAX_RECORD_LEN: usize = 1 << 22;
-
-/// FNV-1a 64 over a byte slice (the frame checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut d: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        d = (d ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    d
-}
 
 /// Durability knobs, part of [`StoreConfig`](crate::StoreConfig).
 #[derive(Clone, Debug, PartialEq)]
@@ -395,7 +387,7 @@ pub fn scan(bytes: &[u8]) -> WalScan {
         let Some(body) = rest.get(..len) else {
             return stop(out, off, "truncated body", bytes.len());
         };
-        if fnv1a(body) != u64::from_le_bytes(*checksum) {
+        if fnv1a(FNV_BASIS, body) != u64::from_le_bytes(*checksum) {
             return stop(out, off, "checksum mismatch", bytes.len());
         }
         match decode_body(body) {
@@ -470,7 +462,7 @@ fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     body(out);
     let (header, written) = out[start..].split_at_mut(HEADER_LEN);
     header[..4].copy_from_slice(&(written.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&fnv1a(written).to_le_bytes());
+    header[4..].copy_from_slice(&fnv1a(FNV_BASIS, written).to_le_bytes());
 }
 
 /// Append one decided slot to `out` as a framed record.

@@ -100,12 +100,7 @@ fn opid_sequence_wraps_across_checkpoints_and_recovery() {
     // Slot 0, proposed by the shard core's pid 0 at seq 2²² − 4; the
     // digest is the log's rolling FNV-1a over that one opid.
     let opid: u32 = (1 << 22) - 4;
-    let digest = opid
-        .to_le_bytes()
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |d, b| {
-            (d ^ *b as u64).wrapping_mul(0x100_0000_01b3)
-        });
+    let digest = ff_spec::fnv1a(ff_spec::FNV_BASIS, &opid.to_le_bytes());
     let record = ff_universal::SlotRecord::Single(ff_store::KvMap::put_op(1, 11));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(

@@ -40,7 +40,7 @@
 use crate::consensus_cell::CellFactory;
 use crate::object::Replicated;
 use ff_consensus::Consensus;
-use ff_spec::Input;
+use ff_spec::{fnv1a, Input, FNV_BASIS};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -113,21 +113,6 @@ impl Hasher for OpIdHasher {
 }
 
 type AnnounceTable = HashMap<u32, SlotRecord, BuildHasherDefault<OpIdHasher>>;
-
-/// FNV-1a basis for the rolling decided-opid digest.
-const DIGEST_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold one decided opid into a rolling FNV-1a digest. Replicas that
-/// applied the same decided sequence have equal digests; a cheap,
-/// O(1)-memory stand-in for comparing full applied logs once prefixes
-/// have been truncated.
-fn digest_step(digest: u64, opid: u32) -> u64 {
-    let mut d = digest;
-    for b in opid.to_le_bytes() {
-        d = (d ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    d
-}
 
 /// An announced operation record: a single encoded op word, or a
 /// combiner's batch of op words. A batch is decided by **one** consensus
@@ -763,8 +748,11 @@ pub struct Handle<T: Replicated> {
     /// The window as a set — only what [`UniversalLog::help_target`]
     /// asks, so only kept when helping is on.
     applied_set: Option<HashSet<u32>>,
-    /// Rolling FNV-1a digest over all decided opids of slots
-    /// `[0, next_slot)` (seeded from the snapshot digest on restore).
+    /// Rolling FNV-1a digest over all decided opids (little-endian) of
+    /// slots `[0, next_slot)`, seeded from the snapshot digest on
+    /// restore. Replicas that applied the same decided sequence have
+    /// equal digests: an O(1)-memory stand-in for comparing applied
+    /// logs once prefixes have been truncated.
     digest: u64,
     /// `(slot, digest)` at every checkpoint boundary this handle
     /// crossed (or was restored at).
@@ -790,7 +778,7 @@ impl<T: Replicated> Handle<T> {
         }
         let mut state = initial;
         let mut start_slot = 0;
-        let mut digest = DIGEST_BASIS;
+        let mut digest = FNV_BASIS;
         let mut boundary_digests = Vec::new();
         let mut watermark = None;
         if core.checkpoint_interval().is_some() {
@@ -881,7 +869,7 @@ impl<T: Replicated> Handle<T> {
     /// the digest, offer the slot to the durability sink, advance the
     /// watermark, and handle checkpoint-boundary crossings.
     fn after_apply(&mut self, decided: u32, record: &SlotRecord) {
-        self.digest = digest_step(self.digest, decided);
+        self.digest = fnv1a(self.digest, &decided.to_le_bytes());
         let applied_slot = self.next_slot;
         self.next_slot += 1;
         // Offer before the boundary handling below: the slot whose

@@ -117,6 +117,7 @@ impl JsonValue {
         let mut p = Parser {
             src: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -306,9 +307,17 @@ fn result_to_value(r: &ExperimentResult) -> JsonValue {
 
 use JsonValue as Value;
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth lets a file of `[`s overflow the stack;
+/// the deepest document the repo writes (`BENCH_substrates.json`)
+/// nests 7 levels.
+const MAX_DEPTH: usize = 512;
+
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -355,14 +364,28 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.peek() {
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// One array or object, refused past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, JsonError>,
+    ) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Value, JsonError> {
@@ -659,6 +682,17 @@ mod tests {
             };
         }
         assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // Unclosed, far past the limit: an error, not a stack overflow.
+        assert!(JsonValue::parse(&"[".repeat(100_000)).is_err());
+        assert!(JsonValue::parse(&"{\"k\":".repeat(100_000)).is_err());
     }
 }
 

@@ -3,17 +3,20 @@
 //! the simulator's `ff_sim::run` must decide identically on matched
 //! executions — fault-free and faulty.
 
-use functional_faults::cas::{AlwaysPolicy, AtomicCasArray, FaultyCasArray};
+use functional_faults::cas::{AlwaysPolicy, AtomicCasArray, CasCell, FaultyCasArray, RawCas};
+use functional_faults::consensus::kw::DEFAULT_EPOCH_CAPACITY;
+use functional_faults::consensus::machines::boxed;
 use functional_faults::consensus::{
-    cascades, one_shots, silent_retries, staged_machines, CascadeConsensus, Consensus,
-    HerlihyConsensus, SilentRetryConsensus, StagedConsensus,
+    cascades, one_shots, silent_retries, staged_machines, CascadeConsensus, CascadeMachine,
+    Consensus, HerlihyConsensus, KwBlock, KwCas, KwCasArray, KwOp, OverKw, SilentRetryConsensus,
+    StagedConsensus,
 };
 use functional_faults::sim::{
-    run, FaultPlan, GreedyFault, Heap, NeverFault, Process, RoundRobin, RunConfig, RunReport,
-    Scripted,
+    run, FaultPlan, GreedyFault, Heap, NeverFault, Op, OpResult, Process, RegId, RoundRobin,
+    RunConfig, RunReport, Scripted, Status,
 };
-use functional_faults::spec::{check_consensus, Bound, History, Input, ProcessId};
-use std::sync::Arc;
+use functional_faults::spec::{check_consensus, Bound, History, Input, ProcessId, Word, BOTTOM};
+use std::sync::{Arc, Mutex};
 
 fn inputs(n: usize) -> Vec<Input> {
     (0..n as u32).map(|i| Input(10 * (i + 1))).collect()
@@ -26,10 +29,19 @@ fn sim_decisions(
     objects: usize,
     schedule: Option<Vec<ProcessId>>,
 ) -> Vec<Input> {
+    sim_decisions_over(machines, Heap::new(objects, 0), schedule)
+}
+
+/// [`sim_decisions`] over a given initial heap.
+fn sim_decisions_over(
+    machines: Vec<Box<dyn Process>>,
+    heap: Heap,
+    schedule: Option<Vec<ProcessId>>,
+) -> Vec<Input> {
     let report = match schedule {
         Some(script) => run(
             machines,
-            Heap::new(objects, 0),
+            heap,
             &FaultPlan::none(),
             &mut Scripted::new(script),
             &mut NeverFault,
@@ -37,7 +49,7 @@ fn sim_decisions(
         ),
         None => run(
             machines,
-            Heap::new(objects, 0),
+            heap,
             &FaultPlan::none(),
             &mut RoundRobin::new(),
             &mut NeverFault,
@@ -157,6 +169,120 @@ fn silent_retry_forms_agree_sequentially() {
     let blocking = SilentRetryConsensus::new(Arc::new(AtomicCasArray::new(1)), 4);
     let native = blocking_sequential(&blocking, &ins);
     assert_eq!(sim, native);
+}
+
+/// KW operations run one after another under `ff_sim::run`, over the
+/// simulator's registers, logging what each returns.
+#[derive(Clone)]
+struct KwScript {
+    ops: Vec<KwOp>,
+    next: usize,
+    log: Arc<Mutex<Vec<Word>>>,
+}
+
+impl Process for KwScript {
+    fn next_op(&self) -> Op {
+        self.ops[self.next].next_op()
+    }
+
+    fn apply(&mut self, result: OpResult) -> Status {
+        let OpResult::Read(word) = result else {
+            panic!("kw steps answer with a word, not {result:?}");
+        };
+        if let Some(returned) = self.ops[self.next].apply(word) {
+            self.log.lock().unwrap().push(returned);
+            self.next += 1;
+        }
+        self.status()
+    }
+
+    fn status(&self) -> Status {
+        if self.next == self.ops.len() {
+            Status::Decided(Input(0))
+        } else {
+            Status::Running
+        }
+    }
+
+    fn input(&self) -> Input {
+        Input(0)
+    }
+
+    fn snapshot(&self) -> Vec<u64> {
+        let mut snap = vec![self.next as u64];
+        snap.extend(self.log.lock().unwrap().iter());
+        snap
+    }
+
+    fn box_clone(&self) -> Box<dyn Process> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn kw_forms_agree_on_matched_executions() {
+    // Hits and misses, a swap and a load: the native object and the
+    // simulator return the same words and leave X, the ticket and
+    // every D_k the same.
+    let native = KwCas::new();
+    let native_log = vec![
+        native.cas(BOTTOM, 5),
+        native.cas(BOTTOM, 9),
+        native.cas(5, 9),
+        native.cas(3, 4),
+        native.swap(11),
+        native.cas(11, 7),
+        native.cas(11, 8),
+        native.load(),
+    ];
+    assert_eq!(native_log, [BOTTOM, 5, 5, 9, 9, 11, 7, 7]);
+
+    let block = KwBlock::nth(0, DEFAULT_EPOCH_CAPACITY);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let script = KwScript {
+        ops: vec![
+            KwOp::cas(block, BOTTOM, 5),
+            KwOp::cas(block, BOTTOM, 9),
+            KwOp::cas(block, 5, 9),
+            KwOp::cas(block, 3, 4),
+            KwOp::swap(block, 11),
+            KwOp::cas(block, 11, 7),
+            KwOp::cas(block, 11, 8),
+            KwOp::load(block),
+        ],
+        next: 0,
+        log: Arc::clone(&log),
+    };
+    let report = run(
+        vec![Box::new(script)],
+        KwBlock::heap(1, DEFAULT_EPOCH_CAPACITY),
+        &FaultPlan::none(),
+        &mut RoundRobin::new(),
+        &mut NeverFault,
+        RunConfig::default(),
+    );
+    assert!(report.completed);
+    assert_eq!(*log.lock().unwrap(), native_log);
+    let sim_words: Vec<Word> = (0..report.heap.register_count())
+        .map(|i| report.heap.read_register(RegId(i)))
+        .collect();
+    assert_eq!(sim_words, native.words());
+}
+
+#[test]
+fn cascade_over_kw_forms_agree_sequentially() {
+    // kw-robust's fault-free path: the adapter expands each CAS of the
+    // cascade into KW steps; the blocking form runs it over KwCasArray.
+    let ins = inputs(3);
+    let sim = sim_decisions_over(
+        boxed(&ins, |v| {
+            OverKw::new(CascadeMachine::new(v, 1), DEFAULT_EPOCH_CAPACITY)
+        }),
+        KwBlock::heap(2, DEFAULT_EPOCH_CAPACITY),
+        Some(sequential_schedule(3, 100)),
+    );
+    let blocking = CascadeConsensus::new(Arc::new(KwCasArray::new(2)), 1);
+    assert_eq!(sim, blocking_sequential(&blocking, &ins));
 }
 
 #[test]
