@@ -138,7 +138,16 @@ pub(crate) struct Slot {
     state: AtomicU32,
     ops: Mutex<Vec<u64>>,
     results: Mutex<Vec<u64>>,
+    /// The owner's fast-path GET hits on this shard, on a cache line of
+    /// their own: only the owner writes it, so a hit never contends
+    /// with the shard's other readers (see [`ShardCore::fastpath_hits`]).
+    hits: OwnedCounter,
 }
+
+/// A counter on its own cache lines.
+#[derive(Default)]
+#[repr(align(128))]
+struct OwnedCounter(AtomicU64);
 
 impl Slot {
     fn new() -> Arc<Self> {
@@ -146,13 +155,15 @@ impl Slot {
             state: AtomicU32::new(EMPTY),
             ops: Mutex::new(Vec::new()),
             results: Mutex::new(Vec::new()),
+            hits: OwnedCounter::default(),
         })
     }
 }
 
 /// One shard core's counters, on cache lines of their own: a combine
-/// pass or a fast-path GET on one shard never writes a line another
-/// shard's threads are writing.
+/// pass or a fast-path miss on one shard never writes a line another
+/// shard's threads are writing. (Fast-path hits, the hottest count,
+/// go to the reader's own [`Slot`].)
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct ShardCombineStats {
@@ -160,7 +171,8 @@ struct ShardCombineStats {
     combined_ops: AtomicU64,
     batch_sizes: Histogram,
     max_batch: AtomicU64,
-    fastpath_hits: AtomicU64,
+    /// Hits of unregistered clients; live ones count in their slots.
+    retired_hits: AtomicU64,
     fastpath_misses: AtomicU64,
     reclaims: AtomicU64,
 }
@@ -189,21 +201,20 @@ impl CombineStats {
         stats.max_batch.fetch_max(ops as u64, Ordering::Relaxed);
     }
 
-    fn record_fastpath(&self, shard: usize, hit: bool) {
-        let stats = &self.shards[shard];
-        if hit {
-            stats.fastpath_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.fastpath_misses.fetch_add(1, Ordering::Relaxed);
-        }
+    fn record_fastpath_miss(&self, shard: usize) {
+        self.shards[shard]
+            .fastpath_misses
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     fn record_reclaim(&self, shard: usize) {
         self.shards[shard].reclaims.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Point-in-time snapshot, summed over shards.
-    pub fn snapshot(&self) -> CombineSnapshot {
+    /// Point-in-time snapshot, summed over shards. `live_hits` is the
+    /// fast-path hits the registered clients' slots hold (the store
+    /// sums them with [`ShardCore::fastpath_hits`]).
+    pub(crate) fn snapshot(&self, live_hits: u64) -> CombineSnapshot {
         let sum = |counter: fn(&ShardCombineStats) -> &AtomicU64| -> u64 {
             self.shards
                 .iter()
@@ -232,7 +243,7 @@ impl CombineStats {
                 .map(|s| s.max_batch.load(Ordering::Relaxed))
                 .max()
                 .unwrap_or(0),
-            fastpath_hits: sum(|s| &s.fastpath_hits),
+            fastpath_hits: live_hits + sum(|s| &s.retired_hits),
             fastpath_misses: sum(|s| &s.fastpath_misses),
             reclaims: sum(|s| &s.reclaims),
         }
@@ -403,9 +414,24 @@ impl ShardCore {
     }
 
     /// Remove a dropped client's slot (it must be `EMPTY` — calls are
-    /// synchronous, so a live call pins the client).
+    /// synchronous, so a live call pins the client), keeping its hits.
     pub(crate) fn unregister(&self, slot: &Arc<Slot>) {
-        self.slots.write().retain(|s| !Arc::ptr_eq(s, slot));
+        let mut slots = self.slots.write();
+        slots.retain(|s| !Arc::ptr_eq(s, slot));
+        // Under the registry lock, so a concurrent sum sees the hits
+        // either in the slot or in the retired total, never both.
+        self.stats.shards[self.shard]
+            .retired_hits
+            .fetch_add(slot.hits.0.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    /// Fast-path hits of the clients registered on this shard.
+    pub(crate) fn fastpath_hits(&self) -> u64 {
+        self.slots
+            .read()
+            .iter()
+            .map(|s| s.hits.0.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Run `f` over the core replica, caught up to the end of the
@@ -445,7 +471,7 @@ impl ShardCore {
     /// falls back to the combined path); divergence evidence surfaces
     /// as `Some(Err(shard))` so a corrupted shard refuses rather than
     /// answering from a broken log.
-    pub(crate) fn fast_get(&self, key: u32) -> Option<Result<Option<u32>, usize>> {
+    pub(crate) fn fast_get(&self, mine: &Slot, key: u32) -> Option<Result<Option<u32>, usize>> {
         if self.log.divergence_detected() {
             return Some(Err(self.shard));
         }
@@ -457,11 +483,11 @@ impl ShardCore {
         let tail = self.log.slots_created();
         let replica = self.replica.read();
         if replica.handle.applied_to() >= tail {
-            self.stats.record_fastpath(self.shard, true);
+            mine.hits.0.fetch_add(1, Ordering::Relaxed);
             Some(Ok(replica.handle.state().peek(key)))
         } else {
             drop(replica);
-            self.stats.record_fastpath(self.shard, false);
+            self.stats.record_fastpath_miss(self.shard);
             None
         }
     }

@@ -691,7 +691,8 @@ impl Store {
     /// a compatibility vestige (the benchmark package `.expect`s it) —
     /// remove with the next `benchmark` PR.
     pub fn combine_snapshot(&self) -> Option<CombineSnapshot> {
-        Some(self.combine.stats.snapshot())
+        let live_hits = self.combine.cores.iter().map(|c| c.fastpath_hits()).sum();
+        Some(self.combine.stats.snapshot(live_hits))
     }
 
     #[cfg(test)]
@@ -703,8 +704,9 @@ impl Store {
     /// check it against a fresh observer's replay, shard by shard. Safe
     /// while clients run: a shard is audited under its core's replica
     /// lock, so its combiners and fast-path readers wait out the replay
-    /// (a snapshot restore plus at most one checkpoint interval of
-    /// slots) — `ff-net`'s event loops call it between runs. The
+    /// (a snapshot restore, its suffix — fewer ops than the base has
+    /// words — and at most one checkpoint interval of slots) —
+    /// `ff-net`'s event loops call it between runs. The
     /// observer is the one reader of cells the core decided alone: junk
     /// a faulty cell *stored* raises the log's divergence flag here, and
     /// the shard refuses from then on. `_clients` is unused; the
@@ -733,6 +735,7 @@ impl Store {
                         retained_len: log.retained_len(),
                         truncated_prefix: log.truncated_prefix(),
                         checkpoints: log.checkpoints_installed(),
+                        snapshots_encoded: log.snapshots_encoded(),
                         entries: observer.state().len(),
                     }
                 })
@@ -944,8 +947,9 @@ impl StoreClient {
     /// `None` when freshness is unprovable (fall back to the combined
     /// path), `Some(Err)` on divergence evidence.
     pub fn fast_read(&self, key: u32) -> Option<Result<Option<u32>, StoreError>> {
-        self.layer.cores[self.shard_for(key)]
-            .fast_get(key)
+        let s = self.shard_for(key);
+        self.layer.cores[s]
+            .fast_get(&self.slots[s], key)
             .map(|r| r.map_err(|shard| StoreError::Divergence { shard }))
     }
 }
@@ -1029,6 +1033,9 @@ pub struct ShardConsistency {
     pub truncated_prefix: usize,
     /// Snapshots installed.
     pub checkpoints: u64,
+    /// Replica encodes behind them (see
+    /// [`UniversalLog::snapshots_encoded`](ff_universal::UniversalLog::snapshots_encoded)).
+    pub snapshots_encoded: u64,
     /// Map entries at the end.
     pub entries: usize,
 }

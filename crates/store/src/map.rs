@@ -99,7 +99,8 @@ impl Replicated for KvMap {
     }
 
     fn encode_snapshot(&self) -> Option<Vec<u64>> {
-        let mut words = vec![self.entries.len() as u64];
+        let mut words = Vec::with_capacity(1 + self.entries.len());
+        words.push(self.entries.len() as u64);
         words.extend(
             self.entries
                 .iter()
@@ -125,6 +126,9 @@ impl Replicated for KvMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ff_universal::{Cells, Handle, UniversalLog};
+    use proptest::prelude::*;
+    use std::sync::Arc;
 
     #[test]
     fn map_semantics() {
@@ -176,5 +180,69 @@ mod tests {
     #[should_panic(expected = "exceeds 28 bits")]
     fn oversized_key_rejected() {
         let _ = KvMap::put_op(KV_MAX + 1, 0);
+    }
+
+    /// A log over reliable cells checkpointing every `interval` slots.
+    fn checkpointed_log(interval: usize) -> Arc<UniversalLog> {
+        Arc::new(UniversalLog::new(Arc::new(Cells::reliable())).checkpoint_every(interval))
+    }
+
+    /// A handle created now (snapshot base + suffix, then the tail)
+    /// must match `writer` at the same slot.
+    fn assert_fresh_replica_matches(log: &Arc<UniversalLog>, writer: &Handle<KvMap>) {
+        let mut fresh = Handle::new(Arc::clone(log), 1, KvMap::default());
+        fresh.catch_up();
+        assert_eq!(fresh.applied_to(), writer.applied_to());
+        assert_eq!(fresh.state(), writer.state(), "restored map differs");
+        assert_eq!(fresh.digest(), writer.digest());
+    }
+
+    #[test]
+    fn distinct_puts_encode_a_few_bases_not_one_per_boundary() {
+        // One shard's share of the large-read preload: 10,922 distinct
+        // puts, one slot each, interval 64 — 170 boundaries. The base is
+        // re-encoded only when the suffix's ops reach its word count, so
+        // it doubles at each encode.
+        let interval = 64;
+        let log = checkpointed_log(interval);
+        let mut h = Handle::new(Arc::clone(&log), 0, KvMap::default());
+        for k in 0..10_922 {
+            h.invoke(KvMap::put_op(k, k));
+            assert!(log.retained_len() <= 2 * interval);
+        }
+        assert_eq!(log.checkpoints_installed(), 170);
+        assert!(
+            log.snapshots_encoded() <= 10,
+            "{} encodes",
+            log.snapshots_encoded()
+        );
+        assert_fresh_replica_matches(&log, &h);
+    }
+
+    fn kv_op() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (0u32..512_000).prop_map(|x| KvMap::put_op(x % 512, x / 512)),
+            (0u32..512_000).prop_map(|x| KvMap::put_op(x % 512, x / 512)),
+            (0u32..512).prop_map(KvMap::del_op),
+            (0u32..512).prop_map(KvMap::get_op),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn restored_maps_match_full_replay(
+            ops in proptest::collection::vec(kv_op(), 0..600),
+            batch in 1usize..9,
+            interval in 2usize..9,
+        ) {
+            let log = checkpointed_log(interval);
+            let mut writer = Handle::new(Arc::clone(&log), 0, KvMap::default());
+            for chunk in ops.chunks(batch) {
+                writer.invoke_many(chunk);
+            }
+            assert_fresh_replica_matches(&log, &writer);
+        }
     }
 }

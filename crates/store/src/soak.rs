@@ -125,6 +125,9 @@ pub struct ShardVerdict {
     pub truncated: usize,
     /// Snapshots installed.
     pub checkpoints: u64,
+    /// Replica encodes behind them (a snapshot is a base plus the
+    /// records since it, so far fewer than `checkpoints` on a large map).
+    pub snapshots_encoded: u64,
 }
 
 impl SoakReport {
@@ -138,6 +141,7 @@ impl SoakReport {
                 ("end_slot", v.end_slot.into()),
                 ("truncated", v.truncated.into()),
                 ("checkpoints", v.checkpoints.into()),
+                ("snapshots_encoded", v.snapshots_encoded.into()),
             ])
         };
         let c = &self.config;
@@ -408,6 +412,7 @@ pub fn try_run_soak(config: &SoakConfig) -> Result<SoakReport, RecoverError> {
             end_slot: s.end_slot,
             truncated: s.truncated_prefix,
             checkpoints: s.checkpoints,
+            snapshots_encoded: s.snapshots_encoded,
         })
         .collect();
     let snapshot = metrics

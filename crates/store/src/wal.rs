@@ -14,8 +14,9 @@
 //! The log calls the two [`SlotSink`] methods under the shard's replica
 //! write lock and its durable-cursor lock, so they only touch memory:
 //! `slot_decided` encodes the frame onto the shard's buffer,
-//! `checkpoint_installed` decides whether a rotation pays, drops the
-//! covered prefix and stashes the encoded file image. Every
+//! `checkpoint_installed` decides whether a rotation pays — only then
+//! asking the log to encode the snapshot — drops the covered prefix
+//! and stashes the encoded file image. Every
 //! [`WalMedia`] call is made by one routine, under the shard's **I/O
 //! lock** and no other: the crate-private `ShardWal::settle` runs it
 //! after the combiner has let go of the replica, [`ShardWal::flush`]
@@ -79,7 +80,7 @@
 
 use crate::metrics::Histogram;
 use ff_spec::{fnv1a, FNV_BASIS};
-use ff_universal::{SlotRecord, SlotSink};
+use ff_universal::{CheckpointWords, SlotRecord, SlotSink};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -837,7 +838,7 @@ impl SlotSink for ShardWal {
         }
     }
 
-    fn checkpoint_installed(&self, slot: usize, digest: u64, words: &[u64]) {
+    fn checkpoint_installed(&self, slot: usize, digest: u64, words: &CheckpointWords<'_>) {
         let mut inner = self.inner.lock();
         if inner.error.is_some() {
             return;
@@ -854,9 +855,15 @@ impl SlotSink for ShardWal {
         // outweigh the snapshot it writes; skipped boundaries cost
         // nothing (the snapshot is not even encoded) — recovery replays
         // the longer tail from the last checkpoint that *did* reach the
-        // file.
-        let ckpt_len = checkpoint_frame_len(words.len());
+        // file. `rotate_cost` alone is a bound the snapshot's size only
+        // raises, so it is checked before asking for the words; the
+        // exact check follows with their length.
         let (_, reclaimed) = inner.frames.below(slot);
+        if reclaimed < self.rotate_cost {
+            return;
+        }
+        let words = words.get();
+        let ckpt_len = checkpoint_frame_len(words.len());
         if reclaimed < ckpt_len.saturating_add(self.rotate_cost) {
             return;
         }
@@ -1015,6 +1022,18 @@ mod tests {
         }
     }
 
+    /// Report a checkpoint at `slot` whose snapshot is `words`;
+    /// returns whether the writer asked for them.
+    fn install(wal: &ShardWal, slot: usize, digest: u64, words: &[u64]) -> bool {
+        let asked = std::cell::Cell::new(false);
+        let encode = || {
+            asked.set(true);
+            Arc::new(words.to_vec())
+        };
+        wal.checkpoint_installed(slot, digest, &CheckpointWords::lazy(&encode));
+        asked.get()
+    }
+
     /// The file's checkpoint slot (if it starts with one) and the slots
     /// of the records after it; the file must scan clean.
     fn file_slots(media: &Arc<dyn WalMedia>) -> (Option<usize>, Vec<usize>) {
@@ -1042,7 +1061,7 @@ mod tests {
         // 6 records, group commit 4: one fsync so far, 2 pending.
         assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 1);
         assert_eq!(file_slots(&media), (None, vec![0, 1, 2, 3]));
-        wal.checkpoint_installed(4, 0xabc, &[1, 2]);
+        install(&wal, 4, 0xabc, &[1, 2]);
         // The sink only stashes the rotation; the file is as it was.
         assert_eq!(file_slots(&media), (None, vec![0, 1, 2, 3]));
         wal.settle();
@@ -1051,7 +1070,7 @@ mod tests {
         assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 2);
         assert_eq!(stats.checkpoints.load(Ordering::Relaxed), 1);
         // A stale (older) checkpoint must not roll the file back.
-        wal.checkpoint_installed(2, 0xdef, &[3]);
+        install(&wal, 2, 0xdef, &[3]);
         wal.settle();
         assert_eq!(file_slots(&media), (Some(4), vec![4, 5]));
         // The rotation made the two pending records durable: the next
@@ -1059,6 +1078,32 @@ mod tests {
         sink_slots(&wal, 6..10, true);
         assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 3);
         assert_eq!(file_slots(&media), (Some(4), vec![4, 5, 6, 7, 8, 9]));
+        assert!(wal.error().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_writer_encodes_a_snapshot_only_when_a_rotation_can_pay() {
+        // Rotate cost 200 B: a single-op slot frame is 41 B, so five
+        // covered slots reclaim 205 B — past the cost, but not past the
+        // cost plus a 3-word checkpoint frame (57 B); seven (287 B) pay.
+        let (dir, media, stats, _) = test_writer("lazy");
+        let wal = ShardWal::new(Arc::clone(&media), 0, 64, 200, Arc::clone(&stats));
+        sink_slots(&wal, 0..7, false);
+        let frame = encode_slot(0, 0, 0, &SlotRecord::Single(0)).len();
+        assert_eq!(frame, 41);
+        assert!(!install(&wal, 4, 0x1, &[1, 2, 3]), "4 slots reclaim < cost");
+        assert!(install(&wal, 5, 0x2, &[1, 2, 3]), "5 slots pass the bound");
+        assert!(wal.inner.lock().rotation.is_none(), "but do not pay");
+        assert!(install(&wal, 7, 0x3, &[1, 2, 3]));
+        wal.flush();
+        assert_eq!(file_slots(&media), (Some(7), vec![]));
+        assert_eq!(stats.checkpoints.load(Ordering::Relaxed), 1);
+        // Rotated at 7: the next boundaries reclaim nothing until more
+        // slots arrive, and never ask.
+        sink_slots(&wal, 7..9, false);
+        assert!(!install(&wal, 8, 0x4, &[1, 2, 3]));
+        assert!(!install(&wal, 6, 0x5, &[1, 2, 3]), "stale checkpoint");
         assert!(wal.error().is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1078,7 +1123,7 @@ mod tests {
         assert_eq!(file_slots(&media), (None, (0..8).collect()));
         // A rotation and three more records sit in memory...
         sink_slots(&wal, 8..10, false);
-        wal.checkpoint_installed(8, 0xabc, &[1, 2]);
+        install(&wal, 8, 0xabc, &[1, 2]);
         sink_slots(&wal, 10..11, false);
         assert_eq!(file_slots(&media), (None, (0..8).collect()));
         // ...until flush: the rotation first, then the record behind it.

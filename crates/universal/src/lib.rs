@@ -36,8 +36,8 @@ pub mod structures;
 
 pub use consensus_cell::{CellFactory, Cells};
 pub use log::{
-    digests_consistent, log_windows_consistent, logs_consistent, Handle, OpId, SlotRecord,
-    SlotSink, UniversalLog,
+    digests_consistent, log_windows_consistent, logs_consistent, CheckpointWords, Handle, OpId,
+    SlotRecord, SlotSink, UniversalLog,
 };
 pub use object::{encoding, Replicated};
 pub use structures::{Counter, FifoQueue, RegisterObject, EMPTY};

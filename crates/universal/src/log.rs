@@ -24,7 +24,16 @@
 //! An append-only log grows without bound. With
 //! [`UniversalLog::checkpoint_every`] the log periodically replaces its
 //! decided prefix by a snapshot and frees the prefix's cells and
-//! announce entries. The subtlety is that *truncation must itself be
+//! announce entries. A snapshot is an encoded **base** plus the records
+//! decided since it (the **suffix**): Herlihy's construction defines a
+//! replica's state as the replay of the decided log, so replaying the
+//! suffix over the base *is* the state at the snapshot slot, and the
+//! base need not be re-encoded at every boundary. The log re-encodes a
+//! live replica only once the suffix holds at least as many ops as the
+//! base has words, so encoding costs amortised O(1) words per op
+//! however large the state; a durability sink that encodes the replica
+//! itself (see [`CheckpointWords`]) hands its words back as the new
+//! base. The subtlety is that *truncation must itself be
 //! agreed on*: if replicas disagreed about which prefix was dropped,
 //! a replica could silently skip (or re-apply) operations. So every
 //! checkpoint boundary is decided by a dedicated **boundary consensus
@@ -42,6 +51,7 @@ use crate::object::Replicated;
 use ff_consensus::Consensus;
 use ff_spec::{fnv1a, Input, FNV_BASIS};
 use parking_lot::Mutex;
+use std::cell::OnceCell;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -133,6 +143,41 @@ pub enum SlotRecord {
     Batch(Arc<[u64]>),
 }
 
+impl SlotRecord {
+    /// The record's op words, in apply order.
+    pub fn ops(&self) -> &[u64] {
+        match self {
+            SlotRecord::Single(w) => std::slice::from_ref(w),
+            SlotRecord::Batch(ws) => ws,
+        }
+    }
+}
+
+/// The [`Replicated::encode_snapshot`] words of an installed checkpoint,
+/// encoded only if a sink asks for them. The installing replica is at
+/// exactly the checkpoint slot while the sink runs, so [`Self::get`]
+/// encodes it then (unless the log already did at this boundary) and
+/// the words become the log's new snapshot base.
+pub struct CheckpointWords<'a> {
+    words: OnceCell<Arc<Vec<u64>>>,
+    encode: &'a dyn Fn() -> Arc<Vec<u64>>,
+}
+
+impl<'a> CheckpointWords<'a> {
+    /// Words that `encode` produces on the first [`Self::get`].
+    pub fn lazy(encode: &'a dyn Fn() -> Arc<Vec<u64>>) -> Self {
+        CheckpointWords {
+            words: OnceCell::new(),
+            encode,
+        }
+    }
+
+    /// The snapshot words, encoded on the first call.
+    pub fn get(&self) -> &[u64] {
+        self.words.get_or_init(self.encode)
+    }
+}
+
 /// Receives the decided log as it becomes final: every decided slot
 /// exactly once, in slot order, plus every installed checkpoint — the
 /// seam a write-ahead log plugs into. Implementations must not call
@@ -144,11 +189,12 @@ pub trait SlotSink: Send + Sync {
     fn slot_decided(&self, slot: usize, opid: u32, record: &SlotRecord, digest_after: u64);
 
     /// A checkpoint snapshot covering slots `[0, slot)` was installed,
-    /// carrying `digest` over the covered prefix and the
-    /// [`Replicated::encode_snapshot`] words. Called after every slot
-    /// below `slot` has been delivered via
-    /// [`SlotSink::slot_decided`].
-    fn checkpoint_installed(&self, slot: usize, digest: u64, words: &[u64]);
+    /// carrying `digest` over the covered prefix. Called at every
+    /// installed boundary, after every slot below `slot` has been
+    /// delivered via [`SlotSink::slot_decided`]. `words` encodes the
+    /// snapshot only when asked: a sink that lets the boundary pass
+    /// costs no encode (and may call back into the log through it).
+    fn checkpoint_installed(&self, slot: usize, digest: u64, words: &CheckpointWords<'_>);
 }
 
 /// Exactly-once, in-order delivery state for the [`SlotSink`]: slots
@@ -171,22 +217,49 @@ struct CellChain {
     cells: Vec<Arc<dyn Consensus>>,
 }
 
-/// The latest installed checkpoint.
+/// The latest installed checkpoint: an encoded base plus the records
+/// decided since it, which replayed over the base give the state at
+/// `slot`.
 struct Snapshot {
     /// First slot NOT covered by the snapshot (replicas resume here).
     slot: usize,
     /// Rolling digest over the decided opids of slots `[0, slot)`.
     digest: u64,
-    /// The [`Replicated::encode_snapshot`] words.
-    words: Arc<Vec<u64>>,
+    /// The [`Replicated::encode_snapshot`] words of the state at slot
+    /// `slot - suffix.len()`.
+    base: Arc<Vec<u64>>,
+    /// The records of slots `[slot - suffix.len(), slot)`, in order.
+    suffix: Vec<SlotRecord>,
+    /// Ops in `suffix`: once they reach `base.len()`, the next install
+    /// re-encodes the base.
+    suffix_ops: usize,
     /// Opids decided below `slot` whose announce entries can be freed
     /// once every live handle has passed `slot`.
     retired: Vec<u32>,
 }
 
-/// What a registering handle bootstraps from: the snapshot's slot, its
-/// rolling digest, and the encoded state words.
-type SnapshotView = (usize, u64, Arc<Vec<u64>>);
+impl Snapshot {
+    /// A snapshot at `slot` whose base is `words`, with nothing to replay.
+    fn encoded(slot: usize, digest: u64, words: Vec<u64>) -> Self {
+        Snapshot {
+            slot,
+            digest,
+            base: Arc::new(words),
+            suffix: Vec::new(),
+            suffix_ops: 0,
+            retired: Vec::new(),
+        }
+    }
+}
+
+/// What a registering handle bootstraps from: the snapshot's slot and
+/// rolling digest, its base words and the suffix to replay over them.
+struct SnapshotView {
+    slot: usize,
+    digest: u64,
+    base: Arc<Vec<u64>>,
+    suffix: Vec<SlotRecord>,
+}
 
 /// Checkpoint bookkeeping, all under one lock so snapshot reads and
 /// watermark registration are atomic with respect to truncation.
@@ -201,6 +274,8 @@ struct CheckpointState {
     /// time. A stale (lower) read only delays truncation.
     watermarks: Vec<Arc<AtomicUsize>>,
     installed: u64,
+    /// Replica encodes, by the log or through [`CheckpointWords`].
+    encoded: u64,
 }
 
 /// The shared core: the cell chain plus the announce table.
@@ -272,11 +347,13 @@ impl UniversalLog {
 
     /// Enable checkpointing: every `interval` decided slots, replicas
     /// agree (through a boundary consensus cell) on a snapshot slot,
-    /// the first replica to cross it installs a
-    /// [`Replicated::encode_snapshot`] of its state, and the decided
-    /// prefix is freed once every live handle has passed the slot. The
-    /// replica type driving the log must support snapshots. Configure
-    /// before creating handles.
+    /// the first replica to cross it installs the snapshot — extending
+    /// the suffix with the interval's records, or re-encoding its state
+    /// as a fresh [`Replicated::encode_snapshot`] base once the suffix
+    /// holds as many ops as the base has words — and the decided prefix
+    /// is freed once every live handle has passed the slot. The replica
+    /// type driving the log must support snapshots. Configure before
+    /// creating handles.
     pub fn checkpoint_every(mut self, interval: usize) -> Self {
         assert!(interval >= 2, "checkpoint interval must be at least 2");
         self.interval = Some(interval);
@@ -479,10 +556,47 @@ impl UniversalLog {
 
     /// Deliver an installed checkpoint to the sink (called by the
     /// installing handle after [`Self::observe_boundary`] returns, so
-    /// no checkpoint lock is held).
-    fn emit_checkpoint(&self, slot: usize, digest: u64, words: &[u64]) {
-        if let Some(sink) = self.sink.get() {
-            sink.checkpoint_installed(slot, digest, words);
+    /// no checkpoint lock is held). `words` is filled if the install
+    /// encoded; otherwise `encode` encodes the installing replica, which
+    /// sits at exactly `slot`, should the sink ask.
+    fn emit_checkpoint(
+        &self,
+        slot: usize,
+        digest: u64,
+        words: OnceCell<Arc<Vec<u64>>>,
+        encode: &dyn Fn() -> Option<Vec<u64>>,
+    ) {
+        let Some(sink) = self.sink.get() else {
+            return;
+        };
+        let encode_base = || {
+            let words = Arc::new(encode_or_panic(encode));
+            self.adopt_base(slot, &words);
+            words
+        };
+        let view = CheckpointWords {
+            words,
+            encode: &encode_base,
+        };
+        sink.checkpoint_installed(slot, digest, &view);
+    }
+
+    /// A sink encoded the replica that installed the checkpoint at
+    /// `slot`: make its words the snapshot base, dropping the suffix
+    /// records they cover (a later install may already have extended
+    /// the suffix past `slot`).
+    fn adopt_base(&self, slot: usize, words: &Arc<Vec<u64>>) {
+        let mut ckpt = self.ckpt.lock();
+        ckpt.encoded += 1;
+        let Some(snap) = ckpt.snapshot.as_mut() else {
+            return;
+        };
+        let base_slot = snap.slot - snap.suffix.len();
+        if base_slot < slot && slot <= snap.slot {
+            for record in snap.suffix.drain(..slot - base_slot) {
+                snap.suffix_ops -= record.ops().len();
+            }
+            snap.base = Arc::clone(words);
         }
     }
 
@@ -517,12 +631,7 @@ impl UniversalLog {
             "recovered snapshots must install before any handle exists"
         );
         ckpt.boundary_digests.push((slot, digest));
-        ckpt.snapshot = Some(Snapshot {
-            slot,
-            digest,
-            words: Arc::new(words),
-            retired: Vec::new(),
-        });
+        ckpt.snapshot = Some(Snapshot::encoded(slot, digest, words));
         ckpt.installed += 1;
         drop(ckpt);
         self.durable.lock().next = slot;
@@ -582,6 +691,14 @@ impl UniversalLog {
         self.ckpt.lock().installed
     }
 
+    /// Number of times a replica was encoded for a snapshot base: by
+    /// the log when the suffix outgrew the base, or by a sink through
+    /// [`CheckpointWords::get`]. At most one per installed checkpoint,
+    /// and far fewer once the state is large.
+    pub fn snapshots_encoded(&self) -> u64 {
+        self.ckpt.lock().encoded
+    }
+
     /// Has any evidence of broken cells been observed? (A boundary cell
     /// deciding a foreign value, replicas crossing a boundary with
     /// different digests, or a decided-but-never-announced opid.) Once
@@ -602,11 +719,13 @@ impl UniversalLog {
     /// it).
     fn register_handle(&self) -> (Arc<AtomicUsize>, Option<SnapshotView>) {
         let mut ckpt = self.ckpt.lock();
-        let snap = ckpt
-            .snapshot
-            .as_ref()
-            .map(|s| (s.slot, s.digest, Arc::clone(&s.words)));
-        let start = snap.as_ref().map_or(0, |(slot, _, _)| *slot);
+        let snap = ckpt.snapshot.as_ref().map(|s| SnapshotView {
+            slot: s.slot,
+            digest: s.digest,
+            base: Arc::clone(&s.base),
+            suffix: s.suffix.clone(),
+        });
+        let start = snap.as_ref().map_or(0, |view| view.slot);
         let watermark = Arc::new(AtomicUsize::new(start));
         ckpt.watermarks.push(Arc::clone(&watermark));
         (watermark, snap)
@@ -622,9 +741,9 @@ impl UniversalLog {
     /// A handle crossed the agreed boundary at `slot` carrying `digest`
     /// over its applied opids: check agreement with other crossers,
     /// install the snapshot if this is the first crosser, and attempt
-    /// physical truncation. Returns the installed snapshot words when
-    /// *this* call installed (the caller then notifies the durability
-    /// sink outside this lock).
+    /// physical truncation. Returns `Some` when *this* call installed
+    /// (the caller then notifies the durability sink outside this
+    /// lock), holding the words if the install encoded a new base.
     fn observe_boundary(
         &self,
         slot: usize,
@@ -632,7 +751,7 @@ impl UniversalLog {
         start_slot: usize,
         applied: &[u32],
         encode: &dyn Fn() -> Option<Vec<u64>>,
-    ) -> Option<Arc<Vec<u64>>> {
+    ) -> Option<OnceCell<Arc<Vec<u64>>>> {
         let mut ckpt = self.ckpt.lock();
         match ckpt.boundary_digests.iter().find(|(s, _)| *s == slot) {
             Some((_, d)) if *d != digest => {
@@ -644,34 +763,51 @@ impl UniversalLog {
             Some(_) => {}
             None => ckpt.boundary_digests.push((slot, digest)),
         }
-        let mut installed_words = None;
+        let mut installed = None;
         if ckpt.snapshot.as_ref().is_none_or(|s| s.slot < slot) {
-            let words = encode().unwrap_or_else(|| {
-                panic!(
-                    "checkpointing requires snapshot support: the replica type \
-                     returned None from Replicated::encode_snapshot"
-                )
-            });
             // Snapshots install in boundary order (a handle crossing
             // this boundary crossed every earlier one first), so the
             // previous snapshot slot is within this handle's applied
-            // range and the newly retired opids are exactly the slots
-            // between the two snapshots.
+            // range and the interval's opids are exactly the slots
+            // between the two snapshots. Their announce entries are
+            // retired only below the *previous* snapshot, so every one
+            // still resolves.
             let prev = ckpt.snapshot.as_ref().map_or(0, |s| s.slot);
-            let mut retired = ckpt.snapshot.take().map_or_else(Vec::new, |s| s.retired);
-            retired.extend_from_slice(&applied[prev - start_slot..slot - start_slot]);
-            let words = Arc::new(words);
-            installed_words = Some(Arc::clone(&words));
-            ckpt.snapshot = Some(Snapshot {
-                slot,
-                digest,
-                words,
-                retired,
-            });
+            let interval = &applied[prev - start_slot..slot - start_slot];
+            let words = OnceCell::new();
+            let CheckpointState {
+                snapshot, encoded, ..
+            } = &mut *ckpt;
+            // The first install always encodes: any suffix outgrows an
+            // empty base.
+            let snap = snapshot.get_or_insert_with(|| Snapshot::encoded(0, FNV_BASIS, Vec::new()));
+            {
+                let announce = self.announce.lock();
+                for opid in interval {
+                    // A decided id nobody announced was applied as an
+                    // inert op (see `Handle::resolve_record`): so is it
+                    // here.
+                    let record = announce.get(opid).cloned().unwrap_or_else(inert_record);
+                    snap.suffix_ops += record.ops().len();
+                    snap.suffix.push(record);
+                }
+            }
+            if snap.suffix_ops >= snap.base.len() {
+                let base = Arc::new(encode_or_panic(encode));
+                *encoded += 1;
+                snap.base = Arc::clone(&base);
+                snap.suffix.clear();
+                snap.suffix_ops = 0;
+                let _ = words.set(base);
+            }
+            snap.slot = slot;
+            snap.digest = digest;
+            snap.retired.extend_from_slice(interval);
             ckpt.installed += 1;
+            installed = Some(words);
         }
         self.try_truncate(&mut ckpt);
-        installed_words
+        installed
     }
 
     /// Free the decided prefix below the snapshot slot if every live
@@ -732,6 +868,23 @@ impl UniversalLog {
     }
 }
 
+/// The record a decided-but-never-announced opid is applied as: an
+/// inert no-op (opcode 0 is inert for every object in
+/// [`crate::structures`]).
+fn inert_record() -> SlotRecord {
+    SlotRecord::Single(crate::object::encoding::op(0, 0))
+}
+
+/// Encode a snapshot base, which a checkpointed log requires.
+fn encode_or_panic(encode: &dyn Fn() -> Option<Vec<u64>>) -> Vec<u64> {
+    encode().unwrap_or_else(|| {
+        panic!(
+            "checkpointing requires snapshot support: the replica type \
+             returned None from Replicated::encode_snapshot"
+        )
+    })
+}
+
 /// A process-local replica handle.
 pub struct Handle<T: Replicated> {
     core: Arc<UniversalLog>,
@@ -784,14 +937,19 @@ impl<T: Replicated> Handle<T> {
         if core.checkpoint_interval().is_some() {
             let (registered, snapshot) = core.register_handle();
             watermark = Some(registered);
-            if let Some((slot, snap_digest, words)) = snapshot {
+            if let Some(view) = snapshot {
                 assert!(
-                    state.restore_snapshot(&words),
+                    state.restore_snapshot(&view.base),
                     "failed to restore the log's snapshot into a fresh replica"
                 );
-                start_slot = slot;
-                digest = snap_digest;
-                boundary_digests.push((slot, snap_digest));
+                for record in &view.suffix {
+                    for &w in record.ops() {
+                        state.apply(w);
+                    }
+                }
+                start_slot = view.slot;
+                digest = view.digest;
+                boundary_digests.push((view.slot, view.digest));
             }
         }
         let next_seq = core.seq_floor(pid);
@@ -818,7 +976,7 @@ impl<T: Replicated> Handle<T> {
     fn resolve_record(&self, opid: u32) -> SlotRecord {
         self.core.record_of(opid).unwrap_or_else(|| {
             self.core.mark_diverged();
-            SlotRecord::Single(crate::object::encoding::op(0, 0))
+            inert_record()
         })
     }
 
@@ -840,20 +998,10 @@ impl<T: Replicated> Handle<T> {
         mut collect: Option<&mut Vec<u64>>,
     ) -> u64 {
         let mut last = crate::structures::EMPTY;
-        match record {
-            SlotRecord::Single(w) => {
-                last = self.state.apply(*w);
-                if let Some(out) = collect.as_deref_mut() {
-                    out.push(last);
-                }
-            }
-            SlotRecord::Batch(ws) => {
-                for &w in ws.iter() {
-                    last = self.state.apply(w);
-                    if let Some(out) = collect.as_deref_mut() {
-                        out.push(last);
-                    }
-                }
+        for &w in record.ops() {
+            last = self.state.apply(w);
+            if let Some(out) = collect.as_deref_mut() {
+                out.push(last);
             }
         }
         self.applied.push(decided);
@@ -905,13 +1053,12 @@ impl<T: Replicated> Handle<T> {
         }
         self.boundary_digests.push((slot, self.digest));
         let state = &self.state;
+        let encode = || state.encode_snapshot();
         let installed =
             self.core
-                .observe_boundary(slot, self.digest, self.start_slot, &self.applied, &|| {
-                    state.encode_snapshot()
-                });
+                .observe_boundary(slot, self.digest, self.start_slot, &self.applied, &encode);
         if let Some(words) = installed {
-            self.core.emit_checkpoint(slot, self.digest, &words);
+            self.core.emit_checkpoint(slot, self.digest, words, &encode);
         }
         self.prune_window();
     }
@@ -1042,9 +1189,8 @@ impl<T: Replicated> Handle<T> {
         while self.next_slot < known {
             let cell = self.core.cell(self.next_slot);
             let proposal = *dummy.get_or_insert_with(|| {
-                let inert = SlotRecord::Single(crate::object::encoding::op(0, 0));
                 self.core
-                    .announce_fresh(self.pid, &mut self.next_seq, inert)
+                    .announce_fresh(self.pid, &mut self.next_seq, inert_record())
             });
             let decided = cell.decide(Input(proposal)).0;
             if decided == proposal {
@@ -1183,7 +1329,7 @@ pub fn digests_consistent(views: &[&[(usize, u64)]]) -> bool {
 mod tests {
     use super::*;
     use crate::consensus_cell::Cells;
-    use crate::structures::Counter;
+    use crate::structures::{Counter, FifoQueue};
 
     #[test]
     fn opid_round_trip() {
@@ -1632,8 +1778,8 @@ mod tests {
                 .push((slot, opid, record.clone(), digest_after));
         }
 
-        fn checkpoint_installed(&self, slot: usize, digest: u64, words: &[u64]) {
-            self.ckpts.lock().push((slot, digest, words.to_vec()));
+        fn checkpoint_installed(&self, slot: usize, digest: u64, words: &CheckpointWords<'_>) {
+            self.ckpts.lock().push((slot, digest, words.get().to_vec()));
         }
     }
 
@@ -1729,6 +1875,117 @@ mod tests {
         }
         assert_eq!(r.state().value(), want);
         assert!(!core2.divergence_detected());
+    }
+
+    /// The installed snapshot's `(base words, suffix records, suffix ops)`.
+    fn snapshot_shape(core: &UniversalLog) -> (usize, usize, usize) {
+        let ckpt = core.ckpt.lock();
+        let snap = ckpt.snapshot.as_ref().expect("a snapshot is installed");
+        (snap.base.len(), snap.suffix.len(), snap.suffix_ops)
+    }
+
+    #[test]
+    fn large_batched_states_encode_rarely_and_keep_the_suffix_below_the_base() {
+        // 256-op batches of enqueues at interval 4: each boundary adds
+        // 1,024 ops, and the base is re-encoded only once the suffix
+        // holds as many ops as the base has words.
+        let interval = 4;
+        let core =
+            Arc::new(UniversalLog::new(Arc::new(Cells::reliable())).checkpoint_every(interval));
+        let mut h = Handle::new(Arc::clone(&core), 0, FifoQueue::default());
+        let mut next = 0u64;
+        for slot in 1..=64 * interval {
+            let batch: Vec<u64> = (next..next + 256).map(FifoQueue::enq_op).collect();
+            next += 256;
+            h.invoke_many(&batch);
+            if slot.is_multiple_of(interval) {
+                let (base, suffix, ops) = snapshot_shape(&core);
+                assert!(
+                    ops < base,
+                    "slot {slot}: suffix {ops} ops, base {base} words"
+                );
+                assert_eq!(suffix * 256, ops);
+                assert!(core.retained_len() <= 2 * interval);
+            }
+        }
+        // 64 installs; the base doubles at each encode, so about log2(64).
+        assert_eq!(core.checkpoints_installed(), 64);
+        assert!(
+            core.snapshots_encoded() <= 8,
+            "{} encodes",
+            core.snapshots_encoded()
+        );
+        // A fresh replica (base + suffix + tail) matches the writer.
+        let mut fresh = Handle::new(Arc::clone(&core), 1, FifoQueue::default());
+        fresh.catch_up();
+        assert_eq!(fresh.state(), h.state());
+        assert_eq!(fresh.digest(), h.digest());
+    }
+
+    /// A sink that sees every boundary and asks for the words only at
+    /// every `rotate_every`-th one, as a WAL that rotates rarely does.
+    struct RotatingSink {
+        rotate_every: usize,
+        seen: Mutex<Vec<usize>>,
+        asked: Mutex<Vec<(usize, Vec<u64>)>>,
+    }
+
+    impl SlotSink for RotatingSink {
+        fn slot_decided(&self, _: usize, _: u32, _: &SlotRecord, _: u64) {}
+
+        fn checkpoint_installed(&self, slot: usize, _: u64, words: &CheckpointWords<'_>) {
+            let mut seen = self.seen.lock();
+            seen.push(slot);
+            if seen.len().is_multiple_of(self.rotate_every) {
+                self.asked.lock().push((slot, words.get().to_vec()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_sink_sees_every_boundary_and_encodes_only_when_it_asks() {
+        let interval = 4;
+        let core =
+            Arc::new(UniversalLog::new(Arc::new(Cells::reliable())).checkpoint_every(interval));
+        let sink = Arc::new(RotatingSink {
+            rotate_every: 5,
+            seen: Mutex::new(Vec::new()),
+            asked: Mutex::new(Vec::new()),
+        });
+        core.set_slot_sink(Arc::clone(&sink) as Arc<dyn SlotSink>);
+        let mut h = Handle::new(Arc::clone(&core), 0, FifoQueue::default());
+        let mut expected = FifoQueue::default();
+        for i in 0..40 * interval as u64 {
+            h.invoke_many(&[FifoQueue::enq_op(2 * i), FifoQueue::enq_op(2 * i + 1)]);
+            if (i + 1).is_multiple_of(interval as u64) {
+                expected = h.state().clone();
+            }
+            if let Some((slot, words)) = sink.asked.lock().last() {
+                if *slot == h.applied_to() {
+                    // The words are the installing replica at the slot.
+                    assert_eq!(Some(words.clone()), expected.encode_snapshot());
+                    // ...and became the base: nothing left to replay.
+                    assert_eq!(snapshot_shape(&core).1, 0);
+                }
+            }
+        }
+        let seen = sink.seen.lock().clone();
+        let want: Vec<usize> = (1..=40).map(|b| b * interval).collect();
+        assert_eq!(seen, want, "one call per installed boundary, in order");
+        assert_eq!(core.checkpoints_installed(), 40);
+        // The log's own encodes (base doubling) plus one per ask, less
+        // asks landing on a boundary the log had already encoded.
+        let asked = sink.asked.lock().len() as u64;
+        assert_eq!(asked, 8);
+        assert!(
+            core.snapshots_encoded() < 40,
+            "{}",
+            core.snapshots_encoded()
+        );
+        assert!(core.snapshots_encoded() >= asked);
+        let mut fresh = Handle::new(Arc::clone(&core), 1, FifoQueue::default());
+        fresh.catch_up();
+        assert_eq!(fresh.state(), h.state());
     }
 
     #[test]
@@ -1837,8 +2094,71 @@ mod proptests {
         ]
     }
 
+    /// Run `ops` through one writer in chunks of `batch` (a chunk of
+    /// one as a single-op record), then check that a handle created
+    /// afterwards — restored from the snapshot's base and suffix, then
+    /// caught up — has the writer's state and digest at the same slot.
+    fn restore_matches_replay<T: Replicated + PartialEq + std::fmt::Debug>(
+        initial: T,
+        ops: &[u64],
+        batch: usize,
+        interval: usize,
+    ) {
+        let core =
+            Arc::new(UniversalLog::new(Arc::new(Cells::reliable())).checkpoint_every(interval));
+        let mut writer = Handle::new(Arc::clone(&core), 0, initial.clone());
+        for chunk in ops.chunks(batch) {
+            match chunk {
+                [op] => {
+                    writer.invoke(*op);
+                }
+                _ => {
+                    writer.invoke_many(chunk);
+                }
+            }
+        }
+        let mut fresh = Handle::new(Arc::clone(&core), 1, initial);
+        fresh.catch_up();
+        assert_eq!(fresh.applied_to(), writer.applied_to());
+        assert_eq!(fresh.state(), writer.state(), "restored state differs");
+        assert_eq!(fresh.digest(), writer.digest());
+        assert!(digests_consistent(&[
+            writer.boundary_digests(),
+            fresh.boundary_digests()
+        ]));
+    }
+
+    fn growing_queue_op() -> impl Strategy<Value = u64> {
+        // Four enqueues to a dequeue: the queue outgrows the interval.
+        (0u64..1000).prop_map(|x| {
+            if x % 5 == 0 {
+                FifoQueue::deq_op()
+            } else {
+                FifoQueue::enq_op(x)
+            }
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn restored_queues_match_full_replay(
+            ops in proptest::collection::vec(growing_queue_op(), 0..400),
+            batch in 1usize..6,
+            interval in 2usize..9,
+        ) {
+            restore_matches_replay(FifoQueue::default(), &ops, batch, interval);
+        }
+
+        #[test]
+        fn restored_counters_match_full_replay(
+            ops in proptest::collection::vec(counter_op(), 0..200),
+            batch in 1usize..6,
+            interval in 2usize..9,
+        ) {
+            restore_matches_replay(Counter::default(), &ops, batch, interval);
+        }
 
         #[test]
         fn counters_converge_on_any_interleaving(

@@ -17,6 +17,10 @@ pub trait Replicated: Clone + Send + 'static {
     /// does not support snapshots. Types returning `Some` here unlock
     /// log checkpointing ([`crate::UniversalLog::checkpoint_every`]):
     /// the decided prefix can be replaced by a snapshot and truncated.
+    /// A snapshot is a base these words encode plus the records decided
+    /// since, so the log calls this only when those records hold as
+    /// many ops as the base has words, or when a durability sink asks
+    /// ([`crate::CheckpointWords`]) — not at every boundary.
     fn encode_snapshot(&self) -> Option<Vec<u64>> {
         None
     }

@@ -78,15 +78,26 @@ fn per_put(backend: Backend) -> (f64, f64) {
     (allocs as f64 / PUTS as f64, bytes as f64 / PUTS as f64)
 }
 
+/// Bytes per put, just above the measured 254 (robust) and 83
+/// (reliable): a checkpoint no longer re-encodes the shard's map at
+/// every boundary, and a put that starts allocating per-op copies of
+/// the state again shows here first.
 #[test]
 fn combined_put_stays_within_its_allocation_budget() {
-    for (backend, budget) in [(Backend::robust(), 8.0), (Backend::reliable(), 7.0)] {
+    for (backend, budget, byte_budget) in [
+        (Backend::robust(), 8.0, 260.0),
+        (Backend::reliable(), 7.0, 90.0),
+    ] {
         let name = backend.name();
         let (allocs, bytes) = per_put(backend);
         println!("{name}: {allocs:.2} allocations, {bytes:.0} B per put");
         assert!(
             allocs <= budget,
             "{name}: {allocs:.2} allocations per put exceeds the budget of {budget}"
+        );
+        assert!(
+            bytes <= byte_budget,
+            "{name}: {bytes:.0} B per put exceeds the budget of {byte_budget} B"
         );
     }
 }
