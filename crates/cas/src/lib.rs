@@ -42,7 +42,6 @@ pub mod faulty;
 pub mod policy;
 pub mod raw;
 pub mod stats;
-pub mod wfa;
 
 pub use atomic::{AtomicCas, AtomicCasArray};
 pub use budget::NativeBudget;
@@ -54,4 +53,3 @@ pub use policy::{
 };
 pub use raw::RawCas;
 pub use stats::{EnsembleStats, ObjectStats};
-pub use wfa::WriteAndFArray;

@@ -63,7 +63,6 @@ pub mod silent;
 pub mod stage_value;
 pub mod staged;
 pub mod two_process;
-pub mod waf;
 
 pub use cascade::CascadeConsensus;
 pub use factory::{
@@ -81,4 +80,3 @@ pub use silent::SilentRetryConsensus;
 pub use stage_value::{max_stage, StageValue, MAX_STAGE};
 pub use staged::StagedConsensus;
 pub use two_process::TwoProcessConsensus;
-pub use waf::WafConsensus;

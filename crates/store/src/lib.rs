@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cells;
 pub mod combine;
 pub mod kv;
 pub mod map;
@@ -48,7 +47,6 @@ pub mod soak;
 pub mod substrate;
 pub mod wal;
 
-pub use cells::{FaultConfig, FaultKnob, ProcessFault};
 pub use combine::{CombineSnapshot, CombineStats};
 pub use kv::{Kv, KvOp, StoreError};
 pub use map::{KvMap, KV_BITS, KV_MAX};
@@ -58,8 +56,8 @@ pub use soak::{
     drive_clients, run_soak, try_run_soak, DriveOutcome, SoakConfig, SoakReport, WorkloadMix,
 };
 pub use substrate::{
-    all_backends, register, substrate_names, Backend, CellCtx, DuplicateSubstrate, ShardCells,
-    Substrate, UnknownSubstrate,
+    all_backends, register, substrate_names, Backend, CellCtx, DuplicateSubstrate, FaultConfig,
+    FaultKnob, ProcessFault, ShardCells, Substrate, UnknownSubstrate,
 };
 pub use wal::{DurabilityConfig, FsMedia, WalIoError, WalMedia};
 

@@ -1,16 +1,17 @@
-//! The open consensus-substrate API: the store's pluggable cell layer.
+//! The store's consensus substrates: the open [`Substrate`] API, its
+//! registry, the built-in rows, and the per-shard fault plumbing every
+//! cell is built from.
 //!
 //! The paper's hierarchy corollary (§5.2) says the fault-tolerant
 //! constructions compose over *any* consensus substrate — they only
-//! need objects with the assumed interface and fault envelope. The
-//! store used to hard-code that substrate as a closed three-variant
-//! enum; this module turns it into an open trait plus a process-wide
-//! registry, so a new substrate (a CAS built from weaker primitives, an
-//! aggregation object, a future hardware model) plugs in by
-//! implementing [`Substrate`] and calling [`register`] — and every
-//! consumer (the store builder, soak, netbench, the DST, `report`)
-//! resolves it by name through the same [`FromStr`] impl, with the
-//! same conformance tests run against it for free.
+//! need objects with the assumed interface and fault envelope. So the
+//! substrate is an open trait plus a process-wide registry: a new
+//! substrate (a CAS built from weaker primitives, a future hardware
+//! model) plugs in by implementing [`Substrate`] and calling
+//! [`register`] — and every consumer (the store builder, soak,
+//! netbench, the DST, `report`) resolves it by name through the same
+//! [`FromStr`] impl, with the same conformance tests run against it for
+//! free.
 //!
 //! A substrate answers four questions:
 //!
@@ -23,54 +24,165 @@
 //!    suite.
 //! 3. **Fault envelope** — [`Substrate::tolerated_kinds`] declares
 //!    which functional-fault kinds the construction survives;
-//!    [`Substrate::validate`] refuses environments outside it (the
-//!    rules the old enum hard-coded: no invisible faults, silent needs
-//!    a finite budget `t`, …).
+//!    [`Substrate::validate`] refuses environments outside it (no
+//!    invisible faults, silent needs a finite budget `t`, …).
 //! 4. **Expectation** — [`Substrate::expected_consistent`] says whether
-//!    a store on this substrate should end [`Store::verify`]-consistent
+//!    a store on this substrate should end
+//!    [`Store::verify`](crate::Store::verify)-consistent
 //!    under its declared faults (`false` only for deliberately broken
 //!    witnesses like `naive`).
 //!
 //! Built-in substrates, the rows of one table (`BUILTINS`), each a
-//! primitive, a fault stance and an optional aggregation front:
+//! primitive and a fault stance. A row's consensus number is its
+//! primitive's, so no row can claim one its cells do not have:
 //!
-//! | name | cell construction | primitives | tolerates |
+//! | name | cell construction | primitive (consensus number) | tolerates |
 //! |---|---|---|---|
-//! | `reliable` | Herlihy over one correct CAS | hardware CAS | — (nothing injected) |
-//! | `robust` | cascade (Fig. 2) / bounded retry (§3.4) | hardware CAS | overriding, silent, arbitrary |
-//! | `naive` | Herlihy straight over a faulty object | hardware CAS | nothing (the broken witness) |
-//! | `kw-cas` | Herlihy over a KW CAS built from max-write/half-max | consensus number 1 | — (nothing injected) |
-//! | `kw-robust` | cascade / retry over faulty KW cells | consensus number 1 | overriding, silent |
-//! | `wfa` | write-and-f-array aggregation + reliable arbitration | consensus number 2 | — (nothing injected) |
-//! | `wfa-robust` | write-and-f-array aggregation + robust arbitration | consensus number 2 | overriding, silent, arbitrary |
+//! | `reliable` | Herlihy over one correct CAS | hardware CAS (∞) | — (nothing injected) |
+//! | `robust` | cascade (Fig. 2) / bounded retry (§3.4) | hardware CAS (∞) | overriding, silent, arbitrary |
+//! | `naive` | Herlihy straight over a faulty object | hardware CAS (∞) | nothing (the broken witness) |
+//! | `kw-cas` | Herlihy over a KW CAS | max-write/half-max words (1) | — (nothing injected) |
+//! | `kw-robust` | cascade / retry over faulty KW cells | max-write/half-max words (1) | overriding, silent |
 //!
 //! No substrate picks or writes a protocol: a row asks
 //! [`ff_consensus::recommend`] — Section 4's case analysis, keyed by the
 //! shard's fault kind — and [`ff_consensus::build`] instantiates the
 //! answer over the row's objects, so every cell's `decide` runs the step
-//! machine `ff-sim` model-checks (`naive`'s junk decisions and
-//! `robust`'s junk-skipping are `OneShotMachine`'s and
-//! `CascadeMachine`'s). Rows without tolerated faults ask for `f = 0`
-//! and get Herlihy; the broken witness then injects into that one
-//! object anyway.
+//! machine `ff-sim` model-checks. Junk words from *arbitrary* faults are
+//! the machines' business too: the cascade skips them
+//! (`CascadeMachine`'s doc holds the soundness argument) and the
+//! single-CAS protocol carries them, which is how `naive` decides junk.
+//! Rows without tolerated faults ask for `f = 0` and get Herlihy; the
+//! broken witness then injects into that one object anyway. An
+//! environment the selector has no construction for (invisible faults,
+//! unbounded silent faults) is refused when the store is configured.
 //!
 //! `kw-robust` declares **arbitrary** intolerable not because the
 //! cascade would fail but because the fault itself is unrepresentable:
 //! an arbitrary fault swaps full-width junk into the cell, and a KW
 //! word only encodes `⊥` or 32-bit inputs — the substrate refuses the
 //! environment rather than silently truncating the fault model.
+//!
+//! A shard's cells come from its [`ShardCells`], which holds what they
+//! share: the shard's [`FaultConfig`], one [`FaultKnob`] — the fault
+//! rate as an atomic the operator can turn mid-run, per shard, without
+//! rebuilding anything — and one `EnsembleStats`, so fault counts can be
+//! read while the shard serves traffic although cells are created and
+//! dropped as the log advances and truncates.
 
-use crate::cells::{FaultConfig, FaultKnob, KnobPolicy};
 use crate::ConfigError;
-use ff_cas::{splitmix64, AtomicCasArray, CasEnsemble, EnsembleStats, FaultyCasArray, RawCas};
-use ff_consensus::{
-    build, recommend, Consensus, KwCasArray, NoConstruction, Recommendation, WafConsensus,
-    TOLERABLE_KINDS,
+use ff_cas::{
+    splitmix64, AtomicCasArray, CasEnsemble, EnsembleStats, FaultPolicy, FaultyCasArray, RawCas,
 };
-use ff_spec::{Bound, FaultKind};
+use ff_consensus::{
+    build, recommend, Consensus, KwCasArray, NoConstruction, Recommendation, TOLERABLE_KINDS,
+};
+use ff_spec::{Bound, FaultKind, ObjectId};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// A live-adjustable fault rate shared by every cell of one shard.
+#[derive(Debug)]
+pub struct FaultKnob {
+    /// Probability threshold over the u64 space (rate × u64::MAX).
+    threshold: AtomicU64,
+    seed: u64,
+}
+
+impl FaultKnob {
+    /// A knob starting at `rate` (probability per CAS operation).
+    pub fn new(rate: f64, seed: u64) -> Arc<Self> {
+        let knob = FaultKnob {
+            threshold: AtomicU64::new(0),
+            seed,
+        };
+        knob.set_rate(rate);
+        Arc::new(knob)
+    }
+
+    /// Change the fault rate, effective immediately for all cells.
+    pub fn set_rate(&self, rate: f64) {
+        assert!(
+            (0.0..=1.0).contains(&rate),
+            "fault rate must be a probability, got {rate}"
+        );
+        self.threshold
+            .store((rate * u64::MAX as f64) as u64, Ordering::Relaxed);
+    }
+
+    /// The current fault rate.
+    pub fn rate(&self) -> f64 {
+        self.threshold.load(Ordering::Relaxed) as f64 / u64::MAX as f64
+    }
+}
+
+/// The policy face of a [`FaultKnob`]: probabilistic, counter-based
+/// (no shared RNG state), reading the rate live.
+struct KnobPolicy {
+    knob: Arc<FaultKnob>,
+    /// Distinguishes cells sharing one knob, so they don't fault in
+    /// lockstep.
+    salt: u64,
+}
+
+impl FaultPolicy for KnobPolicy {
+    fn should_fault(&self, obj: ObjectId, op_index: u64) -> bool {
+        let bits = splitmix64(
+            self.knob.seed ^ self.salt ^ splitmix64(obj.0 as u64) ^ op_index.rotate_left(17),
+        );
+        bits <= self.knob.threshold.load(Ordering::Relaxed)
+    }
+}
+
+/// Process-level faults, orthogonal to the paper's *object*-level
+/// taxonomy. The paper's cells lie; its processes are immortal. The
+/// recoverable-consensus line of work (Golab; Lundström–Raynal–Schiller
+/// in PAPERS.md) asks what survives when processes crash too — this is
+/// that axis.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ProcessFault {
+    /// Processes never crash (the paper's base model).
+    #[default]
+    None,
+    /// Processes may be killed and restarted at any point: **volatile
+    /// state is lost, cells survive**, and durable storage survives
+    /// possibly with a torn tail at the last unsynced write. Requires
+    /// durability in the [`StoreConfig`](crate::StoreConfig) — a
+    /// crashed process rejoins by replaying its write-ahead log
+    /// ([`Store::recover`](crate::Store::recover)).
+    CrashRecover,
+}
+
+/// Fault environment of one shard: kind, `(f, t)` budget, live rate,
+/// and the process-level crash model.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FaultConfig {
+    /// The functional-fault kind to inject.
+    pub kind: FaultKind,
+    /// Faulty objects per cell ensemble (Definition 2's `f`).
+    pub f: usize,
+    /// Per-object fault budget (Definition 2's `t`); silent faults
+    /// require a finite bound.
+    pub t: Bound,
+    /// Initial fault probability per CAS operation.
+    pub rate: f64,
+    /// Whether processes themselves may crash and recover (orthogonal
+    /// to the object-fault kind above).
+    pub process: ProcessFault,
+}
+
+impl Default for FaultConfig {
+    fn default() -> Self {
+        FaultConfig {
+            kind: FaultKind::Overriding,
+            f: 1,
+            t: Bound::Unbounded,
+            rate: 0.2,
+            process: ProcessFault::default(),
+        }
+    }
+}
 
 /// Everything a substrate may use while constructing one cell: the
 /// shard's fault environment, its live knob, its shared stats sink, and
@@ -201,10 +313,11 @@ pub trait Substrate: Send + Sync {
     fn make_cell(&self, ctx: &CellCtx) -> Arc<dyn Consensus>;
 }
 
-/// What a built-in substrate's cells are made of.
+/// What a built-in substrate's cells are made of. A row's
+/// [`Substrate::consensus_number`] is its primitive's.
 #[derive(Clone, Copy)]
 enum Primitive {
-    /// Hardware CAS words.
+    /// Hardware CAS words (unbounded consensus number).
     Hardware,
     /// Khanchandani–Wattenhofer CAS objects built from max-write and
     /// half-max words (consensus number 1).
@@ -230,79 +343,46 @@ enum Faults {
 struct Builtin {
     name: &'static str,
     describe: &'static str,
-    consensus_number: Option<u32>,
     primitive: Primitive,
     faults: Faults,
-    /// A write-and-f-array of [`WFA_SLOTS`] cells aggregates the inputs
-    /// in front of the cell, which then only arbitrates.
-    aggregate: bool,
 }
-
-/// Cells a write-and-f-array cell aggregates over before arbitration.
-const WFA_SLOTS: usize = 8;
 
 const NO_ARBITRARY: &[FaultKind] = &[FaultKind::Overriding, FaultKind::Silent];
 
 /// The built-in substrates, in registration order.
-const BUILTINS: [Builtin; 7] = [
+const BUILTINS: [Builtin; 5] = [
     Builtin {
         name: "reliable",
         describe: "Herlihy consensus over one correct hardware CAS (fault-free baseline)",
-        consensus_number: None,
         primitive: Primitive::Hardware,
         faults: Faults::None,
-        aggregate: false,
     },
     Builtin {
         name: "robust",
         describe: "cascade (Fig. 2) / bounded retry (S3.4) over injected-faulty hardware CAS",
-        consensus_number: None,
         primitive: Primitive::Hardware,
         faults: Faults::Tolerated(TOLERABLE_KINDS),
-        aggregate: false,
     },
     Builtin {
         name: "naive",
         describe: "Herlihy straight over one injected-faulty CAS (the broken witness, E10)",
-        consensus_number: None,
         primitive: Primitive::Hardware,
         faults: Faults::Witness(TOLERABLE_KINDS),
-        aggregate: false,
     },
     Builtin {
         name: "kw-cas",
         describe: "Herlihy over a Khanchandani-Wattenhofer CAS from max-write/half-max words",
-        consensus_number: Some(1),
         primitive: Primitive::Kw,
         faults: Faults::None,
-        aggregate: false,
     },
     // Arbitrary faults are refused: their full-width junk is
     // unrepresentable in a KW word (see the module docs).
     Builtin {
         name: "kw-robust",
-        describe: "cascade / bounded retry over injected-faulty KW cells (robust over a weaker substrate)",
-        consensus_number: Some(1),
+        describe:
+            "cascade / bounded retry over injected-faulty KW cells (robust over a weaker substrate)",
         primitive: Primitive::Kw,
         faults: Faults::Tolerated(NO_ARBITRARY),
-        aggregate: false,
-    },
-    Builtin {
-        name: "wfa",
-        describe: "write-and-f-array aggregation (Obryk) + reliable single-CAS arbitration",
-        consensus_number: Some(2),
-        primitive: Primitive::Hardware,
-        faults: Faults::None,
-        aggregate: true,
-    },
-    // The aggregation funnel is fault-free; the decision object lies.
-    Builtin {
-        name: "wfa-robust",
-        describe: "write-and-f-array aggregation + cascade / bounded-retry arbitration over injected faults",
-        consensus_number: Some(2),
-        primitive: Primitive::Hardware,
-        faults: Faults::Tolerated(TOLERABLE_KINDS),
-        aggregate: true,
     },
 ];
 
@@ -334,7 +414,10 @@ impl Substrate for Builtin {
         self.describe
     }
     fn consensus_number(&self) -> Option<u32> {
-        self.consensus_number
+        match self.primitive {
+            Primitive::Hardware => None,
+            Primitive::Kw => Some(1),
+        }
     }
     fn injects_faults(&self) -> bool {
         !matches!(self.faults, Faults::None)
@@ -356,9 +439,6 @@ impl Substrate for Builtin {
     }
     /// Zero where the selector has no construction for `fault`.
     fn objects_per_cell(&self, fault: &FaultConfig) -> usize {
-        self.injected_objects(fault) + usize::from(self.aggregate)
-    }
-    fn injected_objects(&self, fault: &FaultConfig) -> usize {
         self.construction(fault).map_or(0, |rec| rec.objects)
     }
     fn validate(&self, fault: &FaultConfig) -> Result<(), ConfigError> {
@@ -386,7 +466,7 @@ impl Substrate for Builtin {
             Faults::Tolerated(_) => rec.faulty_objects(),
             Faults::Witness(_) => rec.objects,
         };
-        let cell = match (self.primitive, faulty) {
+        match (self.primitive, faulty) {
             (Primitive::Hardware, 0) => build(rec, AtomicCasArray::new(rec.objects)),
             (Primitive::Kw, 0) => build(rec, KwCasArray::new(rec.objects)),
             (Primitive::Hardware, _) => build(rec, ctx.faulty_ensemble(rec.objects, faulty)),
@@ -394,11 +474,6 @@ impl Substrate for Builtin {
                 let inner = KwCasArray::new(rec.objects).into_raw_cells();
                 build(rec, ctx.faulty_over(inner, faulty))
             }
-        };
-        if self.aggregate {
-            Arc::new(WafConsensus::new(WFA_SLOTS, cell))
-        } else {
-            cell
         }
     }
 }
@@ -521,17 +596,6 @@ impl Backend {
     /// The robust constructions composed over faulty KW cells.
     pub fn kw_robust() -> Backend {
         Backend::builtin("kw-robust")
-    }
-
-    /// Write-and-f-array aggregation with reliable arbitration.
-    pub fn wfa() -> Backend {
-        Backend::builtin("wfa")
-    }
-
-    /// Write-and-f-array aggregation with robust arbitration over
-    /// injected faults.
-    pub fn wfa_robust() -> Backend {
-        Backend::builtin("wfa-robust")
     }
 
     /// The substrate's registry/CLI/wire name (the single naming
@@ -689,5 +753,164 @@ impl ff_universal::CellFactory for ShardCells {
 
     fn name(&self) -> &'static str {
         self.backend.name()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ff_spec::Input;
+    use ff_universal::CellFactory;
+
+    #[test]
+    fn knob_changes_rate_live() {
+        let knob = FaultKnob::new(0.0, 1);
+        let policy = KnobPolicy {
+            knob: Arc::clone(&knob),
+            salt: 0,
+        };
+        assert!((0..100).all(|i| !policy.should_fault(ObjectId(0), i)));
+        knob.set_rate(1.0);
+        assert!((0..100).all(|i| policy.should_fault(ObjectId(0), i)));
+        assert!((knob.rate() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn guarded_cascade_agrees_under_arbitrary_faults() {
+        let fault = FaultConfig {
+            kind: FaultKind::Arbitrary,
+            f: 1,
+            t: Bound::Unbounded,
+            rate: 0.8,
+            ..FaultConfig::default()
+        };
+        let cells = ShardCells::new(Backend::robust(), fault, 42);
+        for _ in 0..100 {
+            let cell = cells.make();
+            let a = cell.decide(Input(1));
+            let b = cell.decide(Input(2));
+            let c = cell.decide(Input(3));
+            assert_eq!(a, b);
+            assert_eq!(b, c);
+            assert!([Input(1), Input(2), Input(3)].contains(&a), "validity");
+        }
+        assert!(cells.stats().total_observable() > 0, "faults were injected");
+    }
+
+    #[test]
+    fn robust_silent_cells_agree() {
+        let fault = FaultConfig {
+            kind: FaultKind::Silent,
+            f: 1,
+            t: Bound::Finite(4),
+            rate: 0.5,
+            ..FaultConfig::default()
+        };
+        let cells = ShardCells::new(Backend::robust(), fault, 7);
+        for _ in 0..100 {
+            let cell = cells.make();
+            let a = cell.decide(Input(1));
+            let b = cell.decide(Input(2));
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn bounded_overriding_budgets_still_get_figure_2() {
+        // With t bounded, Section 4 would pick Figure 3 for f + 1
+        // deciders — but every verify decides a store cell again, so the
+        // store asks for unbounded n and gets the cascade, which takes
+        // any number of deciders.
+        let fault = FaultConfig {
+            f: 2,
+            t: Bound::Finite(1),
+            rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let cells = ShardCells::new(Backend::robust(), fault, 5);
+        let cell = cells.make();
+        assert_eq!((cell.name(), cell.objects_used()), ("fig2-cascade", 3));
+        let first = cell.decide(Input(1));
+        for reader in 2..10 {
+            assert_eq!(cell.decide(Input(reader)), first);
+        }
+    }
+
+    #[test]
+    fn naive_cells_never_panic_on_junk() {
+        let fault = FaultConfig {
+            kind: FaultKind::Arbitrary,
+            f: 1,
+            t: Bound::Unbounded,
+            rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let cells = ShardCells::new(Backend::naive(), fault, 3);
+        for _ in 0..100 {
+            let cell = cells.make();
+            let _ = cell.decide(Input(1));
+            let _ = cell.decide(Input(2));
+        }
+    }
+
+    #[test]
+    fn stats_aggregate_across_cells() {
+        let cells = ShardCells::new(
+            Backend::robust(),
+            FaultConfig {
+                rate: 1.0,
+                ..FaultConfig::default()
+            },
+            9,
+        );
+        for _ in 0..10 {
+            let cell = cells.make();
+            cell.decide(Input(1));
+        }
+        // 10 cells × 2 CAS per decide (f = 1), all recorded in one place.
+        let total_ops: u64 = cells.stats().all().iter().map(|o| o.ops).sum();
+        assert_eq!(total_ops, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite per-object budget")]
+    fn unbounded_silent_rejected() {
+        let _ = ShardCells::new(
+            Backend::robust(),
+            FaultConfig {
+                kind: FaultKind::Silent,
+                t: Bound::Unbounded,
+                ..FaultConfig::default()
+            },
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no construction")]
+    fn invisible_rejected() {
+        let _ = ShardCells::new(
+            Backend::robust(),
+            FaultConfig {
+                kind: FaultKind::Invisible,
+                ..FaultConfig::default()
+            },
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no construction")]
+    fn kw_robust_refuses_arbitrary() {
+        // Arbitrary junk is unrepresentable in a KW word — the
+        // substrate refuses the environment instead of truncating it.
+        let _ = ShardCells::new(
+            Backend::kw_robust(),
+            FaultConfig {
+                kind: FaultKind::Arbitrary,
+                ..FaultConfig::default()
+            },
+            0,
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! The substrate conformance suite: every registered substrate — the
-//! built-in seven and anything a downstream crate registers before the
+//! built-ins and anything a downstream crate registers before the
 //! suite runs — is held to the same contract.
 //!
 //! * **Agreement & validity** — concurrent `decide` calls on one cell
@@ -13,6 +13,8 @@
 //!   and unknown substrate names fail parsing with the full valid list.
 //! * **Whole-store survival** — a store on any consistency-promising
 //!   substrate ends `Store::verify`-consistent at the sweep fault rate.
+//! * **CI soaks the registry** — the `backend-matrix` job lists exactly
+//!   the built-ins, in registration order.
 
 use ff_spec::{Bound, FaultKind, Input};
 use ff_store::{all_backends, run_soak, Backend, FaultConfig, ShardCells, SoakConfig};
@@ -190,6 +192,30 @@ fn validate_refuses_exactly_the_untolerated_kinds() {
                 .is_err());
         }
     }
+}
+
+/// CI soaks and nets each built-in on its own runner (the
+/// `backend-matrix` job in `.github/workflows/ci.yml`). This binary
+/// registers nothing, so the registry holds exactly the built-ins: a
+/// row added, removed or renamed in `BUILTINS` without the matrix — or
+/// the reverse — fails here.
+#[test]
+fn ci_backend_matrix_lists_the_registry() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../.github/workflows/ci.yml"
+    );
+    let ci = std::fs::read_to_string(path).expect("the CI workflow is readable");
+    let job = &ci[ci
+        .find("\n  backend-matrix:\n")
+        .expect("a backend-matrix job")..];
+    let list = job
+        .lines()
+        .find_map(|line| line.trim_start().strip_prefix("backend: ["))
+        .and_then(|rest| rest.strip_suffix(']'))
+        .expect("the matrix's backend list, on one line");
+    let listed: Vec<&str> = list.split(',').map(str::trim).collect();
+    assert_eq!(listed, ff_store::substrate_names());
 }
 
 /// The acceptance bar: a whole store on every consistency-promising
