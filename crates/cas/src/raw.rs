@@ -3,7 +3,7 @@
 //! use at the linearization point.
 //!
 //! [`FaultyCasArray`](crate::FaultyCasArray) originally hardwired its
-//! inner objects to [`AtomicCas`]. Making the inner surface a trait lets
+//! inner objects to [`AtomicCas`](crate::AtomicCas). Making the inner surface a trait lets
 //! the same injection machinery — policies, `(f, t)` budgets,
 //! Definition-1 refunds — wrap *any* CAS implementation, in particular
 //! the KW object `ff_consensus::KwCas` built from consensus-number-1

@@ -16,7 +16,7 @@
 //!   ([`rng`]) — fault, jitter and workload streams are independent so
 //!   one subsystem's extra draws never shift another's,
 //! * the fabric ([`net`]) records every fault decision into a
-//!   [`FaultScript`](trace::FaultScript) that replays bit-identically,
+//!   [`FaultScript`] that replays bit-identically,
 //!   and a failing script shrinks to a 1-minimal golden trace with
 //!   [`trace::minimize`].
 //!

@@ -1,5 +1,5 @@
 //! Parallel exhaustive exploration: a work-sharing variant of
-//! [`explore`](crate::explore) that partitions the state space across
+//! [`explore`] that partitions the state space across
 //! worker threads while keeping the report **exact**.
 //!
 //! # Design
@@ -48,7 +48,7 @@
 //! regardless of thread count or scheduling. The witness is made
 //! deterministic by re-deriving it with a sequential first-violation
 //! search (cheap: it stops at the first hit), so it is *identical* to the
-//! witness [`explore`](crate::explore) returns. Two fields are inherently
+//! witness [`explore`] returns. Two fields are inherently
 //! schedule-dependent and documented as such: `max_depth_seen` reports
 //! the deepest path *this run* happened to walk (claim order decides the
 //! path by which a shared state is first reached), and in
@@ -281,7 +281,7 @@ struct WorkerFrame {
 /// Exhaustively explore all executions from `initial` on
 /// `config.threads` worker threads.
 ///
-/// With `threads <= 1` this is exactly [`explore`](crate::explore). With
+/// With `threads <= 1` this is exactly [`explore`]. With
 /// more threads, untruncated full scans produce a report identical to the
 /// sequential one (including the witness; see the module docs for the two
 /// schedule-dependent caveats: `max_depth_seen`, and partial counts in

@@ -14,7 +14,7 @@
 //!
 //! # The protocol
 //!
-//! Each client owns one [`Slot`] per shard. A slot walks
+//! Each client owns one `Slot` per shard. A slot walks
 //! `EMPTY → PENDING → CLAIMED → DONE/FAILED → EMPTY`:
 //!
 //! * **publish** — the owner writes its ops and releases the slot to
@@ -178,7 +178,7 @@ struct ShardCombineStats {
 }
 
 /// Live counters of the combining layer: one padded block per shard
-/// core, summed by [`CombineStats::snapshot`]. Everything is a relaxed
+/// core, summed by `CombineStats::snapshot`. Everything is a relaxed
 /// atomic increment — safe to leave on during a soak.
 #[derive(Debug)]
 pub struct CombineStats {

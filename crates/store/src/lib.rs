@@ -5,7 +5,7 @@
 //! CAS objects unlocks *arbitrary* wait-free objects. This crate takes
 //! that step at system scale: a key-value store whose shards are
 //! replicated [`KvMap`]s, each driven by its own
-//! [`UniversalLog`](ff_universal::UniversalLog) over pluggable
+//! [`UniversalLog`] over pluggable
 //! consensus substrates resolved through the open [`substrate`]
 //! registry ([`Backend::reliable`] / [`Backend::robust`] under live
 //! fault injection / the deliberately broken [`Backend::naive`] /

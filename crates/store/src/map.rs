@@ -9,7 +9,7 @@
 
 use ff_universal::encoding::{op, split};
 use ff_universal::{Replicated, EMPTY};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Bits per key and per value.
 pub const KV_BITS: u32 = 28;
@@ -19,9 +19,13 @@ pub const KV_MAX: u32 = (1 << KV_BITS) - 1;
 /// A replicated map from 28-bit keys to 28-bit values.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvMap {
-    // BTreeMap, not HashMap: snapshots must serialize identically on
-    // every replica, so iteration order has to be deterministic.
-    entries: BTreeMap<u32, u32>,
+    // Unordered on purpose: every op is a point lookup, and key order is
+    // paid only in `encode_snapshot`, which sorts its words so that
+    // every replica serializes identically. No other code iterates
+    // this map. The hasher stays the default keyed `RandomState`: keys
+    // come off the wire, and a fixed hash would let one client pile
+    // them into a single probe chain.
+    entries: HashMap<u32, u32>,
 }
 
 impl KvMap {
@@ -79,6 +83,20 @@ impl KvMap {
     pub fn peek(&self, key: u32) -> Option<u32> {
         self.entries.get(&key).copied()
     }
+
+    /// `true` iff `words` is a snapshot [`Replicated::encode_snapshot`]
+    /// could have written: a length header, then that many packed
+    /// `key << 28 | value` words, strictly ascending by key. Recovery
+    /// asks this of a checkpoint before it trusts one.
+    pub(crate) fn is_snapshot(words: &[u64]) -> bool {
+        match words.split_first() {
+            Some((&len, pairs)) if pairs.len() as u64 == len => {
+                pairs.iter().all(|w| w >> (2 * KV_BITS) == 0)
+                    && pairs.windows(2).all(|p| p[0] >> KV_BITS < p[1] >> KV_BITS)
+            }
+            _ => false,
+        }
+    }
 }
 
 impl Replicated for KvMap {
@@ -106,20 +124,24 @@ impl Replicated for KvMap {
                 .iter()
                 .map(|(k, v)| ((*k as u64) << KV_BITS) | *v as u64),
         );
+        // Keys are distinct and sit above the values, so sorting the
+        // packed words sorts by key: the one place order is paid.
+        words[1..].sort_unstable();
         Some(words)
     }
 
     fn restore_snapshot(&mut self, words: &[u64]) -> bool {
-        match words.split_first() {
-            Some((&len, pairs)) if pairs.len() as u64 == len => {
-                self.entries = pairs
-                    .iter()
-                    .map(|w| ((*w >> KV_BITS) as u32 & KV_MAX, *w as u32 & KV_MAX))
-                    .collect();
-                true
-            }
-            _ => false,
+        if !Self::is_snapshot(words) {
+            return false;
         }
+        let mut entries = HashMap::with_capacity(words.len() - 1);
+        entries.extend(
+            words[1..]
+                .iter()
+                .map(|w| ((*w >> KV_BITS) as u32, *w as u32 & KV_MAX)),
+        );
+        self.entries = entries;
+        true
     }
 }
 
@@ -128,6 +150,7 @@ mod tests {
     use super::*;
     use ff_universal::{Cells, Handle, UniversalLog};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     #[test]
@@ -172,8 +195,22 @@ mod tests {
 
     #[test]
     fn malformed_snapshot_rejected() {
-        assert!(!KvMap::default().restore_snapshot(&[]));
-        assert!(!KvMap::default().restore_snapshot(&[2, 1]));
+        let pair = |k: u64, v: u64| (k << KV_BITS) | v;
+        for words in [
+            &[][..],
+            &[2, 1],
+            &[2, pair(1, 5)],
+            // A duplicate key would restore to fewer entries than the
+            // header claims.
+            &[2, pair(1, 5), pair(1, 6)],
+            &[2, pair(2, 0), pair(1, 0)],
+            &[1, 1 << (2 * KV_BITS)],
+        ] {
+            let mut m = KvMap::default();
+            m.apply(KvMap::put_op(9, 9));
+            assert!(!m.restore_snapshot(words), "{words:?} restored");
+            assert_eq!(m.peek(9), Some(9), "a refused restore changed the map");
+        }
     }
 
     #[test]
@@ -226,6 +263,72 @@ mod tests {
             (0u32..512).prop_map(KvMap::del_op),
             (0u32..512).prop_map(KvMap::get_op),
         ]
+    }
+
+    /// What `encode_snapshot` must write for `model`'s contents.
+    fn model_encode(model: &BTreeMap<u32, u32>) -> Vec<u64> {
+        std::iter::once(model.len() as u64)
+            .chain(
+                model
+                    .iter()
+                    .map(|(k, v)| ((*k as u64) << KV_BITS) | *v as u64),
+            )
+            .collect()
+    }
+
+    /// `operation`'s response on the ordered model.
+    fn model_apply(model: &mut BTreeMap<u32, u32>, operation: u64) -> u64 {
+        let (code, payload) = split(operation);
+        let key = (payload >> KV_BITS) as u32 & KV_MAX;
+        let old = match code {
+            KvMap::PUT => model.insert(key, payload as u32 & KV_MAX),
+            KvMap::GET => model.get(&key).copied(),
+            KvMap::DEL => model.remove(&key),
+            KvMap::LEN => return model.len() as u64,
+            _ => None,
+        };
+        old.map_or(EMPTY, u64::from)
+    }
+
+    fn any_op() -> impl Strategy<Value = u64> {
+        prop_oneof![kv_op(), Just(KvMap::len_op())]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn kv_map_matches_an_ordered_model(
+            ops in proptest::collection::vec(any_op(), 0..400),
+        ) {
+            let mut map = KvMap::default();
+            let mut model = BTreeMap::new();
+            for &o in &ops {
+                prop_assert_eq!(map.apply(o), model_apply(&mut model, o), "op {:#x}", o);
+            }
+            let words = map.encode_snapshot().unwrap();
+            prop_assert_eq!(&words, &model_encode(&model));
+
+            let mut restored = KvMap::default();
+            prop_assert!(restored.restore_snapshot(&words));
+            prop_assert_eq!(restored.encode_snapshot().unwrap(), words.clone());
+
+            // The same contents by another history: keys that come and
+            // go, then the survivors inserted in descending order.
+            let mut other = KvMap::default();
+            for k in 512..600 {
+                other.apply(KvMap::put_op(k, k));
+            }
+            for (&k, &v) in model.iter().rev() {
+                other.apply(KvMap::put_op(k, v));
+            }
+            for k in 512..600 {
+                other.apply(KvMap::del_op(k));
+            }
+            prop_assert_eq!(&other, &map);
+            prop_assert_eq!(&restored, &map);
+            prop_assert_eq!(other.encode_snapshot().unwrap(), words);
+        }
     }
 
     proptest! {

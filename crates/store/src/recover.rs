@@ -3,7 +3,7 @@
 //!
 //! [`Store::recover`](crate::Store::recover) runs this per shard:
 //!
-//! 1. read the shard's WAL file and [`scan`](crate::wal::scan) it —
+//! 1. read the shard's WAL file and [`scan`] it —
 //!    the decoder is total, so a torn tail or corrupt record just ends
 //!    the valid prefix;
 //! 2. load the newest valid checkpoint snapshot (if any) straight into
@@ -49,6 +49,17 @@ pub enum RecoverError {
         /// The slot at which the divergence was detected.
         slot: usize,
     },
+    /// The newest checkpoint passed its checksum but its words are not
+    /// a map snapshot (a length that disagrees with its header, a word
+    /// wider than 56 bits, or keys out of order or repeated). Recovery
+    /// refuses it rather than load a map other than the one that was
+    /// checkpointed.
+    BadCheckpoint {
+        /// The shard whose checkpoint was refused.
+        shard: usize,
+        /// The checkpoint's slot.
+        slot: usize,
+    },
 }
 
 impl std::fmt::Display for RecoverError {
@@ -62,6 +73,10 @@ impl std::fmt::Display for RecoverError {
             RecoverError::ReplayDivergence { shard, slot } => write!(
                 f,
                 "shard {shard} replay diverged from the recorded history at slot {slot}"
+            ),
+            RecoverError::BadCheckpoint { shard, slot } => write!(
+                f,
+                "shard {shard} checkpoint at slot {slot} is not a map snapshot"
             ),
         }
     }
@@ -173,6 +188,9 @@ pub(crate) fn recover_shard(
     let mut expected = 0usize;
     let mut tail_start = 0usize;
     if let Some((idx, slot, digest, words)) = chosen {
+        if !KvMap::is_snapshot(words) {
+            return Err(RecoverError::BadCheckpoint { shard, slot });
+        }
         log.install_recovered_snapshot(slot, digest, words.clone());
         ckpt_frame = Some((slot, encode_checkpoint(slot, digest, words)));
         expected = slot;

@@ -1,4 +1,4 @@
-//! Closed-loop soak harness: hammer a [`Store`](crate::Store) from N
+//! Closed-loop soak harness: hammer a [`Store`] from N
 //! worker threads for a wall-clock duration, then verify that every
 //! replica of every shard converged to the same state.
 //!

@@ -605,7 +605,8 @@ pub struct WalStats {
 }
 
 impl WalStats {
-    /// The counters as a [`DurabilitySnapshot`] for metrics export.
+    /// The counters as a [`DurabilitySnapshot`](crate::DurabilitySnapshot)
+    /// for metrics export.
     pub fn snapshot(&self) -> crate::metrics::DurabilitySnapshot {
         crate::metrics::DurabilitySnapshot {
             records_logged: self.records.load(Ordering::Relaxed),

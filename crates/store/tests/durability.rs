@@ -7,7 +7,7 @@
 //! check what the rest of the store may do meanwhile; the failing-media
 //! tests drive every arm of the error latch.
 
-use ff_store::wal::{scan, shard_file, WalEntry};
+use ff_store::wal::{encode_checkpoint, scan, shard_file, WalEntry};
 use ff_store::{
     Backend, ConfigError, FaultConfig, Kv, ProcessFault, RecoverError, Store, StoreConfig,
     WalIoError, WalMedia,
@@ -321,6 +321,41 @@ fn naive_backend_replay_divergence_is_refused() {
         Ok(_) => panic!("naive replay under full faults must not recover cleanly"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recover a store whose shard 0 file holds only a checksum-valid
+/// checkpoint frame at slot 8 over `words`.
+fn recover_from_checkpoint(tag: &str, words: &[u64]) -> Result<(), RecoverError> {
+    let dir = temp_dir(tag);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(shard_file(0)), encode_checkpoint(8, 0, words)).unwrap();
+    let result = Store::recover(durable_config(&dir, Backend::reliable())).map(|_| ());
+    let _ = std::fs::remove_dir_all(&dir);
+    result
+}
+
+/// A checkpoint that passes its checksum but is no map snapshot is
+/// refused with a typed error naming the shard and slot, before the
+/// replay handle tries to restore it: a length that disagrees with its
+/// header, and a repeated key (which a lenient restore would load as
+/// fewer entries than the header claims).
+#[test]
+fn a_checkpoint_that_does_not_restore_is_refused() {
+    let pair = |k: u64, v: u64| (k << 28) | v;
+    for (tag, words) in [
+        ("ckpt-short", vec![2, pair(1, 5)]),
+        ("ckpt-dup", vec![2, pair(1, 5), pair(1, 6)]),
+    ] {
+        assert_eq!(
+            recover_from_checkpoint(tag, &words),
+            Err(RecoverError::BadCheckpoint { shard: 0, slot: 8 }),
+            "{tag}"
+        );
+    }
+    assert_eq!(
+        recover_from_checkpoint("ckpt-ok", &[2, pair(1, 5), pair(2, 6)]),
+        Ok(())
+    );
 }
 
 #[test]
