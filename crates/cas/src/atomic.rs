@@ -36,6 +36,11 @@ impl AtomicCas {
         self.word.swap(new, Ordering::SeqCst)
     }
 
+    /// Back to `⊥`, as if new (exclusive access: nobody is mid-CAS).
+    pub(crate) fn reset(&mut self) {
+        *self.word.get_mut() = BOTTOM;
+    }
+
     /// Plain load — used by the fault-injection layer to linearize silent
     /// faults (which touch nothing but must still report the old value).
     pub(crate) fn load(&self) -> Word {
@@ -94,6 +99,12 @@ impl CasEnsemble for AtomicCasArray {
     fn cas(&self, obj: ObjectId, exp: Word, new: Word) -> Word {
         self.cells[obj.0].cas(exp, new)
     }
+
+    /// Every word back to `⊥`; there is no fault stream to reseed.
+    fn renew(&mut self, _salt: u64) -> bool {
+        self.cells.iter_mut().for_each(AtomicCas::reset);
+        true
+    }
 }
 
 #[cfg(test)]
@@ -146,6 +157,16 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(winners.iter().filter(|&&w| w).count(), 1);
+    }
+
+    #[test]
+    fn renewed_array_is_all_bottom() {
+        let mut a = AtomicCasArray::new(2);
+        a.cas(ObjectId(0), BOTTOM, 1);
+        a.cas(ObjectId(1), BOTTOM, 2);
+        assert!(a.renew(9));
+        assert_eq!(a.cas(ObjectId(0), BOTTOM, 3), BOTTOM);
+        assert_eq!(a.cas(ObjectId(1), BOTTOM, 4), BOTTOM);
     }
 
     #[test]

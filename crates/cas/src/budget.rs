@@ -47,6 +47,8 @@ enum Objects {
 #[derive(Debug)]
 pub struct NativeBudget {
     objects: Objects,
+    /// What each faulty object's countdown starts at.
+    countdown: u64,
 }
 
 impl NativeBudget {
@@ -86,7 +88,20 @@ impl NativeBudget {
                 remaining: AtomicU64::new(countdown),
             };
         }
-        NativeBudget { objects }
+        NativeBudget { objects, countdown }
+    }
+
+    /// Restore every faulty object's countdown to its initial `t`, as
+    /// if the budget were new. Exclusive access means no reservation is
+    /// in flight.
+    pub(crate) fn reset(&mut self) {
+        let in_use = match &mut self.objects {
+            Objects::Inline { len, objects } => &mut objects[..*len],
+            Objects::Heap(objects) => objects,
+        };
+        for object in in_use.iter_mut().filter(|o| o.faulty) {
+            *object.remaining.get_mut() = self.countdown;
+        }
     }
 
     fn object(&self, obj: ObjectId) -> &ObjectBudget {
@@ -194,6 +209,18 @@ mod tests {
             assert_eq!(b.remaining(last), Some(1));
             assert_eq!(b.remaining(ObjectId(0)), Some(1), "objects are independent");
             assert!(!b.try_reserve(ObjectId(1)));
+        }
+    }
+
+    #[test]
+    fn reset_restores_every_countdown() {
+        for n in [2, INLINE_OBJECTS + 1] {
+            let mut b = NativeBudget::new(n, [ObjectId(0)], Bound::Finite(2));
+            assert!(b.try_reserve(ObjectId(0)));
+            assert!(b.try_reserve(ObjectId(0)));
+            b.reset();
+            assert_eq!(b.remaining(ObjectId(0)), Some(2), "n = {n}");
+            assert!(!b.is_faulty_object(ObjectId(1)), "the faulty set stays");
         }
     }
 

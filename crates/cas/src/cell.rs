@@ -33,6 +33,16 @@ pub trait CasEnsemble: Send + Sync {
 
     /// Execute `old ← CAS(O_obj, exp, new)`.
     fn cas(&self, obj: ObjectId, exp: Word, new: Word) -> Word;
+
+    /// Return to the state a fresh ensemble of the same shape, built
+    /// with fault-stream salt `salt`, would start in: every object `⊥`,
+    /// every fault budget full. Exclusive access (`&mut`) proves no
+    /// operation is in flight. Returns whether it could; after `false`
+    /// the ensemble may be half reset and must be discarded. The
+    /// default cannot.
+    fn renew(&mut self, _salt: u64) -> bool {
+        false
+    }
 }
 
 /// A shared ensemble is an ensemble: protocols own their ensemble by

@@ -111,6 +111,9 @@ pub struct FaultyCasArray<P> {
     budget: NativeBudget,
     policy: P,
     stats: Arc<EnsembleStats>,
+    /// `stats` came from [`FaultyCasArrayBuilder::shared_stats`], so a
+    /// fresh ensemble would count into them too.
+    stats_shared: bool,
     history: Option<Mutex<History>>,
 }
 
@@ -260,6 +263,28 @@ impl<P: FaultPolicy> CasEnsemble for FaultyCasArray<P> {
         self.record_event(obj, record, attempt);
         record.returned
     }
+
+    /// Inline words back to `⊥`, budgets full, the policy reseeded with
+    /// `salt`. Only when the result is indistinguishable from a fresh
+    /// build: the words are this ensemble's own (caller-supplied
+    /// [`FaultyCasArrayBuilder::over_cells`] objects and heap-sized
+    /// ensembles cannot reset them), the stats are shared (a fresh
+    /// ensemble with private stats would restart its operation
+    /// indices), and the policy can reseed.
+    fn renew(&mut self, salt: u64) -> bool {
+        let Cells::Inline { words, .. } = &mut self.cells else {
+            return false;
+        };
+        if !self.stats_shared || !self.policy.reseed(salt) {
+            return false;
+        }
+        words.iter_mut().for_each(AtomicCas::reset);
+        self.budget.reset();
+        if let Some(history) = &mut self.history {
+            *history.get_mut() = History::new();
+        }
+        true
+    }
 }
 
 /// Which objects of an ensemble under construction may fault.
@@ -406,6 +431,7 @@ impl<P: FaultPolicy> FaultyCasArrayBuilder<P> {
             kind: self.kind,
             budget,
             policy: self.policy,
+            stats_shared: self.shared_stats.is_some(),
             stats: self
                 .shared_stats
                 .unwrap_or_else(|| Arc::new(EnsembleStats::new(self.count))),
@@ -507,6 +533,69 @@ mod tests {
         assert!(matches!(over.cells, Cells::Heap(_)));
         assert_eq!(run_script(&native), run_script(&over));
         assert_eq!(native.history().events(), over.history().events());
+    }
+
+    /// Faults where the salt and the operation index agree in their
+    /// low bit; reseeding changes the salt.
+    struct Salted(u64);
+
+    impl FaultPolicy for Salted {
+        fn should_fault(&self, _obj: ObjectId, op_index: u64) -> bool {
+            (self.0 ^ op_index) & 1 == 0
+        }
+
+        fn reseed(&mut self, salt: u64) -> bool {
+            self.0 = salt;
+            true
+        }
+    }
+
+    #[test]
+    fn a_renewed_ensemble_is_a_fresh_one() {
+        let build = |salt: u64, stats: &Arc<EnsembleStats>| {
+            FaultyCasArray::builder(3)
+                .kind(FaultKind::Silent)
+                .faulty_first(2)
+                .per_object(Bound::Finite(1))
+                .policy(Salted(salt))
+                .shared_stats(Arc::clone(stats))
+                .build()
+        };
+        let (fresh_stats, renewed_stats) = (
+            Arc::new(EnsembleStats::new(3)),
+            Arc::new(EnsembleStats::new(3)),
+        );
+        let mut renewed = build(0, &renewed_stats);
+        for salt in 0..6 {
+            let fresh = build(salt, &fresh_stats);
+            if salt > 0 {
+                assert!(renewed.renew(salt));
+            }
+            assert_eq!(run_script(&fresh), run_script(&renewed), "salt {salt}");
+            for obj in (0..3).map(ObjectId) {
+                assert_eq!(fresh.remaining_budget(obj), renewed.remaining_budget(obj));
+            }
+        }
+        assert!(fresh_stats.total_observable() > 0, "the script faulted");
+    }
+
+    #[test]
+    fn ensembles_that_cannot_match_a_fresh_one_refuse_to_renew() {
+        let stats = Arc::new(EnsembleStats::new(1));
+        let cells = vec![Arc::new(AtomicCas::new()) as Arc<dyn RawCas>];
+        let builder = || FaultyCasArray::builder(1).policy(Salted(0));
+        let mut private = builder().build();
+        let mut over = builder()
+            .shared_stats(Arc::clone(&stats))
+            .over_cells(cells)
+            .build();
+        let mut fixed = FaultyCasArray::builder(1)
+            .policy(AlwaysPolicy)
+            .shared_stats(stats)
+            .build();
+        assert!(!private.renew(1), "private stats would restart");
+        assert!(!over.renew(1), "caller-supplied objects");
+        assert!(!fixed.renew(1), "a policy that cannot reseed");
     }
 
     #[test]

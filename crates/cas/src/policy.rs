@@ -25,12 +25,24 @@ pub trait FaultPolicy: Send + Sync {
     /// attempted override whose comparison happens to match is a correct
     /// execution and does not count.)
     fn should_fault(&self, obj: ObjectId, op_index: u64) -> bool;
+
+    /// Switch to the stream a fresh policy built for `salt` would
+    /// follow, so a renewed ensemble faults exactly like a new one (see
+    /// [`CasEnsemble::renew`](crate::CasEnsemble::renew)). Returns
+    /// whether it could; the default cannot.
+    fn reseed(&mut self, _salt: u64) -> bool {
+        false
+    }
 }
 
 /// A policy chosen at run time: lets one ensemble type carry any policy.
 impl FaultPolicy for Box<dyn FaultPolicy> {
     fn should_fault(&self, obj: ObjectId, op_index: u64) -> bool {
         (**self).should_fault(obj, op_index)
+    }
+
+    fn reseed(&mut self, salt: u64) -> bool {
+        (**self).reseed(salt)
     }
 }
 

@@ -69,6 +69,10 @@ impl<E: CasEnsemble> Consensus for CascadeConsensus<E> {
     fn name(&self) -> &'static str {
         "fig2-cascade"
     }
+
+    fn renew(&mut self, salt: u64) -> bool {
+        self.ensemble.renew(salt)
+    }
 }
 
 #[cfg(test)]

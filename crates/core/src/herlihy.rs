@@ -48,6 +48,10 @@ impl<E: CasEnsemble> Consensus for HerlihyConsensus<E> {
     fn name(&self) -> &'static str {
         "herlihy"
     }
+
+    fn renew(&mut self, salt: u64) -> bool {
+        self.ensemble.renew(salt)
+    }
 }
 
 #[cfg(test)]

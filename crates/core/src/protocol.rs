@@ -24,6 +24,16 @@ pub trait Consensus: Send + Sync {
 
     /// A short human-readable name (for reports and tables).
     fn name(&self) -> &'static str;
+
+    /// Return to the undecided state this cell was built in, with its
+    /// objects' fault streams salted by `salt` — what a fresh build
+    /// with that salt would be ([`CasEnsemble::renew`]). Exclusive
+    /// access (`&mut`) proves nobody is deciding. Returns whether it
+    /// could; after `false` the cell must be discarded. The default
+    /// cannot.
+    fn renew(&mut self, _salt: u64) -> bool {
+        false
+    }
 }
 
 /// Run `machine` to its decision over `ensemble`: each requested

@@ -66,6 +66,10 @@ impl<E: CasEnsemble> Consensus for SilentRetryConsensus<E> {
     fn name(&self) -> &'static str {
         "silent-retry"
     }
+
+    fn renew(&mut self, salt: u64) -> bool {
+        self.ensemble.renew(salt)
+    }
 }
 
 #[cfg(test)]

@@ -42,6 +42,25 @@
 //! consensus cells order operations. Tolerated *cell* faults are
 //! absorbed inside the log (the robust constructions).
 //!
+//! # The flag holder's own unit
+//!
+//! A blocking caller (`ShardCore::submit`) first tries the advisory
+//! flag. If it wins, it runs a **direct pass**: it claims the other
+//! pending units as any combiner does, but never publishes its own —
+//! its slot stays `EMPTY`, no other combiner can see, claim or seal
+//! the unit, and its responses go straight into the caller's buffer.
+//! Its ops ride the pass at its slot's registry position, so the batch
+//! (and every WAL frame and simulator trace) is the one the published
+//! unit would have made. The flag holder thereby skips the slot's op
+//! and result mutexes, the claim and seal CASes and the `DONE → EMPTY`
+//! poll. A caller that finds the flag held publishes and waits as
+//! above; the split-phase API only ever publishes. Every pass — direct
+//! or split-phase — seals, executes and distributes in one routine
+//! (`ShardCore::execute`), whose counters are plain load-and-store:
+//! they are only written under the replica write lock. The claim list
+//! a pass fills belongs to the caller ([`crate::StoreClient`] reuses
+//! one per client), not to the shard.
+//!
 //! # Combiner crash recovery: the lease/epoch rule
 //!
 //! A combiner that dies (or stalls indefinitely) between claiming and
@@ -193,12 +212,21 @@ impl CombineStats {
         }
     }
 
+    /// Count one pass of `ops` ops. Every pass runs under its shard's
+    /// replica write lock, so these counters have one writer at a time:
+    /// a load and a store each, no atomic read-modify-write.
     fn record_pass(&self, shard: usize, ops: usize) {
         let stats = &self.shards[shard];
-        stats.passes.fetch_add(1, Ordering::Relaxed);
-        stats.combined_ops.fetch_add(ops as u64, Ordering::Relaxed);
-        stats.batch_sizes.record(ops as u64);
-        stats.max_batch.fetch_max(ops as u64, Ordering::Relaxed);
+        let ops = ops as u64;
+        let bump = |counter: &AtomicU64, by: u64| {
+            counter.store(counter.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+        };
+        bump(&stats.passes, 1);
+        bump(&stats.combined_ops, ops);
+        stats.batch_sizes.record_exclusive(ops);
+        if ops > stats.max_batch.load(Ordering::Relaxed) {
+            stats.max_batch.store(ops, Ordering::Relaxed);
+        }
     }
 
     fn record_fastpath_miss(&self, shard: usize) {
@@ -325,9 +353,6 @@ pub(crate) struct ShardCore {
     replica: RwLock<CoreReplica>,
     /// Registered announce slots (one per live client).
     slots: RwLock<Vec<Arc<Slot>>>,
-    /// The emptied claim list of the last finished pass, for the next
-    /// one to fill (a pass that finds it taken allocates its own).
-    spare_claims: Mutex<Vec<(Arc<Slot>, u32)>>,
     /// Advisory single-combiner flag; correctness never depends on it.
     combiner_busy: AtomicBool,
     /// Owner reclaim of `CLAIMED` slots enabled (the lease rule). Off,
@@ -361,13 +386,26 @@ pub(crate) enum SlotPoll {
     Claimed,
 }
 
+/// A claimed slot and the epoch its claim was taken under.
+pub(crate) type Claim = (Arc<Slot>, u32);
+
 /// A claim set taken by [`ShardCore::begin_combine`] and executed by
 /// [`ShardCore::finish_combine`]. Dropping it without finishing models
 /// a combiner crash exactly: the claims stay `CLAIMED` (no `Drop`
 /// cleanup on purpose) until their owners reclaim them.
 pub(crate) struct CombinePass {
-    claimed: Vec<(Arc<Slot>, u32)>,
+    claimed: Vec<Claim>,
     forced: bool,
+}
+
+/// The flag holder's own unit in a direct pass: never published, run
+/// at its owner's registry position among the claims, its responses
+/// written straight to the owner's buffer.
+struct OwnUnit<'a> {
+    /// Claims that precede the owner's slot in registry order.
+    at: usize,
+    ops: &'a [u64],
+    out: &'a mut Vec<u64>,
 }
 
 /// Test-only hook parked between claim and execute (takes the shard).
@@ -395,7 +433,6 @@ impl ShardCore {
                 resps: Vec::new(),
             }),
             slots: RwLock::new(Vec::new()),
-            spare_claims: Mutex::new(Vec::new()),
             combiner_busy: AtomicBool::new(false),
             lease,
             reclaim_after,
@@ -560,145 +597,215 @@ impl ShardCore {
         }
     }
 
-    /// Claim phase of a combine pass: CAS every `PENDING` slot to
-    /// `CLAIMED` (remembering its epoch). Returns `None` when the
-    /// advisory flag was held (`force` bypasses it) or nothing was
-    /// pending. Dropping the returned pass without
-    /// [`ShardCore::finish_combine`] models a combiner crash.
-    pub(crate) fn begin_combine(&self, force: bool) -> Option<CombinePass> {
-        if !force
-            && self
-                .combiner_busy
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            return None;
-        }
-        // Claim phase — lock-free with respect to other combiners: each
-        // slot moves (PENDING, e) → (CLAIMED, e) by CAS, so racing
-        // combiners split the pending set and no op is taken twice.
-        let mut claimed = std::mem::take(&mut *self.spare_claims.lock());
-        {
-            let slots = self.slots.read();
-            for s in slots.iter() {
-                let word = s.state.load(Ordering::Acquire);
-                if state_of(word) == PENDING
-                    && s.state
-                        .compare_exchange(
-                            word,
-                            pack(CLAIMED, epoch_of(word)),
-                            Ordering::AcqRel,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                {
-                    claimed.push((Arc::clone(s), epoch_of(word)));
-                }
+    /// Take the advisory combiner flag, if it is free.
+    fn lead(&self) -> bool {
+        self.combiner_busy
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Claim every `PENDING` slot onto `claims`, in registry order, by
+    /// CAS `(PENDING, e) → (CLAIMED, e)` — lock-free with respect to
+    /// other combiners, so racing combiners split the pending set and
+    /// no op is taken twice. Returns how many claims precede `mine` in
+    /// registry order: where a direct pass runs its owner's unit, so
+    /// the batch is the one the owner's published unit would have made.
+    fn claim(&self, mine: Option<&Arc<Slot>>, claims: &mut Vec<Claim>) -> usize {
+        let mut at = None;
+        let slots = self.slots.read();
+        for s in slots.iter() {
+            let word = s.state.load(Ordering::Acquire);
+            if state_of(word) == PENDING
+                && s.state
+                    .compare_exchange(
+                        word,
+                        pack(CLAIMED, epoch_of(word)),
+                        Ordering::AcqRel,
+                        Ordering::Relaxed,
+                    )
+                    .is_ok()
+            {
+                claims.push((Arc::clone(s), epoch_of(word)));
+            }
+            if mine.is_some_and(|m| Arc::ptr_eq(s, m)) {
+                at = Some(claims.len());
             }
         }
+        at.unwrap_or(claims.len())
+    }
+
+    /// Claim phase of a split-phase pass: every `PENDING` slot moves to
+    /// `CLAIMED` (remembering its epoch), and the pass takes over
+    /// `claims`' buffer. Returns `None` when the advisory flag was held
+    /// (`force` bypasses it) or nothing was pending. Dropping the
+    /// returned pass without [`ShardCore::finish_combine`] models a
+    /// combiner crash.
+    pub(crate) fn begin_combine(
+        &self,
+        force: bool,
+        claims: &mut Vec<Claim>,
+    ) -> Option<CombinePass> {
+        if !force && !self.lead() {
+            return None;
+        }
+        self.claim(None, claims);
         self.park_point();
-        if claimed.is_empty() {
-            *self.spare_claims.lock() = claimed;
+        if claims.is_empty() {
             if !force {
                 self.combiner_busy.store(false, Ordering::Release);
             }
             return None;
         }
         Some(CombinePass {
-            claimed,
+            claimed: std::mem::take(claims),
             forced: force,
         })
     }
 
-    /// Execute-and-distribute phase of a combine pass. Seals every
-    /// still-held claim under the replica write lock, appends the
-    /// sealed ops as one batched log record, and distributes results —
-    /// all inside the same critical section, so a pass that runs at all
-    /// runs to delivery — then, with no lock held, settles the WAL I/O
-    /// the pass left due. Returns whether any ops were drained.
-    pub(crate) fn finish_combine(&self, pass: CombinePass) -> bool {
+    /// Execute-and-distribute phase of a split-phase pass (see
+    /// [`Self::execute`]), then, with no lock held, the WAL I/O the pass
+    /// left due. The emptied claim list goes back to `claims` for the
+    /// caller's next pass. Returns whether any ops were drained.
+    pub(crate) fn finish_combine(&self, pass: CombinePass, claims: &mut Vec<Claim>) -> bool {
         let CombinePass {
             mut claimed,
             forced,
         } = pass;
-        let drained = {
-            let mut replica = self.replica.write();
-            let CoreReplica {
-                handle,
-                words,
-                counts,
-                resps,
-            } = &mut *replica;
-            // Seal: pin each claim with a CAS on its exact (CLAIMED, e)
-            // word. A failed seal means the owner reclaimed the op — it
-            // is someone else's to apply now, so it leaves the batch.
-            claimed.retain(|(s, e)| {
-                s.state
-                    .compare_exchange(
-                        pack(CLAIMED, *e),
-                        pack(SEALED, *e),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            });
-            if claimed.is_empty() {
-                false
-            } else {
-                words.clear();
-                counts.clear();
-                for (s, _) in &claimed {
-                    let ops = s.ops.lock();
-                    words.extend_from_slice(&ops);
-                    counts.push(ops.len());
-                }
-                // Execute — one decided slot for the whole drain.
-                handle.invoke_many_into(words, resps);
-                let diverged = self.log.divergence_detected();
-                self.stats.record_pass(self.shard, words.len());
-                // Distribute, still under the lock: a sealed op is
-                // always delivered by the pass that sealed it.
-                let mut off = 0;
-                for ((s, e), n) in claimed.iter().zip(counts.iter()) {
-                    {
-                        let mut out = s.results.lock();
-                        out.clear();
-                        out.extend_from_slice(&resps[off..off + n]);
-                    }
-                    off += n;
-                    s.state.store(
-                        pack(if diverged { FAILED } else { DONE }, *e),
-                        Ordering::Release,
-                    );
-                }
-                true
-            }
-        };
+        let drained = self.execute(&mut claimed, None).is_some();
         claimed.clear();
-        *self.spare_claims.lock() = claimed;
-        if !forced {
-            self.combiner_busy.store(false, Ordering::Release);
-        }
-        // Group commit and rotation, with the replica, the claims and
-        // the combiner flag all released: the shard keeps deciding (and
-        // answering) ops while this thread waits for the disk.
-        if let Some(wal) = &self.wal {
-            wal.settle();
-        }
+        *claims = claimed;
+        self.end_pass(forced);
         drained
     }
 
-    /// Publish `ops` as one pending unit and wait for a combiner
-    /// (possibly this caller) to execute and deliver. Leaves one
-    /// response word per op in `out`, or returns the shard index on
-    /// divergence. Built on the same publish/poll/begin/finish
-    /// primitives the split-phase (simulation-drivable) API exposes.
+    /// The one routine every pass runs, direct or split-phase. Under
+    /// the replica write lock it seals each claim with a CAS on its
+    /// exact `(CLAIMED, e)` word — a failed seal means the owner
+    /// reclaimed the op, which is someone else's to apply now, so it
+    /// leaves the batch — appends the sealed units, with `own` at its
+    /// registry position, as one batched log record, and delivers every
+    /// response before the lock is released, so a pass that runs at all
+    /// runs to delivery. Returns `None` when nothing was left to run,
+    /// otherwise whether the shard's log holds divergence evidence.
+    fn execute(&self, claimed: &mut Vec<Claim>, mut own: Option<OwnUnit<'_>>) -> Option<bool> {
+        let mut replica = self.replica.write();
+        let CoreReplica {
+            handle,
+            words,
+            counts,
+            resps,
+        } = &mut *replica;
+        // Seal, moving the owner's position down past dropped claims.
+        let mut index = 0;
+        let mut dropped_before = 0;
+        let own_at = own.as_ref().map_or(usize::MAX, |o| o.at);
+        claimed.retain(|(s, e)| {
+            let sealed = s
+                .state
+                .compare_exchange(
+                    pack(CLAIMED, *e),
+                    pack(SEALED, *e),
+                    Ordering::AcqRel,
+                    Ordering::Relaxed,
+                )
+                .is_ok();
+            if !sealed && index < own_at {
+                dropped_before += 1;
+            }
+            index += 1;
+            sealed
+        });
+        if let Some(own) = &mut own {
+            own.at -= dropped_before;
+        } else if claimed.is_empty() {
+            return None;
+        }
+        words.clear();
+        counts.clear();
+        for k in 0..=claimed.len() {
+            if let Some(own) = own.as_ref().filter(|o| o.at == k) {
+                words.extend_from_slice(own.ops);
+            }
+            if let Some((s, _)) = claimed.get(k) {
+                let ops = s.ops.lock();
+                words.extend_from_slice(&ops);
+                counts.push(ops.len());
+            }
+        }
+        // Execute — one decided slot for the whole drain.
+        handle.invoke_many_into(words, resps);
+        let diverged = self.log.divergence_detected();
+        self.stats.record_pass(self.shard, words.len());
+        // Distribute, still under the lock: a sealed op is always
+        // delivered by the pass that sealed it.
+        let mut off = 0;
+        for k in 0..=claimed.len() {
+            if let Some(own) = own.as_mut().filter(|o| o.at == k) {
+                let n = own.ops.len();
+                own.out.clear();
+                own.out.extend_from_slice(&resps[off..off + n]);
+                off += n;
+            }
+            if let (Some((s, e)), Some(&n)) = (claimed.get(k), counts.get(k)) {
+                {
+                    let mut out = s.results.lock();
+                    out.clear();
+                    out.extend_from_slice(&resps[off..off + n]);
+                }
+                off += n;
+                s.state.store(
+                    pack(if diverged { FAILED } else { DONE }, *e),
+                    Ordering::Release,
+                );
+            }
+        }
+        Some(diverged)
+    }
+
+    /// Close a pass: release the advisory flag (a forced pass never
+    /// took it), then do the group commit and rotation the pass left
+    /// due with the replica, the claims and the flag all released — the
+    /// shard keeps deciding (and answering) ops while this thread
+    /// waits for the disk.
+    fn end_pass(&self, forced: bool) {
+        if !forced {
+            self.combiner_busy.store(false, Ordering::Release);
+        }
+        if let Some(wal) = &self.wal {
+            wal.settle();
+        }
+    }
+
+    /// Run `ops` as one unit and wait until it is delivered: one
+    /// response word per op in `out`, or the shard index on
+    /// divergence. `claims` is the caller's reusable claim list.
+    ///
+    /// A caller that takes the advisory flag runs a direct pass: it
+    /// claims the other pending units and runs its own at its registry
+    /// position, without publishing it — its slot stays `EMPTY`, and
+    /// no other combiner can see the unit, claim it or seal it. A
+    /// caller that finds the flag held publishes and waits on the same
+    /// publish/poll/begin/finish primitives the split-phase
+    /// (simulation-drivable) API exposes.
     pub(crate) fn submit(
         &self,
         mine: &Arc<Slot>,
+        claims: &mut Vec<Claim>,
         ops: &[u64],
         out: &mut Vec<u64>,
     ) -> Result<(), usize> {
+        if self.lead() {
+            let at = self.claim(Some(mine), claims);
+            self.park_point();
+            let diverged = self.execute(claims, Some(OwnUnit { at, ops, out }));
+            claims.clear();
+            self.end_pass(false);
+            return if diverged == Some(false) {
+                Ok(())
+            } else {
+                Err(self.shard)
+            };
+        }
         self.publish(mine, ops);
         let mut spins = 0u32;
         loop {
@@ -711,7 +818,9 @@ impl ShardCore {
                 // disjoint set, or died holding the advisory flag; our
                 // op is still up for grabs).
                 SlotPoll::Pending => {
-                    if self.combine(false) || (spins > FORCE_AFTER && self.combine(true)) {
+                    if self.combine(false, claims)
+                        || (spins > FORCE_AFTER && self.combine(true, claims))
+                    {
                         continue;
                     }
                 }
@@ -728,12 +837,12 @@ impl ShardCore {
         }
     }
 
-    /// One full combine pass (claim + execute + distribute). Returns
-    /// whether any ops were drained. `force` bypasses the advisory flag
-    /// (the stalled-combiner takeover path).
-    fn combine(&self, force: bool) -> bool {
-        match self.begin_combine(force) {
-            Some(pass) => self.finish_combine(pass),
+    /// One full split-phase pass (claim + execute + distribute) over
+    /// published units. Returns whether any ops were drained. `force`
+    /// bypasses the advisory flag (the stalled-combiner takeover path).
+    fn combine(&self, force: bool, claims: &mut Vec<Claim>) -> bool {
+        match self.begin_combine(force, claims) {
+            Some(pass) => self.finish_combine(pass, claims),
             None => false,
         }
     }
@@ -787,6 +896,74 @@ mod tests {
         );
         let stats = store.combine_snapshot().unwrap();
         assert!(stats.fastpath_hits >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn the_flag_holders_own_unit_never_touches_its_slot() {
+        let store = combining_store(Backend::reliable(), 1);
+        let core = store.shard_core_for_tests(0);
+        let mine = core.register();
+        let (mut claims, mut out) = (Vec::new(), Vec::new());
+        for value in 0..3 {
+            // The park point fires inside the pass, between claim and
+            // execute, with the combiner flag held.
+            let during = Arc::new(AtomicU32::new(u32::MAX));
+            {
+                let (during, slot) = (Arc::clone(&during), Arc::clone(&mine));
+                core.set_park_hook(move |_| {
+                    during.store(slot.state.load(Ordering::SeqCst), Ordering::SeqCst);
+                });
+            }
+            core.submit(&mine, &mut claims, &[KvMap::put_op(1, value)], &mut out)
+                .unwrap();
+            assert_eq!(state_of(during.load(Ordering::SeqCst)), EMPTY);
+            assert_eq!(state_of(mine.state.load(Ordering::SeqCst)), EMPTY);
+            assert_eq!(
+                KvMap::decode_response(out[0]),
+                value.checked_sub(1),
+                "put {value} answers the previous value"
+            );
+        }
+        let stats = store.combine_snapshot().unwrap();
+        assert_eq!((stats.passes, stats.combined_ops), (3, 3));
+    }
+
+    #[test]
+    fn a_direct_pass_carries_published_units_in_registry_order() {
+        for peer_registered_first in [true, false] {
+            let store = combining_store(Backend::reliable(), 1);
+            let core = store.shard_core_for_tests(0);
+            let (peer, mine) = if peer_registered_first {
+                let peer = core.register();
+                (peer, core.register())
+            } else {
+                let mine = core.register();
+                (core.register(), mine)
+            };
+            core.publish(&peer, &[KvMap::put_op(5, 1)]);
+            let (mut claims, mut out, mut peer_out) = (Vec::new(), Vec::new(), Vec::new());
+            core.submit(&mine, &mut claims, &[KvMap::put_op(5, 2)], &mut out)
+                .unwrap();
+            assert!(matches!(
+                core.poll(&peer, 0, &mut peer_out),
+                SlotPoll::Ready
+            ));
+            let answers = (
+                KvMap::decode_response(peer_out[0]),
+                KvMap::decode_response(out[0]),
+            );
+            // Both puts hit key 5 in one decided slot, applied in
+            // registry order: the later one answers the earlier value.
+            let expected = if peer_registered_first {
+                (None, Some(1))
+            } else {
+                (Some(2), None)
+            };
+            assert_eq!(answers, expected, "peer first: {peer_registered_first}");
+            let stats = store.combine_snapshot().unwrap();
+            assert_eq!((stats.passes, stats.combined_ops), (1, 2));
+            assert!(store.verify(&mut []).all_consistent());
+        }
     }
 
     #[test]

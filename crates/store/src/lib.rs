@@ -681,6 +681,7 @@ impl Store {
         StoreClient {
             layer: Arc::clone(&self.combine),
             slots: self.combine.cores.iter().map(|c| c.register()).collect(),
+            claims: Vec::new(),
             resps: Vec::new(),
         }
     }
@@ -749,6 +750,9 @@ impl Store {
 pub struct StoreClient {
     layer: Arc<CombineLayer>,
     slots: Vec<Arc<combine::Slot>>,
+    /// The claim list of this client's combine passes, reused from one
+    /// pass to the next.
+    claims: Vec<combine::Claim>,
     /// The last delivered unit's response words; swapped with the
     /// slot's result buffer on delivery, so neither is reallocated.
     resps: Vec<u64>,
@@ -804,12 +808,13 @@ impl StoreClient {
         (splitmix64(key as u64) % self.layer.cores.len() as u64) as usize
     }
 
-    /// Publish validated op words to shard `s`'s combining core and
-    /// wait for a combiner (possibly this thread) to deliver one
-    /// response word per op.
+    /// Run validated op words through shard `s`'s combining core —
+    /// directly when this thread takes the combiner flag, otherwise
+    /// published for the current combiner — and wait for one response
+    /// word per op.
     fn submit_combined(&mut self, s: usize, words: &[u64]) -> Result<&[u64], StoreError> {
         self.layer.cores[s]
-            .submit(&self.slots[s], words, &mut self.resps)
+            .submit(&self.slots[s], &mut self.claims, words, &mut self.resps)
             .map_err(|shard| StoreError::Divergence { shard })?;
         Ok(&self.resps)
     }
@@ -930,7 +935,7 @@ impl StoreClient {
     /// claims stay parked until their owners' lease reclaims fire.
     pub fn combine_begin(&mut self, shard: usize, force: bool) -> Option<CombineTicket> {
         self.layer.cores[shard]
-            .begin_combine(force)
+            .begin_combine(force, &mut self.claims)
             .map(|pass| CombineTicket { shard, pass })
     }
 
@@ -938,7 +943,7 @@ impl StoreClient {
     /// pass. Returns whether any ops were drained (claims reclaimed in
     /// the meantime drop out of the batch via the seal CAS).
     pub fn combine_finish(&mut self, ticket: CombineTicket) -> bool {
-        self.layer.cores[ticket.shard].finish_combine(ticket.pass)
+        self.layer.cores[ticket.shard].finish_combine(ticket.pass, &mut self.claims)
     }
 
     /// The wait-free read snapshot, exposed for split-phase drivers:

@@ -32,9 +32,20 @@ impl Default for Histogram {
 impl Histogram {
     /// Record one sample (nanoseconds).
     pub fn record(&self, nanos: u64) {
-        // 0 ns lands in bucket 0; otherwise bucket = floor(log2(n)).
-        let bucket = 63 - nanos.max(1).leading_zeros() as usize;
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[Self::bucket(nanos)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// [`Self::record`] for a histogram with one writer at a time (the
+    /// writer holds a lock): a load and a store, no atomic
+    /// read-modify-write.
+    pub(crate) fn record_exclusive(&self, nanos: u64) {
+        let bucket = &self.buckets[Self::bucket(nanos)];
+        bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// 0 ns lands in bucket 0; otherwise bucket = floor(log2(n)).
+    fn bucket(nanos: u64) -> usize {
+        63 - nanos.max(1).leading_zeros() as usize
     }
 
     /// Add every sample of `other` to this histogram (merging

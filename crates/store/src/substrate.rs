@@ -67,8 +67,8 @@
 //! share: the shard's [`FaultConfig`], one [`FaultKnob`] — the fault
 //! rate as an atomic the operator can turn mid-run, per shard, without
 //! rebuilding anything — and one `EnsembleStats`, so fault counts can be
-//! read while the shard serves traffic although cells are created and
-//! dropped as the log advances and truncates.
+//! read while the shard serves traffic although cells are minted,
+//! renewed and freed as the log advances and truncates.
 
 use crate::ConfigError;
 use ff_cas::{
@@ -126,12 +126,27 @@ struct KnobPolicy {
     salt: u64,
 }
 
+impl KnobPolicy {
+    /// The policy of the cell minted with `salt`.
+    fn new(knob: Arc<FaultKnob>, salt: u64) -> Self {
+        KnobPolicy {
+            knob,
+            salt: splitmix64(salt),
+        }
+    }
+}
+
 impl FaultPolicy for KnobPolicy {
     fn should_fault(&self, obj: ObjectId, op_index: u64) -> bool {
         let bits = splitmix64(
             self.knob.seed ^ self.salt ^ splitmix64(obj.0 as u64) ^ op_index.rotate_left(17),
         );
         bits <= self.knob.threshold.load(Ordering::Relaxed)
+    }
+
+    fn reseed(&mut self, salt: u64) -> bool {
+        self.salt = splitmix64(salt);
+        true
     }
 }
 
@@ -248,10 +263,7 @@ impl<'a> CellCtx<'a> {
             .kind(self.fault.kind)
             .faulty_first(faulty)
             .per_object(self.fault.t)
-            .policy(KnobPolicy {
-                knob: Arc::clone(self.knob),
-                salt: splitmix64(self.salt),
-            })
+            .policy(KnobPolicy::new(Arc::clone(self.knob), self.salt))
             .record_history(false)
             .shared_stats(Arc::clone(self.stats))
     }
@@ -742,13 +754,34 @@ impl ShardCells {
     pub fn backend(&self) -> &Backend {
         &self.backend
     }
+
+    /// The next cell's salt: one per cell minted, built or renewed.
+    fn mint_salt(&self) -> u64 {
+        self.next_salt.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn build(&self, salt: u64) -> Arc<dyn Consensus> {
+        let ctx = CellCtx::new(&self.fault, &self.knob, &self.stats, salt);
+        self.backend.substrate().make_cell(&ctx)
+    }
 }
 
 impl ff_universal::CellFactory for ShardCells {
     fn make(&self) -> Arc<dyn Consensus> {
-        let salt = self.next_salt.fetch_add(1, Ordering::Relaxed);
-        let ctx = CellCtx::new(&self.fault, &self.knob, &self.stats, salt);
-        self.backend.substrate().make_cell(&ctx)
+        self.build(self.mint_salt())
+    }
+
+    /// Renews `spare` under the next salt when its substrate can
+    /// ([`Consensus::renew`]: the hardware rows' inline ensembles), and
+    /// otherwise builds a fresh cell under that same salt, so the
+    /// shard's fault stream is the one `make` alone would give.
+    fn make_from(&self, mut spare: Arc<dyn Consensus>) -> Arc<dyn Consensus> {
+        let salt = self.mint_salt();
+        if Arc::get_mut(&mut spare).is_some_and(|cell| cell.renew(salt)) {
+            spare
+        } else {
+            self.build(salt)
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -795,6 +828,94 @@ mod tests {
             assert!([Input(1), Input(2), Input(3)].contains(&a), "validity");
         }
         assert!(cells.stats().total_observable() > 0, "faults were injected");
+    }
+
+    /// One step of the renewal script: three deciders on the step's
+    /// cell.
+    fn decide_step(cell: &dyn Consensus, step: u32) -> Vec<Input> {
+        (0..3).map(|p| cell.decide(Input(step * 8 + p))).collect()
+    }
+
+    #[test]
+    fn a_renewed_cell_is_indistinguishable_from_a_fresh_one() {
+        for row in BUILTINS {
+            let backend = Backend::builtin(row.name);
+            let kinds = match backend.injected_kinds() {
+                [] => &[FaultKind::Overriding][..],
+                kinds => kinds,
+            };
+            for (&kind, rate) in kinds.iter().flat_map(|k| [0.0, 0.2, 1.0].map(|r| (k, r))) {
+                let fault = FaultConfig {
+                    kind,
+                    t: Bound::Finite(2),
+                    rate,
+                    ..FaultConfig::default()
+                };
+                let case = format!("{} {kind:?} at {rate}", row.name);
+                let fresh = ShardCells::new(backend.clone(), fault.clone(), 11);
+                let renewing = ShardCells::new(backend.clone(), fault, 11);
+                let mut spare = renewing.make();
+                for step in 0..64 {
+                    let cell = fresh.make();
+                    if step > 0 {
+                        let was = Arc::as_ptr(&spare) as *const ();
+                        spare = renewing.make_from(spare);
+                        // KW cells sit behind heap objects and cannot
+                        // renew: the fallback builds under the salt
+                        // already drawn, so the streams still match.
+                        let renewed = Arc::as_ptr(&spare) as *const () == was;
+                        let hardware = matches!(row.primitive, Primitive::Hardware);
+                        assert_eq!(renewed, hardware, "{case}: step {step}");
+                    }
+                    assert_eq!(
+                        decide_step(&*cell, step),
+                        decide_step(&*spare, step),
+                        "{case}: step {step}"
+                    );
+                    assert_eq!(
+                        fresh.stats().all(),
+                        renewing.stats().all(),
+                        "{case}: step {step}"
+                    );
+                }
+                if rate > 0.0 && backend.injects_faults() {
+                    assert!(fresh.stats().total_observable() > 0, "{case}: no faults");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_renewed_ensemble_restores_its_budget_and_salt() {
+        let fault = FaultConfig {
+            kind: FaultKind::Silent,
+            t: Bound::Finite(2),
+            rate: 0.5,
+            ..FaultConfig::default()
+        };
+        let knob = FaultKnob::new(fault.rate, 5);
+        let (fresh_stats, renewed_stats) = (
+            Arc::new(EnsembleStats::new(2)),
+            Arc::new(EnsembleStats::new(2)),
+        );
+        let ensemble = |stats, salt| CellCtx::new(&fault, &knob, stats, salt).faulty_builder(2, 1);
+        let mut renewed = ensemble(&renewed_stats, 0).build();
+        for salt in 0..64 {
+            let fresh = ensemble(&fresh_stats, salt).build();
+            if salt > 0 {
+                assert!(renewed.renew(salt));
+            }
+            for new in 1..5 {
+                let obj = ObjectId(new as usize % 2);
+                assert_eq!(
+                    fresh.cas(obj, ff_spec::BOTTOM, new),
+                    renewed.cas(obj, ff_spec::BOTTOM, new)
+                );
+                assert_eq!(fresh.remaining_budget(obj), renewed.remaining_budget(obj));
+            }
+        }
+        assert_eq!(fresh_stats.all(), renewed_stats.all());
+        assert!(fresh_stats.total_observable() > 0, "the budget was spent");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Consensus-cell factories: what each log slot agrees with.
 //!
 //! The universal construction consumes one fresh one-shot consensus
-//! object per log slot, from a [`CellFactory`]. [`Cells`] is the family
-//! this crate ships: every cell is the construction
-//! [`ff_consensus::recommend`] picks for the environment, built by
-//! [`ff_consensus::build`] over fresh CAS objects whose faulty ones
-//! override with a fixed probability. The store's `ShardCells` is the
-//! other factory, the same selector over its substrate registry.
+//! object per log slot, from a [`CellFactory`] (which may renew a
+//! truncated slot's cell instead, [`CellFactory::make_from`]).
+//! [`Cells`] is the family this crate ships: every cell is the
+//! construction [`ff_consensus::recommend`] picks for the environment,
+//! built by [`ff_consensus::build`] over fresh CAS objects whose faulty
+//! ones override with a fixed probability. The store's `ShardCells` is
+//! the other factory, the same selector over its substrate registry.
 
 use ff_cas::{AtomicCasArray, FaultyCasArray, ProbabilisticPolicy};
 use ff_consensus::{build, recommend, Consensus, Recommendation};
@@ -18,6 +19,14 @@ use std::sync::Arc;
 pub trait CellFactory: Send + Sync {
     /// Make the next cell.
     fn make(&self) -> Arc<dyn Consensus>;
+
+    /// Make the next cell, renewing `spare` — a cell this factory made
+    /// whose decision nobody needs any more (the log hands back the
+    /// cells truncation frees) — where it can. The result must decide
+    /// exactly as [`Self::make`]'s would. The default drops `spare`.
+    fn make_from(&self, _spare: Arc<dyn Consensus>) -> Arc<dyn Consensus> {
+        self.make()
+    }
 
     /// The substrate name (the single naming source for reports).
     fn name(&self) -> &'static str;

@@ -212,9 +212,46 @@ struct DurableCursor {
 /// A chain of consensus cells: index `k` lives at `cells[k - base]`;
 /// indices below `base` have been truncated away by a checkpoint. The
 /// log's slots are one chain, its checkpoint boundaries another.
+#[derive(Default)]
 struct CellChain {
     base: usize,
     cells: Vec<Arc<dyn Consensus>>,
+    /// Truncated cells nothing else holds, for the factory to renew
+    /// instead of building a new one (see [`CellFactory::make_from`]).
+    spare: Vec<Arc<dyn Consensus>>,
+}
+
+impl CellChain {
+    /// Extend the chain through index `k`, each new cell minted by
+    /// `factory` — from a spare when there is one. Either way the
+    /// factory mints exactly one cell per index, in index order, so
+    /// its per-cell salts (and every fault stream) do not depend on
+    /// which cells were renewed.
+    fn extend_through(&mut self, k: usize, factory: &dyn CellFactory) {
+        while self.base + self.cells.len() <= k {
+            let cell = match self.spare.pop() {
+                Some(spare) => factory.make_from(spare),
+                None => factory.make(),
+            };
+            self.cells.push(cell);
+        }
+    }
+
+    /// Free the cells below index `cut`, keeping up to `keep` of them
+    /// as spares: only those no handle still holds (`Arc::get_mut`
+    /// proves nobody can be deciding on them).
+    fn truncate_below(&mut self, cut: usize, keep: usize) {
+        if self.base >= cut {
+            return;
+        }
+        let drop_n = (cut - self.base).min(self.cells.len());
+        for mut cell in self.cells.drain(..drop_n) {
+            if self.spare.len() < keep && Arc::get_mut(&mut cell).is_some() {
+                self.spare.push(cell);
+            }
+        }
+        self.base += drop_n;
+    }
 }
 
 /// The latest installed checkpoint: an encoded base plus the records
@@ -324,19 +361,13 @@ impl UniversalLog {
     fn build(factory: Arc<dyn CellFactory>, helping_n: Option<usize>) -> Self {
         UniversalLog {
             factory,
-            cells: Mutex::new(CellChain {
-                base: 0,
-                cells: Vec::new(),
-            }),
+            cells: Mutex::new(CellChain::default()),
             tail: AtomicUsize::new(0),
             announce: Mutex::new(AnnounceTable::default()),
             helping_n,
             pending: Mutex::new(HashMap::new()),
             interval: None,
-            boundaries: Mutex::new(CellChain {
-                base: 0,
-                cells: Vec::new(),
-            }),
+            boundaries: Mutex::new(CellChain::default()),
             ckpt: Mutex::new(CheckpointState::default()),
             diverged: AtomicBool::new(false),
             durable: Mutex::new(DurableCursor::default()),
@@ -426,9 +457,7 @@ impl UniversalLog {
             chain.base
         );
         if chain.base + chain.cells.len() <= k {
-            while chain.base + chain.cells.len() <= k {
-                chain.cells.push(self.factory.make());
-            }
+            chain.extend_through(k, &*self.factory);
             self.tail
                 .store(chain.base + chain.cells.len(), Ordering::SeqCst);
         }
@@ -445,9 +474,7 @@ impl UniversalLog {
             "boundary {b} was already pruned (boundary base is {})",
             chain.base
         );
-        while chain.base + chain.cells.len() <= b {
-            chain.cells.push(self.factory.make());
-        }
+        chain.extend_through(b, &*self.factory);
         let i = b - chain.base;
         Arc::clone(&chain.cells[i])
     }
@@ -830,25 +857,17 @@ impl UniversalLog {
         if min_watermark < snap.slot {
             return;
         }
-        {
-            let mut chain = self.cells.lock();
-            if chain.base < snap.slot {
-                let drop_n = (snap.slot - chain.base).min(chain.cells.len());
-                chain.cells.drain(..drop_n);
-                chain.base += drop_n;
-            }
-        }
-        if let Some(interval) = self.interval {
+        // One interval's worth of spares is what the chain mints before
+        // the next cut.
+        let interval = self.interval.unwrap_or(0);
+        self.cells.lock().truncate_below(snap.slot, interval);
+        if let Some(at) = snap.slot.checked_div(interval) {
             // Every live handle is at or past `snap.slot`, so it has
             // crossed every boundary strictly below it; the boundary
             // *at* the snapshot slot may still be mid-crossing.
-            let keep_from = (snap.slot / interval).saturating_sub(1);
-            let mut chain = self.boundaries.lock();
-            if chain.base < keep_from {
-                let drop_n = (keep_from - chain.base).min(chain.cells.len());
-                chain.cells.drain(..drop_n);
-                chain.base += drop_n;
-            }
+            self.boundaries
+                .lock()
+                .truncate_below(at.saturating_sub(1), 1);
         }
         if !snap.retired.is_empty() {
             let mut announce = self.announce.lock();
@@ -908,7 +927,8 @@ pub struct Handle<T: Replicated> {
     /// logs once prefixes have been truncated.
     digest: u64,
     /// `(slot, digest)` at every checkpoint boundary this handle
-    /// crossed (or was restored at).
+    /// crossed (or was restored at), pruned below the log's truncated
+    /// prefix like the log's own list.
     boundary_digests: Vec<(usize, u64)>,
     /// This handle's `next_slot` as the core's truncation sees it
     /// (registered only when checkpointing is on).
@@ -1063,10 +1083,11 @@ impl<T: Replicated> Handle<T> {
         self.prune_window();
     }
 
-    /// Drop the part of the opid window the log has truncated: those
-    /// slots' announce entries are retired and no snapshot install will
-    /// ask for them again (installs cover `[previous snapshot, slot)`,
-    /// and truncation never passes the snapshot slot).
+    /// Drop the part of the opid window the log has truncated, and the
+    /// boundary digests below it: those slots' announce entries are
+    /// retired and no snapshot install will ask for them again
+    /// (installs cover `[previous snapshot, slot)`, and truncation never
+    /// passes the snapshot slot).
     fn prune_window(&mut self) {
         let cut = self.core.truncated_prefix().min(self.next_slot);
         if cut <= self.start_slot {
@@ -1079,6 +1100,9 @@ impl<T: Replicated> Handle<T> {
             }
         }
         self.start_slot = cut;
+        // Like the log's own list: no live handle can cross a boundary
+        // below the cut again, so there is nothing left to compare.
+        self.boundary_digests.retain(|&(slot, _)| slot >= cut);
     }
 
     /// Re-ingest one recovered decided record through a fresh consensus
@@ -1247,8 +1271,8 @@ impl<T: Replicated> Handle<T> {
     }
 
     /// `(slot, digest)` at every checkpoint boundary this replica
-    /// crossed or was restored at; compare across replicas with
-    /// [`digests_consistent`].
+    /// crossed or was restored at, from the log's truncated prefix on;
+    /// compare across replicas with [`digests_consistent`].
     pub fn boundary_digests(&self) -> &[(usize, u64)] {
         &self.boundary_digests
     }
@@ -1727,6 +1751,20 @@ mod tests {
         );
         assert!(core.truncated_prefix() >= 50 - interval);
         assert_eq!(h.invoke(Counter::get_op()), 50);
+    }
+
+    #[test]
+    fn boundary_digests_stay_bounded_as_the_log_truncates() {
+        let core = Arc::new(UniversalLog::new(Arc::new(Cells::reliable())).checkpoint_every(2));
+        let mut h = Handle::new(Arc::clone(&core), 0, Counter::default());
+        let mut longest = 0;
+        for _ in 0..2_000 {
+            h.invoke(Counter::add_op(1));
+            longest = longest.max(h.boundary_digests().len());
+        }
+        assert_eq!(core.checkpoints_installed(), 1_000);
+        assert!(longest <= 2, "{longest} boundary digests retained");
+        assert_eq!(h.boundary_digests(), core.boundary_digest_view());
     }
 
     #[test]
