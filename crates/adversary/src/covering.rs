@@ -17,8 +17,8 @@
 //! violated while each object faulted at most once. This module executes
 //! that schedule against any set of [`Process`] machines.
 
-use ff_sim::{Choice, FaultDecision, FaultPlan, Heap, Op, Process, SimState, Status, StepDecision};
-use ff_spec::{Bound, Input, ObjectId, ProcessId};
+use ff_sim::{Choice, FaultPlan, Heap, Op, Process, SimState, Status, StepDecision};
+use ff_spec::{Bound, FaultDecision, Input, ObjectId, ProcessId};
 
 /// Per-segment step budget: within tolerance, wait-free protocols decide
 /// in far fewer steps; tripping this means the protocol (or the attack's

@@ -12,8 +12,8 @@
 //! decides its own input. Overriding faults can never manufacture this
 //! execution because they only ever write values some process supplied.
 
-use ff_sim::{FaultDecision, FaultPlan, Heap, Process, SimState, Status, StepDecision};
-use ff_spec::{Input, ObjectId, ProcessId, BOTTOM};
+use ff_sim::{FaultPlan, Heap, Process, SimState, Status, StepDecision};
+use ff_spec::{FaultDecision, Input, ObjectId, ProcessId, BOTTOM};
 
 /// Step budget per solo segment.
 const SEGMENT_STEP_LIMIT: u64 = 1_000_000;

@@ -1,32 +1,35 @@
 //! CAS ensembles with functional-fault injection at the linearization
 //! point — the "unreliable hardware" the native protocols run on.
 //!
-//! Each fault kind of Sections 3.3–3.4 is emulated by a different atomic
-//! primitive at the linearization point:
+//! What a fault writes and reports is not written here: an attempt takes
+//! the kind's canonical [`FaultDecision`] (`ff-spec`'s postcondition
+//! table, the one the simulator's heap applies too), and this module only
+//! picks the atomic that realizes it at the linearization point:
 //!
+//! * **correct** and **invisible** — a compare-exchange (the invisible
+//!   fault then reports `exp`, pretending the comparison matched);
 //! * **overriding** — an unconditional `swap`: exactly the postcondition
 //!   `R = val ∧ old = R'`;
-//! * **silent** — a plain load (nothing written, old value reported);
-//! * **invisible** — a correct compare-exchange whose *reported* old value
-//!   is corrupted (we report `exp`, pretending the comparison matched);
 //! * **arbitrary** — a `swap` of a pseudo-random junk word;
-//! * **nonresponsive** — the calling thread parks forever.
+//! * **silent** — a plain load (nothing written, old value reported);
+//! * **nonresponsive** — no decision at all: the calling thread parks
+//!   forever.
 //!
 //! Whether an invocation *attempts* a fault is the [`FaultPolicy`]'s call;
-//! whether the attempt *counts* is decided after the fact by classifying
-//! the observable record (Definition 1): an attempt indistinguishable from
-//! a correct execution — e.g. an overriding write whose comparison matched
-//! anyway — is refunded to the budget.
+//! whether the attempt *counts* is decided after the fact by the
+//! observable record (Definition 1): an attempt indistinguishable from a
+//! correct execution — e.g. an overriding write whose comparison matched
+//! anyway — is refunded to the `(f, t)` [`NativeBudget`].
 
 use crate::atomic::AtomicCas;
-use crate::budget::{NativeBudget, INLINE_OBJECTS};
 use crate::cell::CasEnsemble;
 use crate::policy::{splitmix64, FaultPolicy, NeverPolicy};
 use crate::raw::RawCas;
 use crate::stats::EnsembleStats;
+use ff_spec::budget::INLINE_OBJECTS;
 use ff_spec::{
-    classify_cas, Bound, CasClassification, CasRecord, FaultKind, History, ObjectId, OpEvent,
-    ProcessId, Word,
+    standard_post, Bound, CasRecord, FaultDecision, FaultKind, History, NativeBudget, ObjectId,
+    OpEvent, ProcessId, Word,
 };
 use parking_lot::Mutex;
 use std::cell::Cell;
@@ -185,73 +188,25 @@ impl<P: FaultPolicy> CasEnsemble for FaultyCasArray<P> {
 
         let record = if attempt {
             self.stats.record_attempt(obj);
-            match self.kind {
-                FaultKind::Overriding => {
-                    let old = cell.swap(new);
-                    CasRecord {
-                        pre: old,
-                        exp,
-                        new,
-                        post: new,
-                        returned: old,
-                    }
+            let junk = splitmix64(0xFEED_FACE ^ splitmix64(obj.0 as u64) ^ op_index);
+            let Some(decision) = self.kind.decision(exp, junk) else {
+                // The operation never responds (Section 3.4). The
+                // calling thread is gone; harnesses must collect
+                // results with timeouts and leave the thread detached.
+                loop {
+                    std::thread::park();
                 }
-                FaultKind::Silent => {
-                    let pre = cell.load();
-                    CasRecord {
-                        pre,
-                        exp,
-                        new,
-                        post: pre,
-                        returned: pre,
-                    }
-                }
-                FaultKind::Invisible => {
-                    let old = cell.cas(exp, new);
-                    let post = if old == exp { new } else { old };
-                    CasRecord {
-                        pre: old,
-                        exp,
-                        new,
-                        post,
-                        // Pretend the comparison matched: report `exp`.
-                        returned: exp,
-                    }
-                }
-                FaultKind::Arbitrary => {
-                    let junk = splitmix64(0xFEED_FACE ^ splitmix64(obj.0 as u64) ^ op_index);
-                    let old = cell.swap(junk);
-                    CasRecord {
-                        pre: old,
-                        exp,
-                        new,
-                        post: junk,
-                        returned: old,
-                    }
-                }
-                FaultKind::Nonresponsive => {
-                    // The operation never responds (Section 3.4). The
-                    // calling thread is gone; harnesses must collect
-                    // results with timeouts and leave the thread detached.
-                    loop {
-                        std::thread::park();
-                    }
-                }
-            }
-        } else {
-            let old = cell.cas(exp, new);
-            let post = if old == exp { new } else { old };
-            CasRecord {
-                pre: old,
-                exp,
-                new,
-                post,
-                returned: old,
-            }
-        };
-
-        if attempt {
-            if matches!(classify_cas(&record), CasClassification::Correct) {
+            };
+            // The table says what the decision writes and reports; the
+            // atomic says how it happens at the linearization point.
+            let pre = match decision {
+                FaultDecision::Correct | FaultDecision::Invisible { .. } => cell.cas(exp, new),
+                FaultDecision::Override => cell.swap(new),
+                FaultDecision::Arbitrary { written } => cell.swap(written),
+                FaultDecision::Silent => cell.load(),
+            };
+            let record = decision.apply(pre, exp, new);
+            if standard_post(&record) {
                 // Indistinguishable from a correct execution: not a fault
                 // per Definition 1 — refund the budget.
                 self.budget.refund(obj);
@@ -259,7 +214,10 @@ impl<P: FaultPolicy> CasEnsemble for FaultyCasArray<P> {
             } else {
                 self.stats.record_observable(obj);
             }
-        }
+            record
+        } else {
+            FaultDecision::Correct.apply(cell.cas(exp, new), exp, new)
+        };
         self.record_event(obj, record, attempt);
         record.returned
     }

@@ -9,7 +9,9 @@
 //! fault is *defined* by the effect on the operation's postconditions
 //! (Definition 1), not by its physical cause. An overriding fault, for
 //! instance, is emulated by an unconditional atomic `swap` — precisely the
-//! postcondition `R = val ∧ old = R'`.
+//! postcondition `R = val ∧ old = R'`. What each fault writes and reports,
+//! and the `(f, t)` budget, are `ff-spec`'s ([`ff_spec::FaultDecision`],
+//! [`ff_spec::NativeBudget`]), shared with the simulator.
 //!
 //! The CAS object built from consensus-number-1 primitives,
 //! `ff_consensus::KwCas`, lives with the step machines it is written
@@ -36,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod atomic;
-pub mod budget;
 pub mod cell;
 pub mod faulty;
 pub mod policy;
@@ -44,12 +45,11 @@ pub mod raw;
 pub mod stats;
 
 pub use atomic::{AtomicCas, AtomicCasArray};
-pub use budget::NativeBudget;
 pub use cell::{CasCell, CasEnsemble, EnsembleCell};
 pub use faulty::{set_thread_process_id, thread_process_id, FaultyCasArray, FaultyCasArrayBuilder};
 pub use policy::{
     splitmix64, AlwaysPolicy, EveryNthPolicy, FaultPolicy, FirstKPolicy, NeverPolicy,
-    ProbabilisticPolicy, ScriptedPolicy,
+    ProbabilisticPolicy,
 };
 pub use raw::RawCas;
 pub use stats::{EnsembleStats, ObjectStats};

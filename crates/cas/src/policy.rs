@@ -135,40 +135,6 @@ impl FaultPolicy for FirstKPolicy {
     }
 }
 
-/// Replays a fixed per-object fault pattern: operation `i` on object `o`
-/// attempts a fault iff `patterns[o][i]` is `true` (out-of-range indices
-/// are correct). Being a pure function of `(object, op_index)`, the
-/// policy is exactly reproducible under any thread interleaving of
-/// per-object operation orders.
-#[derive(Clone, Debug)]
-pub struct ScriptedPolicy {
-    patterns: Vec<Vec<bool>>,
-}
-
-impl ScriptedPolicy {
-    /// Policy from per-object patterns (index = object id).
-    pub fn new(patterns: Vec<Vec<bool>>) -> Self {
-        ScriptedPolicy { patterns }
-    }
-
-    /// Policy applying the same pattern to every object.
-    pub fn uniform(pattern: Vec<bool>, objects: usize) -> Self {
-        ScriptedPolicy {
-            patterns: vec![pattern; objects],
-        }
-    }
-}
-
-impl FaultPolicy for ScriptedPolicy {
-    fn should_fault(&self, obj: ObjectId, op_index: u64) -> bool {
-        self.patterns
-            .get(obj.0)
-            .and_then(|p| p.get(op_index as usize))
-            .copied()
-            .unwrap_or(false)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,27 +200,6 @@ mod tests {
         assert!(p.should_fault(ObjectId(0), 0));
         assert!(p.should_fault(ObjectId(0), 1));
         assert!(!p.should_fault(ObjectId(0), 2));
-    }
-
-    #[test]
-    fn scripted_policy_replays_patterns() {
-        let p = ScriptedPolicy::new(vec![vec![true, false, true], vec![false, true]]);
-        assert!(p.should_fault(ObjectId(0), 0));
-        assert!(!p.should_fault(ObjectId(0), 1));
-        assert!(p.should_fault(ObjectId(0), 2));
-        assert!(!p.should_fault(ObjectId(0), 3), "past the script: correct");
-        assert!(!p.should_fault(ObjectId(1), 0));
-        assert!(p.should_fault(ObjectId(1), 1));
-        assert!(!p.should_fault(ObjectId(2), 0), "unknown object: correct");
-    }
-
-    #[test]
-    fn scripted_uniform_applies_everywhere() {
-        let p = ScriptedPolicy::uniform(vec![true], 3);
-        for o in 0..3 {
-            assert!(p.should_fault(ObjectId(o), 0));
-            assert!(!p.should_fault(ObjectId(o), 1));
-        }
     }
 
     #[test]

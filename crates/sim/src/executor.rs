@@ -1,46 +1,18 @@
 //! The run-to-completion driver for simulated executions.
 //!
 //! [`run`] drives a set of step-machine processes over a [`Heap`] under a
-//! [`Scheduler`], a [`FaultPlan`]/[`FaultBudget`] and a [`FaultOracle`],
-//! producing the per-process [`Outcome`]s plus the full [`History`] and
-//! [`Trace`] of the execution. All nondeterminism lives in the scheduler
+//! [`Scheduler`], a [`FaultPlan`] (and its [`NativeBudget`]) and a
+//! [`FaultOracle`], producing the per-process [`Outcome`]s plus the full
+//! [`History`] and [`Trace`] of the execution. All nondeterminism lives in the scheduler
 //! and the oracle, so any execution is exactly replayable.
 
-use crate::fault_ctl::{FaultBudget, FaultOracle, FaultPlan, StepDecision};
+use crate::fault_ctl::{FaultOracle, FaultPlan, StepDecision};
 use crate::heap::Heap;
-use crate::ops::{FaultDecision, Op, OpResult};
+use crate::ops::{Op, OpResult};
 use crate::process::{Process, Status};
 use crate::scheduler::Scheduler;
 use crate::trace::{Trace, TraceEvent};
-use ff_spec::{classify_cas, CasClassification, FaultKind, History, OpEvent, Outcome, ProcessId};
-
-impl FaultPlan {
-    /// If this plan's canonical fault were applied to a CAS step seeing
-    /// `pre` with arguments `exp`/`new`, would it be observable (an actual
-    /// fault per Definition 1)? Returns the decision when so.
-    ///
-    /// This is the *fault opportunity* predicate: the executor consults
-    /// the oracle, and the explorer branches, exactly at steps where this
-    /// returns `Some`.
-    pub fn opportunity(
-        &self,
-        obj: ff_spec::ObjectId,
-        pre: ff_spec::Word,
-        exp: ff_spec::Word,
-        new: ff_spec::Word,
-    ) -> Option<StepDecision> {
-        if self.kind_of(obj) == FaultKind::Nonresponsive {
-            // Hanging is always observable (the operation never returns).
-            return Some(StepDecision::Hang);
-        }
-        let d = self.decision(obj, pre, exp, new);
-        if d.observable(pre, exp, new) {
-            Some(StepDecision::Apply(d))
-        } else {
-            None
-        }
-    }
-}
+use ff_spec::{standard_post, FaultDecision, History, NativeBudget, OpEvent, Outcome, ProcessId};
 
 /// The effect of executing one step on one process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,7 +30,7 @@ pub enum StepEffect {
 /// steps identically.
 pub(crate) fn execute_step(
     heap: &mut Heap,
-    budget: &mut FaultBudget,
+    budget: &NativeBudget,
     process: &mut dyn Process,
     pid: ProcessId,
     mut decision: StepDecision,
@@ -73,30 +45,18 @@ pub(crate) fn execute_step(
             // observable requires (and consumes) budget; downgrade to
             // correct when none is available. Unobservable "faults" are
             // applied as-is — they coincide with correct behavior.
-            match decision {
-                StepDecision::Apply(FaultDecision::Correct) => {}
-                StepDecision::Apply(d) => {
-                    if d.observable(pre, exp, new) {
-                        if budget.can_fault(obj) {
-                            budget.consume(obj);
-                        } else {
-                            decision = StepDecision::Apply(FaultDecision::Correct);
-                        }
-                    }
-                }
-                StepDecision::Hang => {
-                    if budget.can_fault(obj) {
-                        budget.consume(obj);
-                    } else {
-                        decision = StepDecision::Apply(FaultDecision::Correct);
-                    }
-                }
+            let charged = match decision {
+                StepDecision::Apply(d) => d.observable(pre, exp, new),
+                StepDecision::Hang => true,
+            };
+            if charged && !budget.try_reserve(obj) {
+                decision = StepDecision::Apply(FaultDecision::Correct);
             }
             match decision {
                 StepDecision::Hang => (StepEffect::Blocked, None, true),
                 StepDecision::Apply(d) => {
                     let record = heap.apply_cas(obj, exp, new, d);
-                    let faulted = !matches!(classify_cas(&record), CasClassification::Correct);
+                    let faulted = !standard_post(&record);
                     if let Some(h) = history {
                         h.push(OpEvent {
                             process: pid,
@@ -203,7 +163,7 @@ pub fn run(
     config: RunConfig,
 ) -> RunReport {
     let n = processes.len();
-    let mut budget = FaultBudget::new(plan, heap.cas_count());
+    let budget = plan.budget(heap.cas_count());
     let mut blocked = vec![false; n];
     let mut steps = vec![0u64; n];
     let mut history = History::new();
@@ -242,7 +202,7 @@ pub fn run(
 
         let effect = execute_step(
             &mut heap,
-            &mut budget,
+            &budget,
             processes[pid.0].as_mut(),
             pid,
             decision,
@@ -283,7 +243,7 @@ mod tests {
     use super::*;
     use crate::fault_ctl::{GreedyFault, NeverFault};
     use crate::scheduler::RoundRobin;
-    use ff_spec::{check_consensus, Bound, Input, ObjectId, BOTTOM};
+    use ff_spec::{check_consensus, Bound, FaultKind, Input, ObjectId, BOTTOM};
 
     /// A process that CASes its input into object 0 once (expecting ⊥) and
     /// decides whatever ends up chosen: the Herlihy protocol inlined, used

@@ -1,17 +1,16 @@
-//! Fault plans, budgets and oracles for simulated executions.
+//! Fault plans and oracles for simulated executions.
 //!
 //! A [`FaultPlan`] fixes the fault environment of one execution, matching
 //! Definition 3's parameters: which objects may be faulty (at most `f`),
 //! which [`FaultKind`] they exhibit, and the per-object fault limit `t`
-//! (bounded or unbounded). The [`FaultBudget`] does the per-execution
-//! accounting; a [`FaultOracle`] decides, step by step, whether an allowed
-//! fault actually happens — deterministic oracles make executions exactly
-//! replayable.
+//! (bounded or unbounded). Its [`FaultPlan::budget`] — `ff-spec`'s
+//! [`NativeBudget`], the one the native injector uses — does the
+//! per-execution accounting; a [`FaultOracle`] decides, step by step,
+//! whether an allowed fault actually happens — deterministic oracles make
+//! executions exactly replayable.
 
-use crate::ops::{FaultDecision, Op};
-use ff_spec::{Bound, FaultKind, ObjectId, ProcessId, Word, BOTTOM};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use crate::ops::Op;
+use ff_spec::{Bound, FaultDecision, FaultKind, NativeBudget, ObjectId, ProcessId, Word, BOTTOM};
 use std::collections::{BTreeMap, VecDeque};
 
 /// The fault environment of one execution.
@@ -74,88 +73,44 @@ impl FaultPlan {
         self.kind_overrides.get(&obj).copied().unwrap_or(self.kind)
     }
 
-    /// The canonical adversarial [`FaultDecision`] for this plan's kind,
-    /// given the current cell content and the operation's arguments.
+    /// The canonical adversarial step for `obj`'s kind under a CAS
+    /// expecting `exp` ([`FaultKind::decision`]), with the arbitrary
+    /// fault resetting the cell to `⊥`: the most damaging single choices
+    /// for the consensus protocols studied here, and keeping them
+    /// canonical keeps the explorer's branching finite. A nonresponsive
+    /// object hangs.
+    pub fn decision(&self, obj: ObjectId, exp: Word) -> StepDecision {
+        match self.kind_of(obj).decision(exp, BOTTOM) {
+            Some(d) => StepDecision::Apply(d),
+            None => StepDecision::Hang,
+        }
+    }
+
+    /// If this plan's canonical fault were applied to a CAS step seeing
+    /// `pre` with arguments `exp`/`new`, would it be observable (an actual
+    /// fault per Definition 1)? Returns the step when so.
     ///
-    /// For the invisible fault the adversary reports `exp` (pretending the
-    /// comparison matched); for the arbitrary fault it resets the cell to
-    /// `⊥` — both are the most damaging single choices for the consensus
-    /// protocols studied here, and keeping them canonical keeps the
-    /// explorer's branching finite.
-    pub fn decision(&self, obj: ObjectId, _pre: Word, exp: Word, _new: Word) -> FaultDecision {
-        match self.kind_of(obj) {
-            FaultKind::Overriding => FaultDecision::Override,
-            FaultKind::Silent => FaultDecision::Silent,
-            FaultKind::Invisible => FaultDecision::Invisible { returned: exp },
-            FaultKind::Arbitrary => FaultDecision::Arbitrary { written: BOTTOM },
-            // Nonresponsiveness is handled at the executor level (the
-            // operation never returns); as a *decision on the memory* it
-            // acts like a silent no-op.
-            FaultKind::Nonresponsive => FaultDecision::Silent,
-        }
-    }
-}
-
-/// Per-execution fault accounting: which objects are in the faulty set and
-/// how many faults each has left.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FaultBudget {
-    faulty: Vec<bool>,
-    /// Remaining faults per object; `None` = unbounded.
-    remaining: Vec<Option<u64>>,
-}
-
-impl FaultBudget {
-    /// Build the budget for `plan` over a heap with `num_objects` CAS cells.
-    pub fn new(plan: &FaultPlan, num_objects: usize) -> Self {
-        let mut faulty = vec![false; num_objects];
-        let mut remaining = vec![Some(0); num_objects];
-        for &obj in &plan.faulty {
-            assert!(
-                obj.0 < num_objects,
-                "fault plan names object {obj} but the heap has only {num_objects} CAS cells"
-            );
-            faulty[obj.0] = true;
-            remaining[obj.0] = plan.per_object.finite();
-            if plan.per_object.is_unbounded() {
-                remaining[obj.0] = None;
-            }
-        }
-        FaultBudget { faulty, remaining }
-    }
-
-    /// May `obj` still commit a fault?
-    pub fn can_fault(&self, obj: ObjectId) -> bool {
-        self.faulty[obj.0]
-            && match self.remaining[obj.0] {
-                None => true,
-                Some(k) => k > 0,
-            }
-    }
-
-    /// Consume one fault on `obj`. Panics if none is available — callers
-    /// must check [`FaultBudget::can_fault`] first.
-    pub fn consume(&mut self, obj: ObjectId) {
-        assert!(self.can_fault(obj), "no fault budget left on {obj}");
-        if let Some(k) = &mut self.remaining[obj.0] {
-            *k -= 1;
+    /// This is the *fault opportunity* predicate: the executor consults
+    /// the oracle, and the explorer branches, exactly at steps where this
+    /// returns `Some`.
+    pub fn opportunity(
+        &self,
+        obj: ObjectId,
+        pre: Word,
+        exp: Word,
+        new: Word,
+    ) -> Option<StepDecision> {
+        match self.decision(obj, exp) {
+            StepDecision::Apply(d) if !d.observable(pre, exp, new) => None,
+            // Hanging is always observable (the operation never returns).
+            step => Some(step),
         }
     }
 
-    /// Number of objects in the faulty set.
-    pub fn faulty_set_size(&self) -> usize {
-        self.faulty.iter().filter(|&&b| b).count()
-    }
-
-    /// Exact encoding for memoization keys.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.remaining
-            .iter()
-            .map(|r| match r {
-                None => u64::MAX,
-                Some(k) => *k,
-            })
-            .collect()
+    /// The per-execution `(f, t)` accounting of this plan over a heap
+    /// with `num_objects` CAS cells.
+    pub fn budget(&self, num_objects: usize) -> NativeBudget {
+        NativeBudget::new(num_objects, self.faulty.iter().copied(), self.per_object)
     }
 }
 
@@ -207,49 +162,12 @@ impl GreedyFault {
 }
 
 impl FaultOracle for GreedyFault {
-    fn decide(&mut self, _pid: ProcessId, op: &Op, pre: Word) -> StepDecision {
-        if let Op::Cas { obj, exp, new } = op {
-            if self.plan.kind_of(*obj) == FaultKind::Nonresponsive {
-                return StepDecision::Hang;
-            }
-            StepDecision::Apply(self.plan.decision(*obj, pre, *exp, *new))
+    fn decide(&mut self, _pid: ProcessId, op: &Op, _pre: Word) -> StepDecision {
+        if let Op::Cas { obj, exp, .. } = op {
+            self.plan.decision(*obj, *exp)
         } else {
             StepDecision::Apply(FaultDecision::Correct)
         }
-    }
-}
-
-/// Faults each opportunity independently with probability `p` (seeded, so
-/// executions are replayable from the seed).
-#[derive(Clone, Debug)]
-pub struct RandomFault {
-    plan: FaultPlan,
-    p: f64,
-    rng: SmallRng,
-}
-
-impl RandomFault {
-    /// Random oracle faulting with probability `p` per opportunity.
-    pub fn new(plan: FaultPlan, p: f64, seed: u64) -> Self {
-        RandomFault {
-            plan,
-            p,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl FaultOracle for RandomFault {
-    fn decide(&mut self, _pid: ProcessId, op: &Op, pre: Word) -> StepDecision {
-        if let Op::Cas { obj, exp, new } = op {
-            if self.rng.gen_bool(self.p) {
-                if self.plan.kind_of(*obj) == FaultKind::Nonresponsive {
-                    return StepDecision::Hang;
-                }
-                return StepDecision::Apply(self.plan.decision(*obj, pre, *exp, *new));
-            }
-        }
-        StepDecision::Apply(FaultDecision::Correct)
     }
 }
 
@@ -270,10 +188,10 @@ impl ProcessBoundFault {
 }
 
 impl FaultOracle for ProcessBoundFault {
-    fn decide(&mut self, pid: ProcessId, op: &Op, pre: Word) -> StepDecision {
+    fn decide(&mut self, pid: ProcessId, op: &Op, _pre: Word) -> StepDecision {
         if pid == self.culprit {
-            if let Op::Cas { obj, exp, new } = op {
-                return StepDecision::Apply(self.plan.decision(*obj, pre, *exp, *new));
+            if let Op::Cas { obj, exp, .. } = op {
+                return self.plan.decision(*obj, *exp);
             }
         }
         StepDecision::Apply(FaultDecision::Correct)
@@ -319,47 +237,39 @@ mod tests {
     #[test]
     fn budget_accounting() {
         let plan = FaultPlan::overriding(2, Bound::Finite(1));
-        let mut b = FaultBudget::new(&plan, 3);
-        assert_eq!(b.faulty_set_size(), 2);
+        let b = plan.budget(3);
         assert!(b.can_fault(ObjectId(0)));
         assert!(b.can_fault(ObjectId(1)));
         assert!(!b.can_fault(ObjectId(2)), "O2 is outside the faulty set");
-        b.consume(ObjectId(0));
+        assert!(b.try_reserve(ObjectId(0)));
         assert!(!b.can_fault(ObjectId(0)), "t = 1 exhausted");
+        assert!(!b.try_reserve(ObjectId(0)));
         assert!(b.can_fault(ObjectId(1)));
     }
 
     #[test]
     fn unbounded_budget_never_exhausts() {
         let plan = FaultPlan::overriding(1, Bound::Unbounded);
-        let mut b = FaultBudget::new(&plan, 1);
+        let b = plan.budget(1);
         for _ in 0..100 {
             assert!(b.can_fault(ObjectId(0)));
-            b.consume(ObjectId(0));
+            assert!(b.try_reserve(ObjectId(0)));
         }
     }
 
     #[test]
-    #[should_panic(expected = "no fault budget")]
-    fn consume_without_budget_panics() {
-        let plan = FaultPlan::none();
-        let mut b = FaultBudget::new(&plan, 1);
-        b.consume(ObjectId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "heap has only")]
+    #[should_panic(expected = "ensemble has")]
     fn plan_larger_than_heap_panics() {
         let plan = FaultPlan::overriding(2, Bound::Finite(1));
-        FaultBudget::new(&plan, 1);
+        plan.budget(1);
     }
 
     #[test]
     fn budget_snapshot_tracks_consumption() {
         let plan = FaultPlan::overriding(1, Bound::Finite(2));
-        let mut b = FaultBudget::new(&plan, 2);
+        let b = plan.budget(2);
         let before = b.snapshot();
-        b.consume(ObjectId(0));
+        assert!(b.try_reserve(ObjectId(0)));
         assert_ne!(before, b.snapshot());
         assert_eq!(b.snapshot(), vec![1, 0]);
     }
@@ -373,12 +283,12 @@ mod tests {
         assert_eq!(plan.kind_of(ObjectId(9)), FaultKind::Overriding);
         // Decisions follow the per-object kind.
         assert_eq!(
-            plan.decision(ObjectId(0), 7, BOTTOM, 5),
-            FaultDecision::Override
+            plan.decision(ObjectId(0), BOTTOM),
+            StepDecision::Apply(FaultDecision::Override)
         );
         assert_eq!(
-            plan.decision(ObjectId(1), BOTTOM, BOTTOM, 5),
-            FaultDecision::Silent
+            plan.decision(ObjectId(1), BOTTOM),
+            StepDecision::Apply(FaultDecision::Silent)
         );
     }
 
@@ -432,6 +342,25 @@ mod tests {
     }
 
     #[test]
+    fn process_bound_nonresponsive_hangs() {
+        let plan = FaultPlan {
+            kind: FaultKind::Nonresponsive,
+            faulty: vec![ObjectId(0)],
+            per_object: Bound::Finite(1),
+            kind_overrides: Default::default(),
+        };
+        let mut o = ProcessBoundFault::new(plan, ProcessId(1));
+        assert_eq!(
+            o.decide(ProcessId(1), &cas_op(0, BOTTOM, 1), BOTTOM),
+            StepDecision::Hang
+        );
+        assert_eq!(
+            o.decide(ProcessId(0), &cas_op(0, BOTTOM, 1), BOTTOM),
+            StepDecision::Apply(FaultDecision::Correct)
+        );
+    }
+
+    #[test]
     fn process_bound_oracle_targets_culprit_only() {
         let mut o =
             ProcessBoundFault::new(FaultPlan::overriding(1, Bound::Unbounded), ProcessId(1));
@@ -461,19 +390,5 @@ mod tests {
             o.decide(ProcessId(0), &op, 7),
             StepDecision::Apply(FaultDecision::Correct)
         );
-    }
-
-    #[test]
-    fn random_oracle_is_replayable() {
-        let plan = FaultPlan::overriding(1, Bound::Unbounded);
-        let mut a = RandomFault::new(plan.clone(), 0.5, 42);
-        let mut b = RandomFault::new(plan, 0.5, 42);
-        let op = cas_op(0, BOTTOM, 1);
-        for _ in 0..50 {
-            assert_eq!(
-                a.decide(ProcessId(0), &op, 7),
-                b.decide(ProcessId(0), &op, 7)
-            );
-        }
     }
 }

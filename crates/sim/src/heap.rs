@@ -5,8 +5,8 @@
 //! exhaustive explorer can snapshot and memoize execution states without
 //! any loss of precision.
 
-use crate::ops::{FaultDecision, RmwFn};
-use ff_spec::{CasRecord, ObjectId, Word, BOTTOM};
+use crate::ops::RmwFn;
+use ff_spec::{CasRecord, FaultDecision, ObjectId, Word, BOTTOM};
 
 /// Identifier of a read/write register (a separate namespace from the CAS
 /// objects, mirroring the paper's "f CAS objects and an unbounded number of
@@ -65,10 +65,8 @@ impl Heap {
         self.written[obj.0]
     }
 
-    /// Execute a CAS on `obj`, applying `decision`, and return the full
-    /// observable record. The returned old value is correct except under an
-    /// [`FaultDecision::Invisible`] decision, matching Section 3.3's note
-    /// that the overriding fault leaves the output correct.
+    /// Execute a CAS on `obj`, applying `decision` through `ff-spec`'s
+    /// postcondition table, and return the full observable record.
     pub fn apply_cas(
         &mut self,
         obj: ObjectId,
@@ -76,36 +74,12 @@ impl Heap {
         new: Word,
         decision: FaultDecision,
     ) -> CasRecord {
-        let pre = self.cells[obj.0];
-        let (post, returned) = match decision {
-            FaultDecision::Correct => {
-                let post = if pre == exp { new } else { pre };
-                (post, pre)
-            }
-            // Overriding (Section 3.3): the comparison erroneously
-            // succeeds; the write happens unconditionally.
-            FaultDecision::Override => (new, pre),
-            // Silent (Section 3.4): the write is suppressed even on match.
-            FaultDecision::Silent => (pre, pre),
-            // Invisible (Section 3.4): register correct, returned value wrong.
-            FaultDecision::Invisible { returned } => {
-                let post = if pre == exp { new } else { pre };
-                (post, returned)
-            }
-            // Arbitrary (Section 3.4): an adversary-chosen value is written.
-            FaultDecision::Arbitrary { written } => (written, pre),
-        };
-        self.cells[obj.0] = post;
-        if post != pre {
+        let record = decision.apply(self.cells[obj.0], exp, new);
+        self.cells[obj.0] = record.post;
+        if record.post != record.pre {
             self.written[obj.0] = true;
         }
-        CasRecord {
-            pre,
-            exp,
-            new,
-            post,
-            returned,
-        }
+        record
     }
 
     /// Read a register.

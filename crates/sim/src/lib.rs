@@ -23,9 +23,12 @@
 //!
 //! Fault injection follows Definition 3's parameters: a [`FaultPlan`]
 //! names the (≤ `f`) faulty objects, their [`ff_spec::FaultKind`] and the
-//! per-object limit `t`; a [`FaultBudget`] enforces them. A fault decision
-//! is only charged when it is *observable* — when the resulting record
-//! actually violates the CAS's standard postconditions (Definition 1).
+//! per-object limit `t`; `ff-spec`'s [`ff_spec::NativeBudget`] — the
+//! native injector's budget too — enforces them. A step's
+//! [`ff_spec::FaultDecision`] is applied through `ff-spec`'s postcondition
+//! table ([`ff_spec::FaultDecision::apply`]), and only charged when it is
+//! *observable* — when the resulting record actually violates the CAS's
+//! standard postconditions (Definition 1).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,11 +54,10 @@ pub use combining::{
 pub use executor::{run, RunConfig, RunReport};
 pub use explorer::{explore, explore_bfs, ExploreReport, ExplorerConfig, ViolationCounts, Witness};
 pub use fault_ctl::{
-    FaultBudget, FaultOracle, FaultPlan, GreedyFault, NeverFault, ProcessBoundFault, RandomFault,
-    ScriptedFault, StepDecision,
+    FaultOracle, FaultPlan, GreedyFault, NeverFault, ProcessBoundFault, ScriptedFault, StepDecision,
 };
 pub use heap::{Heap, RegId};
-pub use ops::{FaultDecision, Op, OpResult, RmwFn};
+pub use ops::{Op, OpResult, RmwFn};
 pub use parallel::{default_threads, explore_parallel};
 pub use process::{Process, SoloDecider, Status};
 pub use scheduler::{RoundRobin, Scheduler, Scripted, SeededRandom, SoloFirst};

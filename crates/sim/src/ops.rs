@@ -1,6 +1,7 @@
 //! The one-shared-step-per-step discipline: the operations a simulated
-//! process may request, the fault decisions an execution may apply to
-//! them, and the results handed back.
+//! process may request and the results handed back. The fault decisions
+//! an execution may apply to a CAS step are `ff-spec`'s
+//! [`ff_spec::FaultDecision`].
 //!
 //! The paper's execution model (Section 2) is an alternating sequence of
 //! states and atomic steps, where a step performs local computation plus at
@@ -86,55 +87,6 @@ impl std::fmt::Display for RmwFn {
     }
 }
 
-/// How the execution chose to (mis)execute a CAS step.
-///
-/// Only decisions that can actually violate the standard postconditions
-/// are *faults*; e.g. [`FaultDecision::Override`] on a matching comparison
-/// yields a correct record and consumes no fault budget.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum FaultDecision {
-    /// Execute per the sequential specification.
-    Correct,
-    /// Overriding fault (Section 3.3): write unconditionally.
-    Override,
-    /// Silent fault (Section 3.4): suppress the write.
-    Silent,
-    /// Invisible fault (Section 3.4): return a wrong old value.
-    Invisible {
-        /// The incorrect old value to return.
-        returned: Word,
-    },
-    /// Arbitrary fault (Section 3.4): write an adversary-chosen value.
-    Arbitrary {
-        /// The value to write.
-        written: Word,
-    },
-}
-
-impl FaultDecision {
-    /// Would applying this decision to a cell currently holding `pre`,
-    /// with a CAS expecting `exp` and writing `new`, produce a record that
-    /// violates the standard postconditions (i.e. an actual fault per
-    /// Definition 1)?
-    pub fn observable(self, pre: Word, exp: Word, new: Word) -> bool {
-        match self {
-            FaultDecision::Correct => false,
-            // Overriding differs from correct only when the comparison
-            // fails and the written value actually changes the register
-            // content (writing the identical value back is indistinguishable).
-            FaultDecision::Override => pre != exp && new != pre,
-            // Silent differs only when the comparison succeeds and the
-            // suppressed write would have changed the content.
-            FaultDecision::Silent => pre == exp && new != pre,
-            FaultDecision::Invisible { returned } => returned != pre,
-            FaultDecision::Arbitrary { written } => {
-                let correct_post = if pre == exp { new } else { pre };
-                written != correct_post
-            }
-        }
-    }
-}
-
 /// The result of a step, handed back to the process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OpResult {
@@ -193,38 +145,6 @@ mod tests {
         assert_eq!(RmwFn::Or.apply(0b01, 0b10), 0b11);
         assert_eq!(RmwFn::Add.apply(u64::MAX, 2), 1);
         assert_eq!(RmwFn::Max.to_string(), "fetch_max");
-    }
-
-    #[test]
-    fn override_observability() {
-        // Mismatch + changing write: observable.
-        assert!(FaultDecision::Override.observable(7, BOTTOM, 5));
-        // Matching comparison: not observable.
-        assert!(!FaultDecision::Override.observable(BOTTOM, BOTTOM, 5));
-        // Mismatch but writing back the same value: not observable.
-        assert!(!FaultDecision::Override.observable(7, BOTTOM, 7));
-    }
-
-    #[test]
-    fn silent_observability() {
-        assert!(FaultDecision::Silent.observable(BOTTOM, BOTTOM, 5));
-        assert!(!FaultDecision::Silent.observable(7, BOTTOM, 5));
-        assert!(!FaultDecision::Silent.observable(5, 5, 5));
-    }
-
-    #[test]
-    fn invisible_and_arbitrary_observability() {
-        assert!(FaultDecision::Invisible { returned: 9 }.observable(7, BOTTOM, 5));
-        assert!(!FaultDecision::Invisible { returned: 7 }.observable(7, BOTTOM, 5));
-        assert!(FaultDecision::Arbitrary { written: 9 }.observable(7, BOTTOM, 5));
-        // Writing exactly the correct post-state is indistinguishable.
-        assert!(!FaultDecision::Arbitrary { written: 7 }.observable(7, BOTTOM, 5));
-        assert!(!FaultDecision::Arbitrary { written: 5 }.observable(BOTTOM, BOTTOM, 5));
-    }
-
-    #[test]
-    fn correct_is_never_observable() {
-        assert!(!FaultDecision::Correct.observable(7, BOTTOM, 5));
     }
 
     #[test]

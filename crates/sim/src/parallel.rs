@@ -406,7 +406,7 @@ fn witness_rank(w: &Witness) -> Vec<(u32, u8, u8, u64)> {
 
 fn choice_rank(c: &Choice) -> (u32, u8, u8, u64) {
     use crate::fault_ctl::StepDecision;
-    use crate::ops::FaultDecision;
+    use ff_spec::FaultDecision;
     let (kind, payload) = match c.decision {
         StepDecision::Apply(FaultDecision::Correct) => (0u8, 0u64),
         StepDecision::Apply(FaultDecision::Override) => (1, 0),

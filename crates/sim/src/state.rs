@@ -9,11 +9,11 @@
 //! never collide two genuinely different states.
 
 use crate::executor::{execute_step, StepEffect};
-use crate::fault_ctl::{FaultBudget, FaultPlan, StepDecision};
+use crate::fault_ctl::{FaultPlan, StepDecision};
 use crate::heap::Heap;
-use crate::ops::{FaultDecision, Op};
+use crate::ops::Op;
 use crate::process::{Process, Status};
-use ff_spec::{Outcome, ProcessId};
+use ff_spec::{FaultDecision, NativeBudget, Outcome, ProcessId};
 
 /// One branching decision of the explorer: which process steps, with which
 /// fault decision.
@@ -36,7 +36,7 @@ pub struct SimState {
     /// The processes' local states.
     pub processes: Vec<Box<dyn Process>>,
     /// Remaining fault budget.
-    pub budget: FaultBudget,
+    pub budget: NativeBudget,
     /// Processes blocked by nonresponsive faults.
     pub blocked: Vec<bool>,
     plan: FaultPlan,
@@ -57,7 +57,7 @@ impl Clone for SimState {
 impl SimState {
     /// The initial state of an execution.
     pub fn new(processes: Vec<Box<dyn Process>>, heap: Heap, plan: FaultPlan) -> Self {
-        let budget = FaultBudget::new(&plan, heap.cas_count());
+        let budget = plan.budget(heap.cas_count());
         let blocked = vec![false; processes.len()];
         SimState {
             heap,
@@ -117,7 +117,7 @@ impl SimState {
     pub fn step(&mut self, choice: Choice) {
         let effect = execute_step(
             &mut self.heap,
-            &mut self.budget,
+            &self.budget,
             self.processes[choice.pid.0].as_mut(),
             choice.pid,
             choice.decision,

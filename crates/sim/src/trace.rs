@@ -2,9 +2,9 @@
 //! detail to print a human-readable witness of a consensus violation.
 
 use crate::fault_ctl::StepDecision;
-use crate::ops::{FaultDecision, Op};
+use crate::ops::Op;
 use crate::process::Status;
-use ff_spec::{CasRecord, ProcessId};
+use ff_spec::{CasRecord, FaultDecision, ProcessId};
 
 /// One step of an execution.
 #[derive(Clone, Debug)]

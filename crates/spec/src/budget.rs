@@ -1,6 +1,7 @@
-//! Thread-safe `(f, t)` fault accounting for native executions.
+//! The `(f, t)` fault budget (Definition 3), shared by the native
+//! injector (`ff-cas`) and the simulator (`ff-sim`).
 //!
-//! The faulty set (at most `f` objects) is fixed when the ensemble is
+//! The faulty set (at most `f` objects) is fixed when the budget is
 //! built — matching Definition 2, under which an object is "faulty" for a
 //! whole execution. Each faulty object carries an atomic countdown of `t`
 //! remaining faults (or an unbounded marker). Reservation is optimistic:
@@ -9,9 +10,11 @@
 //! overriding write whose comparison matched anyway). The budget is thus
 //! never exceeded, at the cost of occasionally under-faulting during a
 //! reservation window — the conservative direction for validating the
-//! paper's tolerance claims.
+//! paper's tolerance claims. The simulator, which knows before the step
+//! whether a decision is observable, reserves only what it commits.
 
-use ff_spec::{Bound, ObjectId};
+use crate::history::ObjectId;
+use crate::tolerance::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sentinel stored in the countdown for unbounded budgets.
@@ -20,20 +23,30 @@ const UNBOUNDED: u64 = u64::MAX;
 /// Ensembles of at most this many objects keep their flags and
 /// countdowns inside the [`NativeBudget`] itself: the constructions of
 /// Section 4 use `f + 1` objects for small `f`, and one budget is built
-/// per consensus cell.
-pub(crate) const INLINE_OBJECTS: usize = 4;
+/// per consensus cell (and per explored state).
+pub const INLINE_OBJECTS: usize = 4;
 
 /// One object's share of the budget.
 #[derive(Debug, Default)]
 struct ObjectBudget {
     /// Is the object in the faulty set at all?
     faulty: bool,
-    /// Faults it may still commit ([`UNBOUNDED`] = no limit).
+    /// Faults it may still commit ([`UNBOUNDED`] = no limit; objects
+    /// outside the faulty set hold 0).
     remaining: AtomicU64,
 }
 
+impl Clone for ObjectBudget {
+    fn clone(&self) -> Self {
+        ObjectBudget {
+            faulty: self.faulty,
+            remaining: AtomicU64::new(self.remaining.load(Ordering::Acquire)),
+        }
+    }
+}
+
 /// Where the per-object budgets live.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 enum Objects {
     /// The first `len` entries are in use.
     Inline {
@@ -43,8 +56,11 @@ enum Objects {
     Heap(Vec<ObjectBudget>),
 }
 
-/// Thread-safe per-object fault countdowns.
-#[derive(Debug)]
+/// Thread-safe per-object fault countdowns: the one `(f, t)` budget.
+///
+/// A clone copies the countdowns as they stand, which is how the
+/// explorer forks an execution state.
+#[derive(Clone, Debug)]
 pub struct NativeBudget {
     objects: Objects,
     /// What each faulty object's countdown starts at.
@@ -66,7 +82,7 @@ impl NativeBudget {
             }
             Bound::Unbounded => UNBOUNDED,
         };
-        let mut objects = if num_objects <= INLINE_OBJECTS {
+        let objects = if num_objects <= INLINE_OBJECTS {
             Objects::Inline {
                 len: num_objects,
                 objects: Default::default(),
@@ -74,10 +90,8 @@ impl NativeBudget {
         } else {
             Objects::Heap((0..num_objects).map(|_| ObjectBudget::default()).collect())
         };
-        let in_use = match &mut objects {
-            Objects::Inline { len, objects } => &mut objects[..*len],
-            Objects::Heap(objects) => objects,
-        };
+        let mut budget = NativeBudget { objects, countdown };
+        let in_use = budget.objects_mut();
         for obj in faulty_set {
             assert!(
                 obj.0 < num_objects,
@@ -88,36 +102,56 @@ impl NativeBudget {
                 remaining: AtomicU64::new(countdown),
             };
         }
-        NativeBudget { objects, countdown }
+        budget
     }
 
     /// Restore every faulty object's countdown to its initial `t`, as
     /// if the budget were new. Exclusive access means no reservation is
     /// in flight.
-    pub(crate) fn reset(&mut self) {
-        let in_use = match &mut self.objects {
-            Objects::Inline { len, objects } => &mut objects[..*len],
-            Objects::Heap(objects) => objects,
-        };
-        for object in in_use.iter_mut().filter(|o| o.faulty) {
-            *object.remaining.get_mut() = self.countdown;
+    pub fn reset(&mut self) {
+        let countdown = self.countdown;
+        for object in self.objects_mut().iter_mut().filter(|o| o.faulty) {
+            *object.remaining.get_mut() = countdown;
         }
     }
 
-    fn object(&self, obj: ObjectId) -> &ObjectBudget {
+    /// The per-object budgets in use.
+    #[inline]
+    fn objects(&self) -> &[ObjectBudget] {
         match &self.objects {
-            Objects::Inline { len, objects } => &objects[..*len][obj.0],
-            Objects::Heap(objects) => &objects[obj.0],
+            Objects::Inline { len, objects } => &objects[..*len],
+            Objects::Heap(objects) => objects,
         }
+    }
+
+    fn objects_mut(&mut self) -> &mut [ObjectBudget] {
+        match &mut self.objects {
+            Objects::Inline { len, objects } => &mut objects[..*len],
+            Objects::Heap(objects) => objects,
+        }
+    }
+
+    #[inline]
+    fn object(&self, obj: ObjectId) -> &ObjectBudget {
+        &self.objects()[obj.0]
     }
 
     /// Is `obj` in the faulty set at all?
+    #[inline]
     pub fn is_faulty_object(&self, obj: ObjectId) -> bool {
         self.object(obj).faulty
     }
 
+    /// May `obj` still commit a fault (it is in the faulty set and its
+    /// countdown is not spent)?
+    #[inline]
+    pub fn can_fault(&self, obj: ObjectId) -> bool {
+        self.object(obj).remaining.load(Ordering::Acquire) != 0
+    }
+
     /// Try to reserve one fault on `obj`. Returns `true` on success; the
     /// caller must either commit the fault or [`NativeBudget::refund`] it.
+    #[inline]
     pub fn try_reserve(&self, obj: ObjectId) -> bool {
         if !self.is_faulty_object(obj) {
             return false;
@@ -133,6 +167,7 @@ impl NativeBudget {
     }
 
     /// Return a reserved-but-unused fault to the pool.
+    #[inline]
     pub fn refund(&self, obj: ObjectId) {
         let cell = &self.object(obj).remaining;
         let _ = cell.fetch_update(Ordering::AcqRel, Ordering::Acquire, |cur| match cur {
@@ -147,6 +182,16 @@ impl NativeBudget {
             UNBOUNDED => None,
             k => Some(k),
         }
+    }
+
+    /// Every object's countdown, in object order: an exact encoding for
+    /// the explorer's memoization keys (`u64::MAX` = unbounded, 0 = spent
+    /// or not faulty).
+    pub fn snapshot(&self) -> Vec<u64> {
+        self.objects()
+            .iter()
+            .map(|o| o.remaining.load(Ordering::Acquire))
+            .collect()
     }
 }
 
@@ -236,6 +281,22 @@ mod tests {
     #[should_panic(expected = "ensemble has")]
     fn out_of_range_faulty_set_panics() {
         NativeBudget::new(1, [ObjectId(1)], Bound::Finite(1));
+    }
+
+    #[test]
+    fn a_clone_forks_the_countdowns() {
+        for n in [2, INLINE_OBJECTS + 1] {
+            let b = NativeBudget::new(n, [ObjectId(0)], Bound::Finite(2));
+            assert!(b.try_reserve(ObjectId(0)));
+            let fork = b.clone();
+            assert!(fork.try_reserve(ObjectId(0)));
+            assert!(!fork.can_fault(ObjectId(0)), "n = {n}");
+            assert!(b.can_fault(ObjectId(0)), "the original keeps its count");
+            assert_eq!(b.snapshot()[..2], [1, 0]);
+            assert_eq!(fork.snapshot()[..2], [0, 0]);
+        }
+        let unbounded = NativeBudget::new(1, [ObjectId(0)], Bound::Unbounded);
+        assert_eq!(unbounded.snapshot(), [u64::MAX]);
     }
 
     #[test]

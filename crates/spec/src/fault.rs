@@ -6,10 +6,16 @@
 //! violates the standard postconditions `Φ` while satisfying the deviating
 //! postconditions `Φ'`. An *object* is faulty in an execution (Definition 2)
 //! if at least one operation on it faults.
+//!
+//! [`FaultDecision::apply`] is the postcondition table itself: what each
+//! deviation writes and reports. The native injector (`ff-cas`) and the
+//! simulated heap (`ff-sim`) both build their records through it, so a
+//! fault means the same thing on a thread and on an explored branch.
 
 use crate::triple::{
     arbitrary_post, invisible_post, overriding_post, silent_post, standard_post, CasRecord,
 };
+use crate::value::Word;
 
 /// The CAS functional-fault kinds discussed in the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -66,6 +72,33 @@ impl FaultKind {
         }
     }
 
+    /// The canonical deviation of this kind for a CAS expecting `exp`:
+    /// the invisible fault reports `exp` (pretending the comparison
+    /// matched) and the arbitrary fault writes `junk`. `None` for the
+    /// nonresponsive fault, which writes and reports nothing — the
+    /// operation never returns.
+    #[inline]
+    pub fn decision(self, exp: Word, junk: Word) -> Option<FaultDecision> {
+        match self {
+            FaultKind::Overriding => Some(FaultDecision::Override),
+            FaultKind::Silent => Some(FaultDecision::Silent),
+            FaultKind::Invisible => Some(FaultDecision::Invisible { returned: exp }),
+            FaultKind::Arbitrary => Some(FaultDecision::Arbitrary { written: junk }),
+            FaultKind::Nonresponsive => None,
+        }
+    }
+
+    /// The kind's lower-case name, as printed in reports.
+    pub const fn name(self) -> &'static str {
+        match self {
+            FaultKind::Overriding => "overriding",
+            FaultKind::Silent => "silent",
+            FaultKind::Invisible => "invisible",
+            FaultKind::Arbitrary => "arbitrary",
+            FaultKind::Nonresponsive => "nonresponsive",
+        }
+    }
+
     /// Human-readable description of the deviating postconditions `Φ'`.
     pub fn deviating_postcondition(self) -> &'static str {
         match self {
@@ -80,14 +113,69 @@ impl FaultKind {
 
 impl std::fmt::Display for FaultKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            FaultKind::Overriding => "overriding",
-            FaultKind::Silent => "silent",
-            FaultKind::Invisible => "invisible",
-            FaultKind::Arbitrary => "arbitrary",
-            FaultKind::Nonresponsive => "nonresponsive",
+        f.write_str(self.name())
+    }
+}
+
+/// How one responsive CAS execution is (mis)executed: a row of the
+/// postcondition table of Sections 3.3–3.4.
+///
+/// Only decisions that can actually violate the standard postconditions
+/// are *faults*; e.g. [`FaultDecision::Override`] on a matching comparison
+/// yields a correct record and consumes no fault budget.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum FaultDecision {
+    /// Execute per the sequential specification.
+    Correct,
+    /// Overriding fault (Section 3.3): write unconditionally.
+    Override,
+    /// Silent fault (Section 3.4): suppress the write.
+    Silent,
+    /// Invisible fault (Section 3.4): return a wrong old value.
+    Invisible {
+        /// The incorrect old value to return.
+        returned: Word,
+    },
+    /// Arbitrary fault (Section 3.4): write an adversary-chosen value.
+    Arbitrary {
+        /// The value to write.
+        written: Word,
+    },
+}
+
+impl FaultDecision {
+    /// The record of `old ← CAS(exp, new)` executed under this decision
+    /// on a cell holding `pre`: what the cell holds afterwards and what
+    /// the operation reports. Every [`CasRecord`] an execution produces
+    /// is built here.
+    #[inline]
+    pub fn apply(self, pre: Word, exp: Word, new: Word) -> CasRecord {
+        let standard = if pre == exp { new } else { pre };
+        let (post, returned) = match self {
+            FaultDecision::Correct => (standard, pre),
+            // The comparison erroneously succeeds.
+            FaultDecision::Override => (new, pre),
+            // The write is suppressed even on a match.
+            FaultDecision::Silent => (pre, pre),
+            // The register is correct; the report is not.
+            FaultDecision::Invisible { returned } => (standard, returned),
+            FaultDecision::Arbitrary { written } => (written, pre),
         };
-        f.write_str(s)
+        CasRecord {
+            pre,
+            exp,
+            new,
+            post,
+            returned,
+        }
+    }
+
+    /// Would applying this decision to a cell holding `pre`, with a CAS
+    /// expecting `exp` and writing `new`, violate the standard
+    /// postconditions — an actual fault per Definition 1?
+    #[inline]
+    pub fn observable(self, pre: Word, exp: Word, new: Word) -> bool {
+        !standard_post(&self.apply(pre, exp, new))
     }
 }
 
@@ -215,5 +303,37 @@ mod tests {
             assert!(!k.deviating_postcondition().is_empty());
             assert!(!k.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn override_observability() {
+        // Mismatch + changing write: observable.
+        assert!(FaultDecision::Override.observable(7, BOTTOM, 5));
+        // Matching comparison: not observable.
+        assert!(!FaultDecision::Override.observable(BOTTOM, BOTTOM, 5));
+        // Mismatch but writing back the same value: not observable.
+        assert!(!FaultDecision::Override.observable(7, BOTTOM, 7));
+    }
+
+    #[test]
+    fn silent_observability() {
+        assert!(FaultDecision::Silent.observable(BOTTOM, BOTTOM, 5));
+        assert!(!FaultDecision::Silent.observable(7, BOTTOM, 5));
+        assert!(!FaultDecision::Silent.observable(5, 5, 5));
+    }
+
+    #[test]
+    fn invisible_and_arbitrary_observability() {
+        assert!(FaultDecision::Invisible { returned: 9 }.observable(7, BOTTOM, 5));
+        assert!(!FaultDecision::Invisible { returned: 7 }.observable(7, BOTTOM, 5));
+        assert!(FaultDecision::Arbitrary { written: 9 }.observable(7, BOTTOM, 5));
+        // Writing exactly the correct post-state is indistinguishable.
+        assert!(!FaultDecision::Arbitrary { written: 7 }.observable(7, BOTTOM, 5));
+        assert!(!FaultDecision::Arbitrary { written: 5 }.observable(BOTTOM, BOTTOM, 5));
+    }
+
+    #[test]
+    fn correct_is_never_observable() {
+        assert!(!FaultDecision::Correct.observable(7, BOTTOM, 5));
     }
 }

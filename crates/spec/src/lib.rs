@@ -6,9 +6,13 @@
 //! `(f, t, n)`-tolerance descriptors (Definition 3), execution histories,
 //! and the consensus task specification with its checker.
 //!
-//! This crate is pure data and predicates — no concurrency. The simulator
-//! (`ff-sim`), the native fault-injection layer (`ff-cas`) and the
-//! protocols (`ff-consensus`) all build on it.
+//! It also holds the fault semantics both executors run: the
+//! postcondition table ([`FaultDecision::apply`], with each kind's
+//! canonical deviation in [`FaultKind::decision`]) and the one `(f, t)`
+//! budget ([`NativeBudget`]). The simulator (`ff-sim`), the native
+//! fault-injection layer (`ff-cas`) and the protocols (`ff-consensus`)
+//! all build on it. Apart from the budget's atomic countdowns it is pure
+//! data and predicates.
 //!
 //! ## Model summary
 //!
@@ -33,6 +37,7 @@
 #![forbid(unsafe_code)]
 
 pub mod assertion;
+pub mod budget;
 pub mod consensus_spec;
 pub mod fault;
 pub mod fnv;
@@ -43,8 +48,9 @@ pub mod triple;
 pub mod value;
 
 pub use assertion::{conjunction, Assertion};
+pub use budget::NativeBudget;
 pub use consensus_spec::{check_consensus, ConsensusVerdict, ConsensusViolation, Outcome};
-pub use fault::{classify_cas, CasClassification, FaultKind};
+pub use fault::{classify_cas, CasClassification, FaultDecision, FaultKind};
 pub use fnv::{fnv1a, FNV_BASIS};
 pub use history::{History, ObjectId, OpEvent, ProcessId};
 pub use severity::{

@@ -395,16 +395,6 @@ fn rotated_fault(fault: &FaultConfig, kind: ff_spec::FaultKind) -> FaultConfig {
     fault
 }
 
-fn kind_label(kind: ff_spec::FaultKind) -> &'static str {
-    match kind {
-        ff_spec::FaultKind::Overriding => "overriding",
-        ff_spec::FaultKind::Silent => "silent",
-        ff_spec::FaultKind::Invisible => "invisible",
-        ff_spec::FaultKind::Arbitrary => "arbitrary",
-        ff_spec::FaultKind::Nonresponsive => "nonresponsive",
-    }
-}
-
 impl Store {
     /// Build a **fresh** store per `config`. With durability on, the
     /// data dir is created and any stale WAL files in it are truncated
@@ -478,7 +468,7 @@ impl Store {
                 );
                 let stats = cells.stats();
                 let knob = cells.knob();
-                let kind_label = kind_label(cells.fault_kind());
+                let kind_label = cells.fault_kind().name();
                 let log = Arc::new(
                     UniversalLog::new(Arc::new(cells)).checkpoint_every(config.checkpoint_interval),
                 );

@@ -74,7 +74,7 @@ impl Experiment for E4UnboundedLower {
                                 .iter()
                                 .filter(|c| !matches!(
                                     c.decision,
-                                    ff_sim::StepDecision::Apply(ff_sim::FaultDecision::Correct)
+                                    ff_sim::StepDecision::Apply(ff_spec::FaultDecision::Correct)
                                 ))
                                 .count()
                         ));

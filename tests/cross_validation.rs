@@ -1,9 +1,13 @@
 //! Cross-validation between the two executors of each protocol's one
 //! step machine: the native driver behind every blocking `decide` and
 //! the simulator's `ff_sim::run` must decide identically on matched
-//! executions — fault-free and faulty.
+//! executions — fault-free and faulty. Below the protocols, the native
+//! fault injector and the simulated heap must write the same CAS records
+//! under the same fault kind.
 
-use functional_faults::cas::{AlwaysPolicy, AtomicCasArray, CasCell, FaultyCasArray, RawCas};
+use functional_faults::cas::{
+    AlwaysPolicy, AtomicCas, AtomicCasArray, CasCell, CasEnsemble, FaultyCasArray, RawCas,
+};
 use functional_faults::consensus::kw::DEFAULT_EPOCH_CAPACITY;
 use functional_faults::consensus::machines::boxed;
 use functional_faults::consensus::{
@@ -15,7 +19,10 @@ use functional_faults::sim::{
     run, FaultPlan, GreedyFault, Heap, NeverFault, Op, OpResult, Process, RegId, RoundRobin,
     RunConfig, RunReport, Scripted, Status,
 };
-use functional_faults::spec::{check_consensus, Bound, History, Input, ProcessId, Word, BOTTOM};
+use functional_faults::spec::{
+    check_consensus, classify_cas, Bound, CasRecord, FaultDecision, FaultKind, History, Input,
+    ObjectId, ProcessId, Word, BOTTOM,
+};
 use std::sync::{Arc, Mutex};
 
 fn inputs(n: usize) -> Vec<Input> {
@@ -321,6 +328,90 @@ fn step_counts_match_paper_wait_freedom_bounds() {
         assert!(
             report.outcomes.iter().all(|o| o.steps == (f + 1) as u64),
             "f = {f}"
+        );
+    }
+}
+
+/// Run `script` (object, expected, new) over four objects that start out
+/// holding 9, natively — every object faulty with kind `kind`, every
+/// invocation an attempt — and on a simulated heap applying the kind's
+/// canonical decision at every step. Returns both record sequences.
+fn native_and_simulated_records(
+    kind: FaultKind,
+    script: &[(usize, Word, Word)],
+) -> (Vec<CasRecord>, Vec<CasRecord>) {
+    let cells = (0..4)
+        .map(|_| {
+            let cell = AtomicCas::new();
+            cell.cas(BOTTOM, 9);
+            Arc::new(cell) as Arc<dyn RawCas>
+        })
+        .collect();
+    let native = FaultyCasArray::builder(4)
+        .kind(kind)
+        .faulty_first(4)
+        .per_object(Bound::Unbounded)
+        .policy(AlwaysPolicy)
+        .over_cells(cells)
+        .build();
+    let mut heap = Heap::new(4, 0);
+    for obj in 0..4 {
+        heap.apply_cas(ObjectId(obj), BOTTOM, 9, FaultDecision::Correct);
+    }
+    let simulated = script
+        .iter()
+        .map(|&(obj, exp, new)| {
+            native.cas(ObjectId(obj), exp, new);
+            let decision = kind.decision(exp, BOTTOM).expect("responsive kind");
+            heap.apply_cas(ObjectId(obj), exp, new, decision)
+        })
+        .collect();
+    let history = native.history();
+    assert!(history.events().iter().all(|e| e.injected_fault));
+    let native = history.events().iter().map(|e| e.record).collect();
+    (native, simulated)
+}
+
+#[test]
+fn native_and_simulated_faults_write_the_same_records() {
+    // Matching and mismatching comparisons, writes that change the cell
+    // and writes that do not, and faults on top of earlier faults.
+    let script = [
+        (0, 9, 5),
+        (0, 9, 7),
+        (0, 7, 7),
+        (0, BOTTOM, 3),
+        (1, 9, 9),
+        (1, 4, 6),
+        (2, 9, 1),
+        (2, 1, 2),
+    ];
+    for kind in [
+        FaultKind::Overriding,
+        FaultKind::Silent,
+        FaultKind::Invisible,
+    ] {
+        let (native, simulated) = native_and_simulated_records(kind, &script);
+        assert_eq!(native, simulated, "{kind}");
+        assert!(
+            native
+                .iter()
+                .any(|r| classify_cas(r) != classify_cas(&native[0])),
+            "{kind}: the script mixes correct and faulty records"
+        );
+    }
+    // An arbitrary fault writes junk natively and ⊥ in the simulator, so
+    // each object takes one CAS: everything but the written word agrees,
+    // and both sides see the same fault.
+    let script = [(0, 9, 5), (1, BOTTOM, 5), (2, 9, 9), (3, 7, 9)];
+    let (native, simulated) = native_and_simulated_records(FaultKind::Arbitrary, &script);
+    for (n, s) in native.iter().zip(&simulated) {
+        assert_eq!(CasRecord { post: s.post, ..*n }, *s);
+        assert_eq!(s.post, BOTTOM);
+        assert_eq!(classify_cas(n), classify_cas(s), "{n:?} vs {s:?}");
+        assert_eq!(
+            classify_cas(s),
+            functional_faults::spec::CasClassification::Fault(FaultKind::Arbitrary)
         );
     }
 }

@@ -5,11 +5,12 @@
 
 use functional_faults::consensus::{cascades, one_shots, staged_machines, StageValue};
 use functional_faults::sim::{
-    run, FaultDecision, FaultPlan, Heap, RunConfig, Scripted, ScriptedFault, StepDecision,
+    run, FaultPlan, Heap, RunConfig, Scripted, ScriptedFault, StepDecision,
 };
 use functional_faults::spec::{
-    check_consensus, classify_cas, standard_post, Bound, CasClassification, CasRecord, Input,
-    ProcessId, Tolerance, BOTTOM,
+    arbitrary_post, check_consensus, classify_cas, invisible_post, overriding_post, silent_post,
+    standard_post, Bound, CasClassification, CasRecord, FaultDecision, FaultKind, Input, ProcessId,
+    Tolerance, BOTTOM,
 };
 use proptest::prelude::*;
 
@@ -71,11 +72,39 @@ proptest! {
         if standard_post(&r) {
             prop_assert_eq!(c, CasClassification::Correct);
         } else {
-            prop_assert_eq!(
-                c,
-                CasClassification::Fault(functional_faults::spec::FaultKind::Overriding)
-            );
+            prop_assert_eq!(c, CasClassification::Fault(FaultKind::Overriding));
         }
+    }
+
+    #[test]
+    fn each_kinds_decision_stays_inside_its_postcondition(
+        pre in prop_oneof![0u64..4, any::<u64>()],
+        exp in prop_oneof![0u64..4, any::<u64>()],
+        new in prop_oneof![0u64..4, any::<u64>()],
+        junk in prop_oneof![0u64..4, any::<u64>()],
+    ) {
+        // The postcondition table against the taxonomy: a kind's
+        // canonical decision is either indistinguishable from a correct
+        // execution or a fault with exactly that kind's Φ'.
+        for kind in [
+            FaultKind::Overriding,
+            FaultKind::Silent,
+            FaultKind::Invisible,
+            FaultKind::Arbitrary,
+        ] {
+            let post = match kind {
+                FaultKind::Overriding => overriding_post,
+                FaultKind::Silent => silent_post,
+                FaultKind::Invisible => invisible_post,
+                _ => arbitrary_post,
+            };
+            let decision = kind.decision(exp, junk).expect("responsive kinds decide");
+            let r = decision.apply(pre, exp, new);
+            prop_assert_eq!((r.pre, r.exp, r.new), (pre, exp, new));
+            prop_assert!(standard_post(&r) || post(&r), "{kind}: {r:?}");
+            prop_assert_eq!(decision.observable(pre, exp, new), !standard_post(&r));
+        }
+        prop_assert_eq!(FaultKind::Nonresponsive.decision(exp, junk), None);
     }
 }
 
