@@ -53,6 +53,14 @@
 //!
 //! 1. **Freshness** — no fast-path read returns a state staler than the
 //!    shard's decided tail at the moment the read began.
+//!
+//!    The model's fast read returns the replica's whole state at
+//!    `applied`. `ff-store`'s read takes no lock: it checks a published
+//!    `applied` index against the tail, then looks its key up in a table
+//!    the combiner may be writing, so per key it returns something at
+//!    least as new as the replica at `applied` — a write of a pass still
+//!    in flight may show, an older value never. Freshness is a lower
+//!    bound, so the property checked here covers that read too.
 //! 2. **Hand-off integrity** — no *live* client's pending op is ever
 //!    lost (every run quiesces with every such op decided exactly once)
 //!    and no op — anyone's — appears twice in the log, no matter which

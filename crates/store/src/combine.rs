@@ -57,7 +57,7 @@
 //! above; the split-phase API only ever publishes. Every pass — direct
 //! or split-phase — seals, executes and distributes in one routine
 //! (`ShardCore::execute`), whose counters are plain load-and-store:
-//! they are only written under the replica write lock. The claim list
+//! they are only written under the replica lock. The claim list
 //! a pass fills belongs to the caller ([`crate::StoreClient`] reuses
 //! one per client), not to the shard.
 //!
@@ -74,7 +74,7 @@
 //!   republished under a fresh epoch, up for grabs by any live combiner
 //!   (the owner itself forces a pass if the advisory flag is wedged by
 //!   the dead combiner).
-//! * **seal** — the combiner, already holding the replica write lock
+//! * **seal** — the combiner, already holding the replica lock
 //!   and immediately before executing, pins each claim:
 //!   `(CLAIMED, e) → (SEALED, e)`. A slot whose seal CAS fails was
 //!   reclaimed and is dropped from the batch.
@@ -98,19 +98,34 @@
 //! is a *versioned snapshot* `(applied_to, state)`. A GET first
 //! observes the shard's tail (`slots_created`) and then answers from
 //! the core replica **iff** `applied_to >= tail` — no log pass, no
-//! consensus invocation, just a read lock and a map lookup. When
-//! freshness cannot be proven (the replica lags the observed tail) the
-//! GET falls back to the combined path and linearizes through the log
-//! like any other op. The freshness rule is checked exhaustively by
-//! `ff-sim`'s combining model.
+//! consensus invocation, and no lock: each pass (and each audit)
+//! publishes the replica's `applied_to` with a release store once it
+//! has applied its batch, and the replica's map is a table of atomic
+//! words (see [`crate::map`]) that the combiner writes with plain
+//! stores while readers look keys up in it. Each client caches one
+//! `Arc` of a shard's table; a GET acquires the published index, checks
+//! it against the tail, checks its cached table is not retired, and
+//! looks the key up — a table's contents are then at least as new as
+//! the published index, so the read is at least as fresh as the
+//! replica at `applied_to`. The hit is counted in the client's own
+//! slot with a load and a store.
+//!
+//! Two cases are cold: a read that lands inside a pass (the published
+//! index lags the tail) and a read holding a table a rebuild retired.
+//! Both take the replica lock, which waits out the pass, check
+//! freshness again against the replica itself, answer from it and
+//! refresh the cached table. Only when freshness still cannot be proven
+//! does the GET fall back to the combined path and linearize through
+//! the log like any other op. The freshness rule is checked
+//! exhaustively by `ff-sim`'s combining model.
 
-use crate::map::KvMap;
+use crate::map::{KvMap, KvTable};
 use crate::metrics::Histogram;
 use crate::wal::ShardWal;
 use ff_universal::{Handle, UniversalLog};
 use ff_workload::JsonValue;
-use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Slot states (see the module docs for the lifecycle). The slot word
@@ -168,6 +183,14 @@ pub(crate) struct Slot {
 #[repr(align(128))]
 struct OwnedCounter(AtomicU64);
 
+impl OwnedCounter {
+    /// Count one, from the counter's one writer: a load and a store.
+    fn bump(&self) {
+        self.0
+            .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+}
+
 impl Slot {
     fn new() -> Arc<Self> {
         Arc::new(Slot {
@@ -213,7 +236,7 @@ impl CombineStats {
     }
 
     /// Count one pass of `ops` ops. Every pass runs under its shard's
-    /// replica write lock, so these counters have one writer at a time:
+    /// replica lock, so these counters have one writer at a time:
     /// a load and a store each, no atomic read-modify-write.
     fn record_pass(&self, shard: usize, ops: usize) {
         let stats = &self.shards[shard];
@@ -331,8 +354,8 @@ impl CombineSnapshot {
 }
 
 /// The shared core replica plus the buffers a combine pass fills, kept
-/// beside it so they are reused under the same write lock instead of
-/// being allocated per pass.
+/// beside it so they are reused under the same lock instead of being
+/// allocated per pass.
 struct CoreReplica {
     handle: Handle<KvMap>,
     /// The sealed units' op words, concatenated.
@@ -348,11 +371,15 @@ struct CoreReplica {
 pub(crate) struct ShardCore {
     shard: usize,
     log: Arc<UniversalLog>,
-    /// The shared replica every combine pass drives forward. Write =
-    /// combiner executing; read = wait-free GET snapshot.
-    replica: RwLock<CoreReplica>,
+    /// The shared replica every combine pass drives forward, locked by
+    /// the combiner executing, by an audit, and by a GET's cold path.
+    replica: Mutex<CoreReplica>,
+    /// The replica's `applied_to` as of its last pass or audit, stored
+    /// with release ordering once the pass has applied its batch: what
+    /// a lock-free GET checks freshness against.
+    applied: AtomicUsize,
     /// Registered announce slots (one per live client).
-    slots: RwLock<Vec<Arc<Slot>>>,
+    slots: Mutex<Vec<Arc<Slot>>>,
     /// Advisory single-combiner flag; correctness never depends on it.
     combiner_busy: AtomicBool,
     /// Owner reclaim of `CLAIMED` slots enabled (the lease rule). Off,
@@ -426,13 +453,14 @@ impl ShardCore {
         ShardCore {
             shard,
             log,
-            replica: RwLock::new(CoreReplica {
+            applied: AtomicUsize::new(handle.applied_to()),
+            replica: Mutex::new(CoreReplica {
                 handle,
                 words: Vec::new(),
                 counts: Vec::new(),
                 resps: Vec::new(),
             }),
-            slots: RwLock::new(Vec::new()),
+            slots: Mutex::new(Vec::new()),
             combiner_busy: AtomicBool::new(false),
             lease,
             reclaim_after,
@@ -446,14 +474,19 @@ impl ShardCore {
     /// Register a new client's announce slot.
     pub(crate) fn register(&self) -> Arc<Slot> {
         let slot = Slot::new();
-        self.slots.write().push(Arc::clone(&slot));
+        self.slots.lock().push(Arc::clone(&slot));
         slot
+    }
+
+    /// The core replica's current table, for a new client's cache.
+    pub(crate) fn table(&self) -> Arc<KvTable> {
+        Arc::clone(self.replica.lock().handle.state().table())
     }
 
     /// Remove a dropped client's slot (it must be `EMPTY` — calls are
     /// synchronous, so a live call pins the client), keeping its hits.
     pub(crate) fn unregister(&self, slot: &Arc<Slot>) {
-        let mut slots = self.slots.write();
+        let mut slots = self.slots.lock();
         slots.retain(|s| !Arc::ptr_eq(s, slot));
         // Under the registry lock, so a concurrent sum sees the hits
         // either in the slot or in the retired total, never both.
@@ -465,22 +498,24 @@ impl ShardCore {
     /// Fast-path hits of the clients registered on this shard.
     pub(crate) fn fastpath_hits(&self) -> u64 {
         self.slots
-            .read()
+            .lock()
             .iter()
             .map(|s| s.hits.0.load(Ordering::Relaxed))
             .sum()
     }
 
     /// Run `f` over the core replica, caught up to the end of the
-    /// shard's log, with the replica write lock held throughout
+    /// shard's log, with the replica lock held throughout
     /// (verification only). Every propose on this shard takes that lock,
     /// so `f` sees a log nobody is appending to even while clients run.
     pub(crate) fn audit<R>(&self, f: impl FnOnce(&Handle<KvMap>) -> R) -> R {
-        let mut replica = self.replica.write();
+        let mut replica = self.replica.lock();
         // Until a pass applies nothing: a catch-up can itself decide a
         // trailing undecided cell (with an inert dummy), which then has
         // to be applied.
         while replica.handle.catch_up() > 0 {}
+        self.applied
+            .store(replica.handle.applied_to(), Ordering::Release);
         f(&replica.handle)
     }
 
@@ -503,12 +538,19 @@ impl ShardCore {
     }
 
     /// The wait-free GET snapshot: observe the shard's tail, then
-    /// answer from the core replica iff it has provably applied at
-    /// least that far. `Ok(None)`-style misses return `None` (caller
-    /// falls back to the combined path); divergence evidence surfaces
-    /// as `Some(Err(shard))` so a corrupted shard refuses rather than
-    /// answering from a broken log.
-    pub(crate) fn fast_get(&self, mine: &Slot, key: u32) -> Option<Result<Option<u32>, usize>> {
+    /// answer from the core replica's table iff the replica has
+    /// provably applied at least that far — with no lock and no atomic
+    /// read-modify-write. `table` is the caller's cached table of this
+    /// shard, refreshed by the cold path when a rebuild retired it.
+    /// Misses return `None` (caller falls back to the combined path);
+    /// divergence evidence surfaces as `Some(Err(shard))` so a
+    /// corrupted shard refuses rather than answering from a broken log.
+    pub(crate) fn fast_get(
+        &self,
+        mine: &Slot,
+        table: &mut Arc<KvTable>,
+        key: u32,
+    ) -> Option<Result<Option<u32>, usize>> {
         if self.log.divergence_detected() {
             return Some(Err(self.shard));
         }
@@ -518,15 +560,41 @@ impl ShardCore {
         // began (a completed op's slot is decided, hence created). It
         // is one atomic load: the log publishes its tail.
         let tail = self.log.slots_created();
-        let replica = self.replica.read();
-        if replica.handle.applied_to() >= tail {
-            mine.hits.0.fetch_add(1, Ordering::Relaxed);
-            Some(Ok(replica.handle.state().peek(key)))
-        } else {
+        // Acquire: every table store of the passes up to `applied` —
+        // and the retirement of any table they replaced — is visible
+        // from here on.
+        if self.applied.load(Ordering::Acquire) < tail || table.is_retired() {
+            return self.locked_get(mine, table, tail, key);
+        }
+        let value = table.get(key);
+        mine.hits.bump();
+        Some(Ok(value))
+    }
+
+    /// [`Self::fast_get`]'s cold path, for a read that landed inside a
+    /// pass or holds a retired table: wait out the pass under the
+    /// replica lock, check freshness against the replica itself, and
+    /// answer from it, refreshing the cached table.
+    #[cold]
+    fn locked_get(
+        &self,
+        mine: &Slot,
+        table: &mut Arc<KvTable>,
+        tail: usize,
+        key: u32,
+    ) -> Option<Result<Option<u32>, usize>> {
+        let replica = self.replica.lock();
+        if replica.handle.applied_to() < tail {
             drop(replica);
             self.stats.record_fastpath_miss(self.shard);
-            None
+            return None;
         }
+        let map = replica.handle.state();
+        if !Arc::ptr_eq(table, map.table()) {
+            *table = Arc::clone(map.table());
+        }
+        mine.hits.bump();
+        Some(Ok(map.peek(key)))
     }
 
     /// Publish `ops` as one pending unit (non-blocking). The slot must
@@ -612,7 +680,7 @@ impl ShardCore {
     /// the batch is the one the owner's published unit would have made.
     fn claim(&self, mine: Option<&Arc<Slot>>, claims: &mut Vec<Claim>) -> usize {
         let mut at = None;
-        let slots = self.slots.read();
+        let slots = self.slots.lock();
         for s in slots.iter() {
             let word = s.state.load(Ordering::Acquire);
             if state_of(word) == PENDING
@@ -679,7 +747,7 @@ impl ShardCore {
     }
 
     /// The one routine every pass runs, direct or split-phase. Under
-    /// the replica write lock it seals each claim with a CAS on its
+    /// the replica lock it seals each claim with a CAS on its
     /// exact `(CLAIMED, e)` word — a failed seal means the owner
     /// reclaimed the op, which is someone else's to apply now, so it
     /// leaves the batch — appends the sealed units, with `own` at its
@@ -688,7 +756,7 @@ impl ShardCore {
     /// runs to delivery. Returns `None` when nothing was left to run,
     /// otherwise whether the shard's log holds divergence evidence.
     fn execute(&self, claimed: &mut Vec<Claim>, mut own: Option<OwnUnit<'_>>) -> Option<bool> {
-        let mut replica = self.replica.write();
+        let mut replica = self.replica.lock();
         let CoreReplica {
             handle,
             words,
@@ -734,6 +802,9 @@ impl ShardCore {
         }
         // Execute — one decided slot for the whole drain.
         handle.invoke_many_into(words, resps);
+        // Publish the batch to lock-free readers before delivering it:
+        // a caller whose op this pass applied reads at least this far.
+        self.applied.store(handle.applied_to(), Ordering::Release);
         let diverged = self.log.divergence_detected();
         self.stats.record_pass(self.shard, words.len());
         // Distribute, still under the lock: a sealed op is always
@@ -896,6 +967,129 @@ mod tests {
         );
         let stats = store.combine_snapshot().unwrap();
         assert!(stats.fastpath_hits >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn a_pass_publishes_what_it_applied() {
+        let store = combining_store(Backend::reliable(), 1);
+        let core = store.shard_core_for_tests(0);
+        let mut c = store.client();
+        for key in 0..40 {
+            c.put(key, key).unwrap();
+            // The put's own pass published its slot: the next GET is
+            // fresh without taking the replica lock.
+            assert_eq!(
+                core.applied.load(Ordering::Acquire),
+                store.shard_log(0).slots_created()
+            );
+        }
+        assert!(store.verify(&mut [c]).all_consistent());
+    }
+
+    #[test]
+    fn a_reader_holding_a_retired_table_refreshes_it() {
+        let store = combining_store(Backend::reliable(), 1);
+        let (mut reader, mut writer) = (store.client(), store.client());
+        writer.put(0, 1).unwrap();
+        assert_eq!(reader.get(0).unwrap(), Some(1));
+        let cached = Arc::clone(&reader.tables[0]);
+        // Enough new keys to rebuild the table, then a new version of
+        // the key the reader's cached table holds.
+        let mut key = 1;
+        while !cached.is_retired() {
+            writer.put(key, key).unwrap();
+            key += 1;
+        }
+        writer.put(0, 2).unwrap();
+        assert_eq!(reader.get(0).unwrap(), Some(2), "read a retired table");
+        assert!(!Arc::ptr_eq(&cached, &reader.tables[0]));
+        let stats = store.combine_snapshot().unwrap();
+        assert_eq!((stats.fastpath_hits, stats.fastpath_misses), (2, 0));
+    }
+
+    #[test]
+    fn lock_free_reads_never_go_back_across_rebuilds() {
+        // One writer puts strictly increasing versions over a key set
+        // that grows in rounds, rebuilding every shard's table several
+        // times, while two readers GET the same keys. A reader must
+        // never see a key's version fall, and a GET that starts after
+        // a put was acknowledged must see at least that put. Between
+        // rounds the writer waits for two more sweeps of each reader,
+        // so reads also run with no pass in progress — answered from
+        // whatever table the reader holds.
+        // A shard's table starts at 16 words and rebuilds past ¾ used,
+        // at 13, 49, 193 and 769 keys: 4,000 keys put about 1,000 on
+        // each of four shards.
+        const SHARDS: usize = 4;
+        const KEYS: u32 = 4_000;
+        const ROUNDS: u32 = 8;
+        let store = combining_store(Backend::robust(), SHARDS);
+        let acked: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+        let sweeps = [AtomicU64::new(0), AtomicU64::new(0)];
+        let writing = AtomicBool::new(true);
+        let start = Barrier::new(3);
+        let rebuilds = std::thread::scope(|scope| {
+            let readers = sweeps.each_ref().map(|sweeps| {
+                let (store, acked, writing, start) = (&store, &acked, &writing, &start);
+                scope.spawn(move || {
+                    let mut c = store.client();
+                    let mut seen = vec![0u64; KEYS as usize];
+                    start.wait();
+                    loop {
+                        let last = !writing.load(Ordering::Acquire);
+                        for key in 0..KEYS {
+                            let floor = acked[key as usize].load(Ordering::SeqCst);
+                            let got = u64::from(c.get(key).unwrap().unwrap_or(0));
+                            let before = seen[key as usize];
+                            assert!(got >= before, "key {key} went back from {before} to {got}");
+                            assert!(got >= floor, "key {key} read {got} after {floor} was acked");
+                            seen[key as usize] = got;
+                        }
+                        sweeps.fetch_add(1, Ordering::Release);
+                        if last {
+                            break;
+                        }
+                    }
+                })
+            });
+            let mut c = store.client();
+            let mut tables: Vec<_> = (0..SHARDS)
+                .map(|s| store.shard_core_for_tests(s).table())
+                .collect();
+            let mut rebuilds = [0; SHARDS];
+            let mut version = 0;
+            start.wait();
+            for round in 1..=ROUNDS {
+                for key in 0..KEYS * round / ROUNDS {
+                    version += 1;
+                    c.put(key, version).unwrap();
+                    acked[key as usize].store(u64::from(version), Ordering::SeqCst);
+                    let s = c.shard_for(key);
+                    let table = store.shard_core_for_tests(s).table();
+                    if !Arc::ptr_eq(&table, &tables[s]) {
+                        rebuilds[s] += 1;
+                        tables[s] = table;
+                    }
+                }
+                // A reader that stopped early has panicked; the scope
+                // reports it.
+                let targets = sweeps.each_ref().map(|n| n.load(Ordering::Acquire) + 2);
+                while (0..2).any(|r| {
+                    sweeps[r].load(Ordering::Acquire) < targets[r] && !readers[r].is_finished()
+                }) {
+                    std::thread::yield_now();
+                }
+            }
+            writing.store(false, Ordering::Release);
+            rebuilds
+        });
+        assert!(
+            rebuilds.iter().all(|&r| r >= 4),
+            "rebuilds per shard: {rebuilds:?}"
+        );
+        let stats = store.combine_snapshot().unwrap();
+        assert!(stats.fastpath_hits > 0, "{stats:?}");
+        assert!(store.verify(&mut []).all_consistent());
     }
 
     #[test]

@@ -671,6 +671,7 @@ impl Store {
         StoreClient {
             layer: Arc::clone(&self.combine),
             slots: self.combine.cores.iter().map(|c| c.register()).collect(),
+            tables: self.combine.cores.iter().map(|c| c.table()).collect(),
             claims: Vec::new(),
             resps: Vec::new(),
         }
@@ -740,6 +741,9 @@ impl Store {
 pub struct StoreClient {
     layer: Arc<CombineLayer>,
     slots: Vec<Arc<combine::Slot>>,
+    /// Each shard's replica table as this client last fetched it: the
+    /// lock-free GET reads it until a rebuild retires it.
+    tables: Vec<Arc<map::KvTable>>,
     /// The claim list of this client's combine passes, reused from one
     /// pass to the next.
     claims: Vec<combine::Claim>,
@@ -939,10 +943,10 @@ impl StoreClient {
     /// The wait-free read snapshot, exposed for split-phase drivers:
     /// `None` when freshness is unprovable (fall back to the combined
     /// path), `Some(Err)` on divergence evidence.
-    pub fn fast_read(&self, key: u32) -> Option<Result<Option<u32>, StoreError>> {
+    pub fn fast_read(&mut self, key: u32) -> Option<Result<Option<u32>, StoreError>> {
         let s = self.shard_for(key);
         self.layer.cores[s]
-            .fast_get(&self.slots[s], key)
+            .fast_get(&self.slots[s], &mut self.tables[s], key)
             .map(|r| r.map_err(|shard| StoreError::Divergence { shard }))
     }
 }
