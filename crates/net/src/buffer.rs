@@ -10,7 +10,9 @@
 //! The pool is deliberately bounded on both axes: it keeps at most
 //! [`POOL_CAP`] buffers of each kind, and refuses to retain a buffer
 //! whose capacity grew past [`RETAIN_CAP`] (one oversized response
-//! burst must not pin megabytes for the rest of the process).
+//! burst must not pin megabytes for the rest of the process). A banked
+//! [`FrameBuffer`] comes back empty but keeps its initialised capacity,
+//! so the next connection's socket reads zero-fill nothing.
 
 use crate::wire::FrameBuffer;
 
@@ -71,11 +73,21 @@ mod tests {
         let mut pool = BufferPool::new();
         let mut fb = pool.take_read();
         fb.extend(&[1, 2, 3]);
+        // A socket-sized read leaves initialised spare room behind.
+        fb.read_from(&mut &[4u8, 5][..], 1024).unwrap();
         let read_cap = fb.capacity();
         pool.put_read(fb);
-        let recycled = pool.take_read();
+        let mut recycled = pool.take_read();
         assert_eq!(recycled.pending(), 0, "banked buffers come back empty");
         assert_eq!(recycled.capacity(), read_cap, "allocation is reused");
+        // Stale bytes in the kept room never resurface as input.
+        recycled.read_from(&mut &[6u8][..], 1024).unwrap();
+        assert_eq!(recycled.pending(), 1);
+        assert_eq!(
+            recycled.capacity(),
+            read_cap,
+            "no regrowth for a read that fits"
+        );
 
         let mut w = pool.take_write();
         w.extend_from_slice(b"response bytes");

@@ -21,7 +21,7 @@
 //! on all — which is how the bench harness loads a reactor with
 //! thousands of connections from a handful of threads.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -29,9 +29,15 @@ use ff_store::{Kv, KvOp, StoreError};
 
 use crate::wire::{encode_request, ErrorCode, FrameBuffer, Request, Response, StatsReply};
 
+/// Most bytes one socket read asks for. They land straight in the
+/// client's [`FrameBuffer`], whose spare room is zeroed only when it
+/// grows.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// A pipelining TCP client for a [`NetServer`](crate::NetServer).
 pub struct NetClient {
     stream: TcpStream,
+    /// Responses, read off the socket straight into its kept capacity.
     fb: FrameBuffer,
     next_id: u32,
     /// Encode scratch reused across sends.
@@ -156,10 +162,9 @@ impl NetClient {
             {
                 return Ok(frame);
             }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
+            match self.fb.read_from(&mut self.stream, READ_CHUNK) {
                 Ok(0) => return Err(StoreError::Io("connection closed by server".to_string())),
-                Ok(n) => self.fb.extend(&chunk[..n]),
+                Ok(_) => {}
                 Err(e) => return Err(io_err(e)),
             }
         }

@@ -14,7 +14,8 @@
 //!    is blocked: then the nearest write deadline, so a stalled peer is
 //!    still cut off on time. An idle loop makes no syscalls at all.
 //! 3. **Read** — pull up to 16 KiB per readable connection straight
-//!    into its session's frame buffer (no intermediate chunk copy).
+//!    into its session's frame buffer: no intermediate chunk copy, and
+//!    no zero-fill, since the buffer keeps the room it initialised.
 //! 4. **Stage** — each session decodes its complete frames **in
 //!    place** with the zero-copy
 //!    [`peek_frame`](crate::wire::FrameBuffer::peek_frame) path. Valid
@@ -30,9 +31,11 @@
 //!    `AUDIT_EVERY` runs, server-wide, the loop also audits the shard
 //!    logs ([`Store::verify`](ff_store::Store::verify)).
 //! 6. **Resolve** — each session encodes its slots' responses into its
-//!    output buffer, in per-connection request order. A run error
-//!    (divergence poisons the shard set; nothing partial is usable)
-//!    answers every run slot with the same typed error.
+//!    output buffer in place, in per-connection request order. A run
+//!    error (divergence poisons the shard set; nothing partial is
+//!    usable) answers every run slot with the same typed error. The
+//!    server's counters are snapshotted for STATS after the run, and
+//!    only when some session staged a STATS frame this pass.
 //! 7. **Flush** — write until done or `WouldBlock`; a blocked
 //!    connection joins the next wait for writability, and a peer
 //!    stalled past the write timeout is killed.
@@ -63,6 +66,7 @@ use crate::buffer::BufferPool;
 use crate::poll::{Poller, Waker};
 use crate::server::{stats, Shared};
 use crate::session::Session;
+use crate::wire::StatsReply;
 
 /// Most bytes read per connection per tick — round-robin fairness, not
 /// a frame bound.
@@ -241,6 +245,7 @@ fn serve_buffered(
     scratch.run_ops.clear();
     let mut immediate = 0u64;
     let mut staged = 0u64;
+    let mut stats_asked = 0u64;
     for c in conns.iter_mut() {
         // Closing sessions stage nothing themselves (the session
         // early-returns); paused connections wait for their peer.
@@ -250,6 +255,7 @@ fn serve_buffered(
         let summary = c.session.stage(&mut scratch.run_ops);
         immediate += summary.immediate;
         staged += summary.staged;
+        stats_asked += summary.stats;
     }
     if immediate > 0 {
         shared.ops_served.fetch_add(immediate, Ordering::Relaxed);
@@ -284,10 +290,15 @@ fn serve_buffered(
     if staged > 0 {
         shared.frames_staged.fetch_add(staged, Ordering::Relaxed);
     }
-    // Resolve after the run so STATS snapshots post-run counters. Every
-    // session with staged slots resolves — including closing ones,
-    // whose malformed-error answer still has to flush.
-    let snapshot = stats(shared);
+    // Resolve after the run so STATS snapshots post-run counters — and
+    // snapshot only if a STATS frame asked: the snapshot reads every
+    // shard. Every session with staged slots resolves — including
+    // closing ones, whose malformed-error answer still has to flush.
+    let snapshot = if stats_asked > 0 {
+        stats(shared)
+    } else {
+        StatsReply::default()
+    };
     for c in conns.iter_mut() {
         if c.session.pending_slots() > 0 {
             c.session.resolve(outcome.as_ref(), &snapshot);

@@ -28,7 +28,8 @@
 //! resync, so the connection is done once that answer flushes.
 
 use crate::wire::{
-    encode_response, Decoded, ErrorCode, FrameBuffer, RequestRef, Response, StatsReply,
+    encode_response, encode_values, Decoded, ErrorCode, FrameBuffer, RequestRef, Response,
+    StatsReply,
 };
 use ff_store::{KvOp, StoreError, KV_MAX};
 
@@ -60,6 +61,9 @@ pub struct StageSummary {
     pub immediate: u64,
     /// Response slots staged (every complete frame stages exactly one).
     pub staged: u64,
+    /// STATS frames among them: the driver snapshots its counters for
+    /// [`Session::resolve`] only when some session staged one.
+    pub stats: u64,
 }
 
 /// One connection's socket-free protocol state machine. See the module
@@ -202,6 +206,7 @@ impl Session {
                         },
                         RequestRef::Stats => {
                             summary.immediate += 1;
+                            summary.stats += 1;
                             self.slots.push(Slot {
                                 id,
                                 kind: SlotKind::Stats,
@@ -245,7 +250,12 @@ impl Session {
     /// (`Some`) iff this session contributed operations; a run error
     /// answers every run-backed slot with the same typed error
     /// (divergence poisons the shard set; nothing partial is usable).
-    /// `stats` answers any STATS frames.
+    /// `stats` answers any STATS frames; a driver whose sessions staged
+    /// none ([`StageSummary::stats`]) may pass any value.
+    ///
+    /// Encoding is in place: a BATCH answer is written straight from
+    /// the run's slice, so with a reused output buffer a pass of value
+    /// and batch answers allocates nothing.
     pub fn resolve(
         &mut self,
         outcome: Option<&Result<Vec<Option<u32>>, StoreError>>,
@@ -259,7 +269,10 @@ impl Session {
                     None => unreachable!("run slots imply a nonempty run"),
                 },
                 SlotKind::Batch { off, n } => match outcome {
-                    Some(Ok(values)) => Response::Batch(values[off..off + n].to_vec()),
+                    Some(Ok(values)) => {
+                        encode_values(&mut self.out, slot.id, &values[off..off + n]);
+                        continue;
+                    }
                     Some(Err(e)) => error_response(e),
                     None => unreachable!("run slots imply a nonempty run"),
                 },
@@ -357,6 +370,7 @@ mod tests {
         let sum = s.stage(&mut run);
         assert_eq!(sum.immediate, 1);
         assert_eq!(sum.staged, 3);
+        assert_eq!(sum.stats, 0, "PING is immediate but not STATS");
         assert_eq!(run, vec![KvOp::Put(4, 9), KvOp::Get(4)]);
         // "Execute" the run and resolve.
         let outcome = Ok(vec![None, Some(9)]);

@@ -366,71 +366,79 @@ pub enum Decoded<T> {
 // Encoding.
 // ---------------------------------------------------------------------
 
-fn frame(out: &mut Vec<u8>, ftype: u8, id: u32, payload: &[u8]) {
-    let len = (HEADER_AFTER_LEN + payload.len()) as u32;
+/// Append one frame to `out` in place: the header, then whatever
+/// `payload` appends after it, then the length word patched to count
+/// them. The patch is relative to this frame's start, so `out` may
+/// already hold earlier frames; nothing is allocated beyond `out`'s own
+/// growth.
+fn frame(out: &mut Vec<u8>, ftype: u8, id: u32, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    let [i0, i1, i2, i3] = id.to_le_bytes();
+    out.extend_from_slice(&[0, 0, 0, 0, PROTOCOL_VERSION, ftype, i0, i1, i2, i3]);
+    payload(out);
+    let len = (out.len() - start - 4) as u32;
     debug_assert!(len <= MAX_FRAME_LEN);
-    out.extend_from_slice(&len.to_le_bytes());
-    out.push(PROTOCOL_VERSION);
-    out.push(ftype);
-    out.extend_from_slice(&id.to_le_bytes());
-    out.extend_from_slice(payload);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Append the encoding of one request frame to `out`.
+/// One batch op in wire form — the inverse of [`op_parts`].
+fn op_bytes(op: KvOp) -> [u8; 9] {
+    let (tag, key, value) = match op {
+        KvOp::Put(k, v) => (OP_PUT, k, v),
+        KvOp::Get(k) => (OP_GET, k, 0),
+        KvOp::Del(k) => (OP_DEL, k, 0),
+    };
+    let ([k0, k1, k2, k3], [v0, v1, v2, v3]) = (key.to_le_bytes(), value.to_le_bytes());
+    [tag, k0, k1, k2, k3, v0, v1, v2, v3]
+}
+
+/// One answer in wire form: `(present u8, value u32 LE)`, 0 when absent.
+fn value_bytes(v: Option<u32>) -> [u8; 5] {
+    let [b0, b1, b2, b3] = v.unwrap_or(0).to_le_bytes();
+    [v.is_some() as u8, b0, b1, b2, b3]
+}
+
+/// Append the encoding of one request frame to `out`, in place: no
+/// encoder allocates, so a reused `out` makes encoding allocation-free.
 pub fn encode_request(out: &mut Vec<u8>, id: u32, req: &Request) {
-    let mut p = Vec::new();
-    let ftype = match req {
-        Request::Get { key } => {
-            p.extend_from_slice(&key.to_le_bytes());
-            T_GET
-        }
-        Request::Put { key, value } => {
+    match req {
+        Request::Get { key } => frame(out, T_GET, id, |p| p.extend_from_slice(&key.to_le_bytes())),
+        Request::Put { key, value } => frame(out, T_PUT, id, |p| {
             p.extend_from_slice(&key.to_le_bytes());
             p.extend_from_slice(&value.to_le_bytes());
-            T_PUT
-        }
-        Request::Del { key } => {
-            p.extend_from_slice(&key.to_le_bytes());
-            T_DEL
-        }
-        Request::Batch(ops) => {
+        }),
+        Request::Del { key } => frame(out, T_DEL, id, |p| p.extend_from_slice(&key.to_le_bytes())),
+        Request::Batch(ops) => frame(out, T_BATCH, id, |p| {
             p.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-            for op in ops {
-                let (tag, key, value) = match *op {
-                    KvOp::Put(k, v) => (OP_PUT, k, v),
-                    KvOp::Get(k) => (OP_GET, k, 0),
-                    KvOp::Del(k) => (OP_DEL, k, 0),
-                };
-                p.push(tag);
-                p.extend_from_slice(&key.to_le_bytes());
-                p.extend_from_slice(&value.to_le_bytes());
+            for &op in ops {
+                p.extend_from_slice(&op_bytes(op));
             }
-            T_BATCH
-        }
-        Request::Stats => T_STATS,
-        Request::Ping => T_PING,
-    };
-    frame(out, ftype, id, &p);
+        }),
+        Request::Stats => frame(out, T_STATS, id, |_| {}),
+        Request::Ping => frame(out, T_PING, id, |_| {}),
+    }
 }
 
-/// Append the encoding of one response frame to `out`.
+/// Append a BATCH-RESP frame answering `values`, in order. The one
+/// values encoder: [`encode_response`]'s `Batch` arm calls it, and a
+/// [`Session`](crate::Session) calls it straight on its run's slice
+/// rather than copying that slice into a [`Response::Batch`].
+pub(crate) fn encode_values(out: &mut Vec<u8>, id: u32, values: &[Option<u32>]) {
+    frame(out, T_BATCH_RESP, id, |p| {
+        p.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        for &v in values {
+            p.extend_from_slice(&value_bytes(v));
+        }
+    });
+}
+
+/// Append the encoding of one response frame to `out`, in place (see
+/// [`encode_request`]).
 pub fn encode_response(out: &mut Vec<u8>, id: u32, resp: &Response) {
-    let mut p = Vec::new();
-    let ftype = match resp {
-        Response::Value(v) => {
-            p.push(v.is_some() as u8);
-            p.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
-            T_VALUE
-        }
-        Response::Batch(vs) => {
-            p.extend_from_slice(&(vs.len() as u32).to_le_bytes());
-            for v in vs {
-                p.push(v.is_some() as u8);
-                p.extend_from_slice(&v.unwrap_or(0).to_le_bytes());
-            }
-            T_BATCH_RESP
-        }
-        Response::Stats(s) => {
+    match resp {
+        Response::Value(v) => frame(out, T_VALUE, id, |p| p.extend_from_slice(&value_bytes(*v))),
+        Response::Batch(vs) => encode_values(out, id, vs),
+        Response::Stats(s) => frame(out, T_STATS_RESP, id, |p| {
             p.extend_from_slice(&s.shards.to_le_bytes());
             p.extend_from_slice(&s.active_connections.to_le_bytes());
             p.push(s.diverged as u8);
@@ -445,24 +453,21 @@ pub fn encode_response(out: &mut Vec<u8>, id: u32, resp: &Response) {
             p.extend_from_slice(&s.wal_fsyncs.to_le_bytes());
             p.extend_from_slice(&s.recovered_records.to_le_bytes());
             p.extend_from_slice(&s.recovered_checkpoints.to_le_bytes());
-            T_STATS_RESP
-        }
-        Response::Pong => T_PONG,
+        }),
+        Response::Pong => frame(out, T_PONG, id, |_| {}),
         Response::Error {
             code,
             detail,
             message,
-        } => {
+        } => frame(out, T_ERROR, id, |p| {
             let msg = message.as_bytes();
             let msg = &msg[..msg.len().min(u16::MAX as usize)];
             p.push(*code as u8);
             p.extend_from_slice(&detail.to_le_bytes());
             p.extend_from_slice(&(msg.len() as u16).to_le_bytes());
             p.extend_from_slice(msg);
-            T_ERROR
-        }
-    };
-    frame(out, ftype, id, &p);
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -714,10 +719,19 @@ pub fn decode_response(buf: &[u8]) -> Result<Decoded<ResponseFrame>, DecodeError
 /// An incremental frame buffer: feed bytes as they arrive off a socket,
 /// pop complete frames. Both the server (requests) and the client
 /// (responses) run one of these per connection.
+///
+/// The buffer keeps what it has initialised: `buf[start..end]` are the
+/// bytes not yet consumed, and `buf[end..]` is spare room, zeroed once
+/// when the buffer grew, that a socket read lands in without zeroing it
+/// again (and without the `unsafe` a read into uninitialised memory
+/// would need). Consuming every byte rewinds to the front for free;
+/// otherwise the live bytes move to the front (`copy_within`) only once
+/// the consumed prefix passes 4 KiB and outweighs them.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl FrameBuffer {
@@ -728,34 +742,55 @@ impl FrameBuffer {
 
     /// Feed freshly read bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
+        let at = self.spare(bytes.len());
+        self.buf[at..at + bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
-    /// Read up to `max` bytes from `r` directly into the buffer — no
-    /// intermediate chunk copy. Returns what `r.read` returned
-    /// (`Ok(0)` is end-of-stream, as usual).
+    /// Read up to `max` bytes from `r` directly into the buffer's spare
+    /// room — no intermediate chunk copy, and no zero-fill unless the
+    /// buffer has to grow. Returns what `r.read` returned (`Ok(0)` is
+    /// end-of-stream, as usual).
     pub fn read_from(&mut self, r: &mut impl std::io::Read, max: usize) -> std::io::Result<usize> {
-        self.compact();
-        let len = self.buf.len();
-        self.buf.resize(len + max, 0);
-        let res = r.read(&mut self.buf[len..]);
-        let n = *res.as_ref().unwrap_or(&0);
-        self.buf.truncate(len + n);
+        let at = self.spare(max);
+        let res = r.read(&mut self.buf[at..at + max]);
+        if let Ok(n) = res {
+            self.end += n.min(max);
+        }
         res
     }
 
-    // Compact lazily: only when the dead prefix dominates.
+    /// Compact, then make sure `n` initialised bytes follow the live
+    /// ones; returns where they start. Zero-fills only new growth.
+    fn spare(&mut self, n: usize) -> usize {
+        self.compact();
+        if self.buf.len() < self.end + n {
+            self.buf.resize(self.end + n, 0);
+        }
+        self.end
+    }
+
+    // Compact lazily: for free when everything was consumed, by moving
+    // the live bytes only when the dead prefix dominates.
     fn compact(&mut self) {
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.start > 4096 && self.start * 2 > self.end {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
     }
 
     /// Bytes buffered but not yet consumed by a popped frame.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
+    }
+
+    /// The buffered, unconsumed bytes.
+    fn live(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
     }
 
     /// Decode the next request frame **in place** — the zero-copy
@@ -763,7 +798,7 @@ impl FrameBuffer {
     /// [`FrameRef`] borrows the buffer; once its contents are staged,
     /// advance past it with [`FrameBuffer::consume`].
     pub fn peek_frame(&self) -> Result<Decoded<FrameRef<'_>>, DecodeError> {
-        decode_frame(&self.buf[self.start..])
+        decode_frame(self.live())
     }
 
     /// Advance past `n` bytes previously reported by a
@@ -773,10 +808,11 @@ impl FrameBuffer {
         self.start += n.min(self.pending());
     }
 
-    /// Drop all buffered bytes but keep the allocation (for pooling).
+    /// Drop all buffered bytes but keep the allocation, initialised
+    /// (for pooling).
     pub fn reset(&mut self) {
-        self.buf.clear();
         self.start = 0;
+        self.end = 0;
     }
 
     /// Current allocation size (for pool shrink decisions).
@@ -788,7 +824,7 @@ impl FrameBuffer {
         &mut self,
         decode: impl Fn(&[u8]) -> Result<Decoded<T>, DecodeError>,
     ) -> Result<Option<T>, DecodeError> {
-        match decode(&self.buf[self.start..])? {
+        match decode(self.live())? {
             Decoded::NeedMoreData => Ok(None),
             Decoded::Frame { frame, consumed } => {
                 self.start += consumed;
@@ -1090,6 +1126,141 @@ mod tests {
         assert_eq!(fb.read_from(&mut src, 16).unwrap(), 0);
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// One frame per variant, byte for byte as the encoders wrote them
+    /// before they encoded in place (a payload `Vec` per frame, copied
+    /// behind the header). The wire format must not notice how it is
+    /// written.
+    #[test]
+    fn encoders_write_the_pinned_wire_bytes() {
+        let requests = [
+            (0x0102_0304, Request::Get { key: 0x0a0b_0c0d }, "0a0000000101040302010d0c0b0a"),
+            (
+                2,
+                Request::Put {
+                    key: 7,
+                    value: 0x0fff_ffff,
+                },
+                "0e00000001020200000007000000ffffff0f",
+            ),
+            (3, Request::Del { key: 12345 }, "0a00000001030300000039300000"),
+            (4, Request::Batch(vec![]), "0a00000001040400000000000000"),
+            (
+                5,
+                Request::Batch(vec![KvOp::Put(1, 2), KvOp::Get(3), KvOp::Del(4)]),
+                "2500000001040500000003000000010100000002000000020300000000000000030400000000000000",
+            ),
+            (6, Request::Stats, "06000000010506000000"),
+            (u32::MAX, Request::Ping, "060000000106ffffffff"),
+        ];
+        for (id, req, hex) in requests {
+            let mut bytes = Vec::new();
+            encode_request(&mut bytes, id, &req);
+            assert_eq!(bytes, unhex(hex), "{req:?}");
+        }
+        let stats = StatsReply {
+            shards: 8,
+            active_connections: 3,
+            diverged: true,
+            ops_served: 0x0102_0304_0506_0708,
+            runs_executed: 41,
+            run_ops: 9000,
+            max_run_ops: 512,
+            frames_staged: 8192,
+            combine_passes: 77,
+            combine_ops: 616,
+            wal_records: 123_456,
+            wal_fsyncs: 789,
+            recovered_records: 4242,
+            recovered_checkpoints: 6,
+        };
+        let responses = [
+            (
+                0x0102_0304,
+                Response::Value(Some(0x0a0b_0c0d)),
+                "0b000000018104030201010d0c0b0a",
+            ),
+            (2, Response::Value(None), "0b0000000181020000000000000000"),
+            (3, Response::Batch(vec![]), "0a00000001840300000000000000"),
+            (
+                4,
+                Response::Batch(vec![Some(1), None, Some(u32::MAX)]),
+                "19000000018404000000030000000101000000000000000001ffffffff",
+            ),
+            (
+                5,
+                Response::Stats(stats),
+                "630000000185050000000800000003000000010807060504030201290000000000000028230000\
+                 000000000002000000200000000000004d00000000000000680200000000000040e20100000000\
+                 00150300000000000092100000000000000600000000000000",
+            ),
+            (6, Response::Pong, "06000000018606000000"),
+            (
+                7,
+                Response::Error {
+                    code: ErrorCode::Divergence,
+                    detail: 5,
+                    message: "shard 5 diverged ⊥".into(),
+                },
+                "2100000001ee07000000010500000014007368617264203520646976657267656420e28aa5",
+            ),
+        ];
+        for (id, resp, hex) in responses {
+            let mut bytes = Vec::new();
+            encode_response(&mut bytes, id, &resp);
+            assert_eq!(bytes, unhex(hex), "{resp:?}");
+        }
+    }
+
+    /// The length word is patched relative to the frame's own start:
+    /// encoding behind earlier bytes leaves them alone, and every
+    /// appended frame decodes back.
+    #[test]
+    fn encoding_appends_behind_earlier_bytes() {
+        let prefix = [0xAB; 7];
+        let mut out = prefix.to_vec();
+        for (id, req) in requests().iter().enumerate() {
+            encode_request(&mut out, id as u32, req);
+        }
+        assert_eq!(out[..prefix.len()], prefix);
+        let mut at = prefix.len();
+        for (id, req) in requests().into_iter().enumerate() {
+            let Decoded::Frame { frame, consumed } = decode_request(&out[at..]).unwrap() else {
+                panic!("appended request frame reported as truncated");
+            };
+            assert_eq!(frame, RequestFrame { id: id as u32, req });
+            at += consumed;
+        }
+        assert_eq!(at, out.len());
+
+        let mut out = prefix.to_vec();
+        for (id, resp) in responses().iter().enumerate() {
+            encode_response(&mut out, id as u32, resp);
+        }
+        assert_eq!(out[..prefix.len()], prefix);
+        let mut at = prefix.len();
+        for (id, resp) in responses().into_iter().enumerate() {
+            let Decoded::Frame { frame, consumed } = decode_response(&out[at..]).unwrap() else {
+                panic!("appended response frame reported as truncated");
+            };
+            assert_eq!(
+                frame,
+                ResponseFrame {
+                    id: id as u32,
+                    resp
+                }
+            );
+            at += consumed;
+        }
+        assert_eq!(at, out.len());
+    }
+
     #[test]
     fn frame_buffer_compacts_without_losing_frames() {
         let mut fb = FrameBuffer::new();
@@ -1146,6 +1317,23 @@ mod proptests {
             }
             4 => Request::Stats,
             _ => Request::Ping,
+        }
+    }
+
+    /// An `io::Read` over `data` that returns a random, nonzero chunk
+    /// size per call (0 only once `data` is exhausted).
+    struct Ragged<'a> {
+        data: &'a [u8],
+        seed: u64,
+    }
+
+    impl std::io::Read for Ragged<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let want = 1 + (mix(&mut self.seed) % 700) as usize;
+            let n = want.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
         }
     }
 
@@ -1239,6 +1427,67 @@ mod proptests {
                 decode_request(&bytes[..cut]).unwrap(),
                 Decoded::NeedMoreData
             );
+        }
+
+        // A pipelined burst fed through ragged reads and extends, with
+        // frames taken by peek/consume and by pop in any interleaving,
+        // yields exactly the one-shot decode, and `pending()` always
+        // counts the bytes fed but not yet decoded. Frames are popped as
+        // soon as they complete, so a partial frame keeps the consumed
+        // prefix growing: compactions past the 4 KiB threshold happen
+        // in every case, and the test checks that they did.
+        #[test]
+        fn frame_buffer_matches_one_shot_decode_under_ragged_io(seed in any::<u64>()) {
+            let mut s = seed;
+            let mut stream = Vec::new();
+            for id in 0..400 {
+                encode_request(&mut stream, id, &random_request(&mut s));
+            }
+            // The one-shot decode, and where each frame ends.
+            let (mut expected, mut ends) = (Vec::new(), vec![0]);
+            while ends[expected.len()] < stream.len() {
+                let at = ends[expected.len()];
+                let Decoded::Frame { frame, consumed } = decode_request(&stream[at..]).unwrap()
+                else {
+                    panic!("the one-shot decode ran out of bytes");
+                };
+                expected.push(frame);
+                ends.push(at + consumed);
+            }
+
+            let mut src = Ragged { data: &stream, seed: mix(&mut s) };
+            let mut fb = FrameBuffer::new();
+            let (mut fed, mut compactions) = (0, 0);
+            let mut seen = Vec::new();
+            while seen.len() < expected.len() {
+                let (start, pending) = (fb.start, fb.pending());
+                match mix(&mut s) % 4 {
+                    0 => fed += fb.read_from(&mut src, 1 + (mix(&mut s) % 1024) as usize).unwrap(),
+                    1 => {
+                        let n = ((mix(&mut s) % 512) as usize).min(src.data.len());
+                        fb.extend(&src.data[..n]);
+                        src.data = &src.data[n..];
+                        fed += n;
+                    }
+                    2 => {
+                        if let Decoded::Frame { frame, consumed } = fb.peek_frame().unwrap() {
+                            seen.push(frame.to_owned_frame());
+                            fb.consume(consumed);
+                        }
+                    }
+                    _ => seen.extend(fb.pop_request().unwrap()),
+                }
+                // Live bytes before the step, and the front moved back:
+                // `copy_within` ran (a rewind needs an empty buffer).
+                if pending > 0 && fb.start < start {
+                    compactions += 1;
+                }
+                prop_assert_eq!(fb.pending(), fed - ends[seen.len()]);
+            }
+            prop_assert_eq!(fed, stream.len());
+            prop_assert_eq!(fb.pending(), 0);
+            prop_assert!(compactions > 0, "no compaction past the threshold");
+            prop_assert_eq!(seen, expected);
         }
 
         // Flipping any single byte of a valid frame never panics the

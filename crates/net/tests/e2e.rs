@@ -73,6 +73,51 @@ fn kv_over_tcp_matches_in_process_semantics() {
     assert!(store.verify(&mut report.clients).all_consistent());
 }
 
+/// STATS answers with post-run counters: the server snapshots them only
+/// in a pass that staged a STATS frame, and only after that pass's run.
+/// N single-op frames and one STATS frame sent in one write are answered
+/// with a STATS reply that already counts the run carrying those N.
+#[test]
+fn stats_behind_ops_in_one_write_counts_their_run() {
+    use std::io::Write;
+    const N: u32 = 64;
+    let (_store, server) = serve(reliable_config(), ServerConfig::default());
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut bytes = Vec::new();
+    for id in 1..=N {
+        ff_net::wire::encode_request(&mut bytes, id, &Request::Put { key: id, value: id });
+    }
+    ff_net::wire::encode_request(&mut bytes, N + 1, &Request::Stats);
+    stream.write_all(&bytes).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let mut fb = ff_net::FrameBuffer::new();
+    let mut frames = Vec::new();
+    while frames.len() < N as usize + 1 {
+        let n = fb
+            .read_from(&mut stream, 16 * 1024)
+            .expect("answers arrive");
+        assert_ne!(n, 0, "closed after {} answers", frames.len());
+        while let Some(frame) = fb.pop_response().expect("well-formed response frames") {
+            frames.push(frame);
+        }
+    }
+    for (frame, id) in frames.iter().zip(1..=N) {
+        assert_eq!(frame.id, id);
+        assert_eq!(frame.resp, Response::Value(None));
+    }
+    let Response::Stats(stats) = frames[N as usize].resp else {
+        panic!("STATS answered with {:?}", frames[N as usize].resp);
+    };
+    assert_eq!(stats.run_ops, u64::from(N), "{stats:?}");
+    assert_eq!(stats.frames_staged, u64::from(N) + 1, "{stats:?}");
+    assert!(stats.runs_executed >= 1, "{stats:?}");
+    drop(stream);
+    server.shutdown();
+}
+
 /// A durable server killed (dropped without flushing everything it
 /// could) and restarted over the same data dir serves the history it
 /// fsynced — and both generations expose their WAL/recovery counters
