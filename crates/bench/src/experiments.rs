@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use ff_dst::scenario::{arm_ok, arms, run_scenario, CORPUS, E19_SEED};
 use ff_dst::ScriptMode;
 use ff_net::{NetClient, NetServer, ServerConfig};
-use ff_sim::{check_combining, combining_crash_grid, combining_grid, CombineModelConfig};
+use ff_store::combining::{self as model, CombineModelConfig};
 use ff_store::metrics::format_ns;
 use ff_store::{
     all_backends, drive_clients, run_soak, Backend, FaultConfig, Kv, KvOp, SoakConfig, SoakReport,
@@ -114,8 +114,8 @@ const SYSTEM: [System; 7] = [
         title: "Flat-combining shard cores: read fast path, model grid",
         paper_ref: "flat combining over the robust universal construction (Sections 4–6)",
         body: || {
-            let mut grid = combining_grid();
-            grid.extend(combining_crash_grid());
+            let mut grid = model::grid();
+            grid.extend(model::crash_grid());
             e18(&grid, 0.6)
         },
     },
@@ -424,9 +424,7 @@ fn net_soak(
 // ---------------------------------------------------------------------
 
 /// Parameterized so the unit test can run a trimmed grid and shorter
-/// arms (`ff-sim` already exhausts the full grid in its own tests;
-/// re-walking the 3-client configs under the debug profile would
-/// dominate the suite for no new coverage).
+/// arms (`ff-store` already exhausts the full grid in its own tests).
 fn e18(grid: &[CombineModelConfig], secs: f64) -> Outcome {
     let mut notes = Vec::new();
     let mut pass = true;
@@ -479,18 +477,20 @@ fn e18(grid: &[CombineModelConfig], secs: f64) -> Outcome {
         }
     }
 
-    // Arm 2 — the exhaustive model grid: no stale read past the decided
-    // tail, no lost or duplicated op under combiner hand-off — nor
-    // under adversarial combiner kills with the lease reclaim on —
-    // across every interleaving of every small configuration.
+    // Arm 2 — the exhaustive model grid, over the slot machines the
+    // shard cores run: no stale read past the decided tail, no lost or
+    // duplicated op under combiner hand-off — nor under adversarial
+    // combiner kills with the lease reclaim on — across every
+    // interleaving of every small configuration.
     let mut model = Table::new(
         "combining model grid (exhaustive; stutters = tolerated cell faults, crashes = combiner kills)",
         &[
-            "clients", "rounds", "stutters", "crashes", "lease", "states", "stale", "lost", "dup",
+            "clients", "rounds", "stutters", "crashes", "lease", "states", "passes", "stale",
+            "lost", "dup",
         ],
     );
     for cfg in grid {
-        let report = check_combining(cfg);
+        let report = model::explore(cfg);
         pass &= report.clean();
         model.push_row(&[
             cfg.clients.to_string(),
@@ -499,6 +499,7 @@ fn e18(grid: &[CombineModelConfig], secs: f64) -> Outcome {
             cfg.crashes.to_string(),
             cfg.lease.to_string(),
             report.states.to_string(),
+            report.max_passes.to_string(),
             report.stale_reads.to_string(),
             report.lost_ops.to_string(),
             report.duplicated_ops.to_string(),
@@ -965,11 +966,11 @@ mod tests {
     }
 
     /// E18 with the 2-client model configs and short soak arms — the
-    /// full grid runs in ff-sim's tests and in the release-mode report;
+    /// full grid runs in ff-store's tests and in the release-mode report;
     /// this checks the experiment's own plumbing and verdicts.
     #[test]
     fn e18_passes_on_trimmed_grid() {
-        let grid: Vec<CombineModelConfig> = combining_grid()
+        let grid: Vec<CombineModelConfig> = model::grid()
             .into_iter()
             .filter(|c| c.clients == 2 && c.rounds == 1)
             .collect();

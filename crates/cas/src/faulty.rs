@@ -138,12 +138,6 @@ impl<P> FaultyCasArray<P> {
         &self.stats
     }
 
-    /// The shared stats handle (the same counters as [`Self::stats`],
-    /// clonable so callers can keep reading after the ensemble is gone).
-    pub fn stats_handle(&self) -> Arc<EnsembleStats> {
-        Arc::clone(&self.stats)
-    }
-
     /// Remaining fault budget on `obj` (`None` = unbounded).
     pub fn remaining_budget(&self, obj: ObjectId) -> Option<u64> {
         self.budget.remaining(obj)

@@ -181,12 +181,6 @@ impl SimNet {
         ConnId(self.conns.len() as u32 - 1)
     }
 
-    /// Both endpoints of `conn`.
-    pub fn endpoints(&self, conn: ConnId) -> (ProcId, ProcId) {
-        let c = &self.conns[conn.0 as usize];
-        (c.a, c.b)
-    }
-
     /// Is the connection still open?
     pub fn alive(&self, conn: ConnId) -> bool {
         self.conns[conn.0 as usize].alive

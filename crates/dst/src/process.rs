@@ -675,11 +675,6 @@ impl CombinerProc {
         }
     }
 
-    /// Is a claimed-but-unfinished pass in hand (the kill window)?
-    pub fn holding(&self) -> bool {
-        self.held.is_some()
-    }
-
     /// Claim on one wake, execute on the next.
     pub fn wake(&mut self, ctx: &mut Ctx) {
         match self.held.take() {

@@ -34,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cbound;
-pub mod combining;
 pub mod executor;
 pub mod explorer;
 pub mod fault_ctl;
@@ -48,9 +47,6 @@ pub mod trace;
 pub mod valency;
 
 pub use cbound::{explore_context_bounded, iterative_context_bounding};
-pub use combining::{
-    check_combining, combining_crash_grid, combining_grid, CombineModelConfig, CombineModelReport,
-};
 pub use executor::{run, RunConfig, RunReport};
 pub use explorer::{explore, explore_bfs, ExploreReport, ExplorerConfig, ViolationCounts, Witness};
 pub use fault_ctl::{

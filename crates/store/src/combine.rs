@@ -9,165 +9,71 @@
 //! through the shard's [`UniversalLog`] as a *single* batched append
 //! ([`Handle::invoke_many`] — one decided slot carrying a multi-op
 //! record, decoded and applied op-by-op on replay, so `Replicated`
-//! semantics, checkpoints and digests are unchanged). Results are
-//! distributed back to the waiters through their slots.
+//! semantics, checkpoints and digests are unchanged).
 //!
 //! # The protocol
 //!
-//! Each client owns one `Slot` per shard. A slot walks
-//! `EMPTY → PENDING → CLAIMED → DONE/FAILED → EMPTY`:
+//! Each client owns one `Slot` per shard: a state/epoch word plus the
+//! unit's op and result buffers. The word protocol — publish, claim,
+//! seal, deliver, the lease reclaim and the advisory combiner flag — is
+//! the step machines of `slot.rs`; `ShardCore::run` is the only
+//! code here that touches those words. Claims are taken without any
+//! lock, so racing combiners split the pending set. The replica lock is
+//! held only to execute: append the sealed units as one record, publish
+//! `applied`, fill the result buffers. Then the pass delivers, releases
+//! the flag and, with no lock held, settles the disk I/O it left due
+//! (see [`crate::wal`]). A waiter whose op stays unclaimed too long
+//! **forces** its own pass past the flag; correctness rests only on the
+//! claim and seal compare-exchanges and the log's consensus cells.
 //!
-//! * **publish** — the owner writes its ops and releases the slot to
-//!   `PENDING`.
-//! * **claim** — a combiner CASes `PENDING → CLAIMED` per slot. Claims
-//!   are *individually* atomic and taken **without holding any lock**,
-//!   so two racing combiners split the pending set instead of
-//!   duplicating it, and a combiner that stalls after claiming can
-//!   never strand ops it did *not* claim.
-//! * **execute** — the combiner locks the shard's shared core replica,
-//!   appends one batch record, and unlocks.
-//! * **distribute** — per-slot results are written and the slot is
-//!   released to `DONE` (or `FAILED` when the shard's log holds
-//!   divergence evidence — an error, never wrong data).
-//! * **settle** — with every lock released again, the combiner does the
-//!   disk I/O its pass left due (a full group-commit batch, a stashed
-//!   rotation; see [`crate::wal`]). The log's sink only buffers under
-//!   the replica lock, so the shard keeps combining while a batch
-//!   syncs.
-//!
-//! Combiner election is an *advisory* flag: the common case has one
-//! combiner per shard, but a waiter whose op stays unclaimed too long
-//! **forces** its own pass, bypassing the flag. Correctness never
-//! depends on the flag — only the per-slot claim CAS and the log's own
-//! consensus cells order operations. Tolerated *cell* faults are
-//! absorbed inside the log (the robust constructions).
-//!
-//! # The flag holder's own unit
-//!
-//! A blocking caller (`ShardCore::submit`) first tries the advisory
-//! flag. If it wins, it runs a **direct pass**: it claims the other
-//! pending units as any combiner does, but never publishes its own —
-//! its slot stays `EMPTY`, no other combiner can see, claim or seal
-//! the unit, and its responses go straight into the caller's buffer.
-//! Its ops ride the pass at its slot's registry position, so the batch
-//! (and every WAL frame and simulator trace) is the one the published
-//! unit would have made. The flag holder thereby skips the slot's op
-//! and result mutexes, the claim and seal CASes and the `DONE → EMPTY`
-//! poll. A caller that finds the flag held publishes and waits as
-//! above; the split-phase API only ever publishes. Every pass — direct
-//! or split-phase — seals, executes and distributes in one routine
-//! (`ShardCore::execute`), whose counters are plain load-and-store:
-//! they are only written under the replica lock. The claim list
-//! a pass fills belongs to the caller ([`crate::StoreClient`] reuses
-//! one per client), not to the shard.
-//!
-//! # Combiner crash recovery: the lease/epoch rule
-//!
-//! A combiner that dies (or stalls indefinitely) between claiming and
-//! executing would park exactly the ops it claimed — NR's envelope.
-//! The slot word therefore packs an **epoch** next to the state, and
-//! three CAS rules close the hole:
-//!
-//! * **claim** — `(PENDING, e) → (CLAIMED, e)`.
-//! * **reclaim** — after a bound, the *owner* of a still-`CLAIMED` slot
-//!   takes its op back: `(CLAIMED, e) → (PENDING, e+1)`. The op is
-//!   republished under a fresh epoch, up for grabs by any live combiner
-//!   (the owner itself forces a pass if the advisory flag is wedged by
-//!   the dead combiner).
-//! * **seal** — the combiner, already holding the replica lock
-//!   and immediately before executing, pins each claim:
-//!   `(CLAIMED, e) → (SEALED, e)`. A slot whose seal CAS fails was
-//!   reclaimed and is dropped from the batch.
-//!
-//! Seal and reclaim race on the *same* word `(CLAIMED, e)`, so exactly
-//! one wins: seal-wins ⇒ the original pass applies the op (the owner
-//! keeps waiting); reclaim-wins ⇒ the op is excluded from the slow
-//! pass's batch and applied exactly once by a later one. Result
-//! distribution happens inside the same replica-lock critical section
-//! as the seal and the append, so no schedule can observe a sealed but
-//! undelivered slot. The rule is model-checked exhaustively by
-//! `ff-sim`'s combining model (combiner-crash transition + reclaim:
-//! no lost live ops, no double-apply; the seal-less variant provably
-//! double-applies), and the DST kill-the-combiner scenario fails at a
-//! pinned seed with [`StoreConfig::combiner_lease`](crate::StoreConfig::combiner_lease)
+//! A blocking caller (`ShardCore::submit`) that wins the flag runs a
+//! **direct pass**: its unit is never published and rides at its slot's
+//! registry position, so the batch — and every WAL frame and simulator
+//! trace — is the one the published unit would have made. Every pass
+//! executes in one routine (`ShardCore::execute`), whose counters are
+//! plain load-and-store: they are only written under the replica lock.
+//! The claim list belongs to the caller ([`crate::StoreClient`] reuses
+//! one per client). The DST kill-the-combiner scenario fails at a pinned
+//! seed with [`StoreConfig::combiner_lease`](crate::StoreConfig::combiner_lease)
 //! off and passes with it on.
 //!
 //! # The read fast path
 //!
-//! Every combine pass advances the shared core replica, so the replica
-//! is a *versioned snapshot* `(applied_to, state)`. A GET first
-//! observes the shard's tail (`slots_created`) and then answers from
-//! the core replica **iff** `applied_to >= tail` — no log pass, no
-//! consensus invocation, and no lock: each pass (and each audit)
-//! publishes the replica's `applied_to` with a release store once it
-//! has applied its batch, and the replica's map is a table of atomic
-//! words (see [`crate::map`]) that the combiner writes with plain
-//! stores while readers look keys up in it. Each client caches one
-//! `Arc` of a shard's table; a GET acquires the published index, checks
-//! it against the tail, checks its cached table is not retired, and
-//! looks the key up — a table's contents are then at least as new as
-//! the published index, so the read is at least as fresh as the
-//! replica at `applied_to`. The hit is counted in the client's own
-//! slot with a load and a store.
-//!
-//! Two cases are cold: a read that lands inside a pass (the published
-//! index lags the tail) and a read holding a table a rebuild retired.
-//! Both take the replica lock, which waits out the pass, check
-//! freshness again against the replica itself, answer from it and
-//! refresh the cached table. Only when freshness still cannot be proven
-//! does the GET fall back to the combined path and linearize through
-//! the log like any other op. The freshness rule is checked
-//! exhaustively by `ff-sim`'s combining model.
+//! A GET observes the shard's tail (`slots_created`) and answers from
+//! the core replica **iff** its `applied_to >= tail` — no log pass, no
+//! consensus and no lock: each pass (and each audit) publishes the
+//! replica's `applied_to` with a release store once it has applied its
+//! batch, and the replica's map is a table of atomic words (see
+//! [`crate::map`]) the combiner writes with plain stores. A GET
+//! acquires the published index, checks it against the tail and its
+//! cached table against retirement, and looks the key up: a table is at
+//! least as new as the published index. A read inside a pass, or on a
+//! retired table, takes the replica lock, checks freshness against the
+//! replica itself and refreshes its table; only then does it fall back
+//! to the combined path. [`crate::combining`] explores this read
+//! against every interleaving of a pass.
 
 use crate::map::{KvMap, KvTable};
 use crate::metrics::Histogram;
+use crate::slot::{
+    Machine, Owner, Pass, Passed, Polled, Protocol, Rule, SlotOp, Step, Word, EMPTY, END, MINE,
+};
 use crate::wal::ShardWal;
 use ff_universal::{Handle, UniversalLog};
 use ff_workload::JsonValue;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Release};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Slot states (see the module docs for the lifecycle). The slot word
-/// packs `state | epoch << STATE_BITS`; the epoch advances only on a
-/// reclaim, which is what lets the seal CAS reject a stale claim.
-const EMPTY: u32 = 0;
-const PENDING: u32 = 1;
-const CLAIMED: u32 = 2;
-const SEALED: u32 = 3;
-const DONE: u32 = 4;
-const FAILED: u32 = 5;
-
-const STATE_BITS: u32 = 3;
-const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
-
-#[inline]
-fn pack(state: u32, epoch: u32) -> u32 {
-    debug_assert!(state <= STATE_MASK);
-    state | epoch << STATE_BITS
-}
-
-#[inline]
-fn state_of(word: u32) -> u32 {
-    word & STATE_MASK
-}
-
-#[inline]
-fn epoch_of(word: u32) -> u32 {
-    word >> STATE_BITS
-}
 
 /// Spins in the wait loop before a waiter forces its own combine pass
 /// past the advisory flag (the combiner-stall takeover path).
 const FORCE_AFTER: u32 = 4096;
 
-/// One client's announce slot on one shard.
-///
-/// Only the owner writes `ops` (before releasing to `PENDING`) and only
-/// the claiming combiner reads them (after winning the claim CAS), so
-/// the mutexes are uncontended in time; the atomic `state` word (packed
-/// state + epoch) carries the release/acquire edges between owner and
-/// combiner.
+/// One client's announce slot on one shard: the word the slot machines
+/// step on, and the unit's buffers. Only the owner writes `ops` and only
+/// the pass that claimed the unit reads them, so the mutexes are
+/// uncontended in time; `state` carries the release/acquire edges.
 pub(crate) struct Slot {
     state: AtomicU32,
     ops: Mutex<Vec<u64>>,
@@ -381,36 +287,18 @@ pub(crate) struct ShardCore {
     /// Registered announce slots (one per live client).
     slots: Mutex<Vec<Arc<Slot>>>,
     /// Advisory single-combiner flag; correctness never depends on it.
-    combiner_busy: AtomicBool,
-    /// Owner reclaim of `CLAIMED` slots enabled (the lease rule). Off,
-    /// a dead combiner parks its claims forever — the pinned-seed DST
-    /// regression arm.
+    combiner_busy: AtomicU32,
+    /// The lease rule; off, a dead combiner parks its claims forever.
     lease: bool,
     /// Polls a waiter tolerates a `CLAIMED` slot before reclaiming.
     reclaim_after: u32,
     stats: Arc<CombineStats>,
     /// The shard's WAL writer, when durability is on: the log's sink
-    /// only buffers under the replica lock, and each pass settles the
-    /// disk I/O that leaves due after letting the lock go.
+    /// buffers under the replica lock; a pass settles the I/O after.
     wal: Option<Arc<ShardWal>>,
-    /// Test-only combiner-stall injection point, fired between the
-    /// claim phase and the execute phase.
+    /// Test-only combiner stall, fired at the machine's park point.
     #[cfg(test)]
     park: Mutex<Option<ParkHook>>,
-}
-
-/// What one poll of a published slot found.
-pub(crate) enum SlotPoll {
-    /// Delivered: the poller's buffer now holds one response word per
-    /// published op.
-    Ready,
-    /// Delivered as divergence evidence (an error, never wrong data).
-    Failed,
-    /// Still `PENDING` — unclaimed, the poller may combine it itself.
-    Pending,
-    /// Some combiner holds the claim (it will deliver, or the lease
-    /// rule will take the op back).
-    Claimed,
 }
 
 /// A claimed slot and the epoch its claim was taken under.
@@ -421,18 +309,18 @@ pub(crate) type Claim = (Arc<Slot>, u32);
 /// a combiner crash exactly: the claims stay `CLAIMED` (no `Drop`
 /// cleanup on purpose) until their owners reclaim them.
 pub(crate) struct CombinePass {
+    pass: Pass,
     claimed: Vec<Claim>,
-    forced: bool,
 }
 
-/// The flag holder's own unit in a direct pass: never published, run
-/// at its owner's registry position among the claims, its responses
-/// written straight to the owner's buffer.
-struct OwnUnit<'a> {
-    /// Claims that precede the owner's slot in registry order.
-    at: usize,
-    ops: &'a [u64],
-    out: &'a mut Vec<u64>,
+/// The slots a machine's [`Word::Slot`] steps index.
+#[derive(Clone, Copy)]
+enum View<'a> {
+    /// The owner's own slot.
+    Own(&'a Arc<Slot>),
+    /// The shard's registry, locked at the first step there; a direct
+    /// pass reads its caller's slot as [`MINE`].
+    Registry(Option<&'a Arc<Slot>>),
 }
 
 /// Test-only hook parked between claim and execute (takes the shard).
@@ -461,7 +349,7 @@ impl ShardCore {
                 resps: Vec::new(),
             }),
             slots: Mutex::new(Vec::new()),
-            combiner_busy: AtomicBool::new(false),
+            combiner_busy: AtomicU32::new(0),
             lease,
             reclaim_after,
             stats,
@@ -554,16 +442,14 @@ impl ShardCore {
         if self.log.divergence_detected() {
             return Some(Err(self.shard));
         }
-        // `slots_created` counts every cell ever minted — a conservative
-        // upper bound on the decided tail, so freshness proven against
-        // it covers every operation that completed before this read
-        // began (a completed op's slot is decided, hence created). It
-        // is one atomic load: the log publishes its tail.
+        // `slots_created` counts every cell ever minted: an upper bound
+        // on the decided tail, covering every op completed before this
+        // read began, in one atomic load.
         let tail = self.log.slots_created();
         // Acquire: every table store of the passes up to `applied` —
         // and the retirement of any table they replaced — is visible
         // from here on.
-        if self.applied.load(Ordering::Acquire) < tail || table.is_retired() {
+        if !Protocol::fresh(self.applied.load(Ordering::Acquire), tail) || table.is_retired() {
             return self.locked_get(mine, table, tail, key);
         }
         let value = table.get(key);
@@ -584,7 +470,7 @@ impl ShardCore {
         key: u32,
     ) -> Option<Result<Option<u32>, usize>> {
         let replica = self.replica.lock();
-        if replica.handle.applied_to() < tail {
+        if !Protocol::fresh(replica.handle.applied_to(), tail) {
             drop(replica);
             self.stats.record_fastpath_miss(self.shard);
             return None;
@@ -597,165 +483,142 @@ impl ShardCore {
         Some(Ok(map.peek(key)))
     }
 
-    /// Publish `ops` as one pending unit (non-blocking). The slot must
-    /// be `EMPTY` — one in-flight unit per slot.
-    pub(crate) fn publish(&self, mine: &Arc<Slot>, ops: &[u64]) {
+    /// Publish `ops` as one pending unit (non-blocking). Returns false,
+    /// writing nothing, when the slot still holds a unit in flight.
+    pub(crate) fn publish(&self, mine: &Arc<Slot>, ops: &[u64]) -> bool {
         debug_assert!(!ops.is_empty());
+        let mut owner = Owner::publish(0);
+        if self.run(&mut owner, View::Own(mine), &mut Vec::new()) == Polled::Busy {
+            return false;
+        }
         {
             let mut slot_ops = mine.ops.lock();
             slot_ops.clear();
             slot_ops.extend_from_slice(ops);
         }
-        let word = mine.state.load(Ordering::Relaxed);
-        debug_assert_eq!(state_of(word), EMPTY, "publish into a non-empty slot");
-        mine.state
-            .store(pack(PENDING, epoch_of(word)), Ordering::Release);
+        self.run(&mut owner, View::Own(mine), &mut Vec::new()) == Polled::Published
     }
 
-    /// Whether `mine` currently holds an in-flight (non-`EMPTY`) unit.
-    pub(crate) fn in_flight(&self, mine: &Arc<Slot>) -> bool {
-        state_of(mine.state.load(Ordering::Acquire)) != EMPTY
+    /// One non-blocking look at a published slot; past `reclaim_after`
+    /// polls (`waited`) the lease takes a claimed unit back. On `Ready`
+    /// the responses are swapped into `out`, so both buffers keep their
+    /// capacity (only the owner republishes, so the slot's buffer is
+    /// still the delivered one).
+    pub(crate) fn poll(&self, mine: &Arc<Slot>, waited: u32, out: &mut Vec<u64>) -> Polled {
+        let mut owner = Owner::poll(0, self.lease && waited >= self.reclaim_after);
+        let polled = self.run(&mut owner, View::Own(mine), &mut Vec::new());
+        match polled {
+            Polled::Ready => std::mem::swap(out, &mut *mine.results.lock()),
+            Polled::Reclaimed => self.stats.record_reclaim(self.shard),
+            _ => {}
+        }
+        polled
     }
 
-    /// One non-blocking look at a published slot. `waited` is how many
-    /// polls the owner has already spent on this unit: past the reclaim
-    /// bound, a still-`CLAIMED` op is taken back from its (stalled or
-    /// dead) combiner and republished under a fresh epoch — the lease
-    /// rule. Returns what the poll found; `Ready`/`Failed` consume the
-    /// unit and release the slot. On `Ready` the responses are in
-    /// `out`: it is swapped with the slot's result buffer, so both keep
-    /// their capacity and a steady caller never allocates.
-    pub(crate) fn poll(&self, mine: &Arc<Slot>, waited: u32, out: &mut Vec<u64>) -> SlotPoll {
-        let word = mine.state.load(Ordering::Acquire);
-        match state_of(word) {
-            DONE => {
-                std::mem::swap(out, &mut *mine.results.lock());
-                mine.state
-                    .store(pack(EMPTY, epoch_of(word)), Ordering::Release);
-                SlotPoll::Ready
-            }
-            FAILED => {
-                mine.state
-                    .store(pack(EMPTY, epoch_of(word)), Ordering::Release);
-                SlotPoll::Failed
-            }
-            PENDING => SlotPoll::Pending,
-            CLAIMED if self.lease && waited >= self.reclaim_after => {
-                // Reclaim: CAS on the exact (CLAIMED, e) word, racing
-                // the combiner's seal on the same word — exactly one
-                // wins, so the op cannot be both republished and kept
-                // in the stale batch.
-                if mine
-                    .state
-                    .compare_exchange(
-                        word,
-                        pack(PENDING, epoch_of(word).wrapping_add(1)),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-                {
-                    self.stats.record_reclaim(self.shard);
-                    SlotPoll::Pending
-                } else {
-                    SlotPoll::Claimed
+    /// Run `m` over the slot words and the combiner flag until it
+    /// yields: the one loop in the store that touches them. Loads
+    /// acquire, stores release, compare-exchanges do both.
+    #[inline(always)]
+    fn run<M: Machine<Arc<Slot>>>(
+        &self,
+        m: &mut M,
+        view: View<'_>,
+        claims: &mut Vec<Claim>,
+    ) -> M::Yield {
+        let mut registry = None;
+        loop {
+            let op = match m.next(claims) {
+                Step::Op(op) => op,
+                Step::Yield(y) => return y,
+            };
+            let mut from = None;
+            let word = match (op.word(), view) {
+                (Word::Flag, _) => &self.combiner_busy,
+                (Word::Claim(k), _) => &claims[k].0.state,
+                (Word::Slot(_), View::Own(mine)) => &mine.state,
+                (Word::Slot(i), View::Registry(mine)) => {
+                    match registry.get_or_insert_with(|| self.slots.lock()).get(i) {
+                        Some(s) if !mine.is_some_and(|m| Arc::ptr_eq(s, m)) => {
+                            from = Some(s);
+                            &s.state
+                        }
+                        // Only a scan's load passes the end or the caller.
+                        slot => {
+                            m.apply(if slot.is_none() { END } else { MINE }, None, claims);
+                            continue;
+                        }
+                    }
                 }
-            }
-            _ => SlotPoll::Claimed,
+            };
+            let old = match op {
+                SlotOp::Load(_) => word.load(Acquire),
+                SlotOp::Store(_, v) => {
+                    word.store(v, Release);
+                    v
+                }
+                SlotOp::Cas(_, current, new) => {
+                    match word.compare_exchange(current, new, AcqRel, Acquire) {
+                        Ok(v) | Err(v) => v,
+                    }
+                }
+            };
+            m.apply(old, from, claims);
         }
     }
 
-    /// Take the advisory combiner flag, if it is free.
-    fn lead(&self) -> bool {
-        self.combiner_busy
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Claim every `PENDING` slot onto `claims`, in registry order, by
-    /// CAS `(PENDING, e) → (CLAIMED, e)` — lock-free with respect to
-    /// other combiners, so racing combiners split the pending set and
-    /// no op is taken twice. Returns how many claims precede `mine` in
-    /// registry order: where a direct pass runs its owner's unit, so
-    /// the batch is the one the owner's published unit would have made.
-    fn claim(&self, mine: Option<&Arc<Slot>>, claims: &mut Vec<Claim>) -> usize {
-        let mut at = None;
-        let slots = self.slots.lock();
-        for s in slots.iter() {
-            let word = s.state.load(Ordering::Acquire);
-            if state_of(word) == PENDING
-                && s.state
-                    .compare_exchange(
-                        word,
-                        pack(CLAIMED, epoch_of(word)),
-                        Ordering::AcqRel,
-                        Ordering::Relaxed,
-                    )
-                    .is_ok()
-            {
-                claims.push((Arc::clone(s), epoch_of(word)));
-            }
-            if mine.is_some_and(|m| Arc::ptr_eq(s, m)) {
-                at = Some(claims.len());
-            }
-        }
-        at.unwrap_or(claims.len())
-    }
-
-    /// Claim phase of a split-phase pass: every `PENDING` slot moves to
-    /// `CLAIMED` (remembering its epoch), and the pass takes over
-    /// `claims`' buffer. Returns `None` when the advisory flag was held
-    /// (`force` bypasses it) or nothing was pending. Dropping the
-    /// returned pass without [`ShardCore::finish_combine`] models a
-    /// combiner crash.
+    /// Claim phase of a split-phase pass, taking over `claims`' buffer;
+    /// `None` when the flag was held (`force` skips it) or nothing was
+    /// pending. Dropping the pass unfinished models a combiner crash.
     pub(crate) fn begin_combine(
         &self,
         force: bool,
         claims: &mut Vec<Claim>,
     ) -> Option<CombinePass> {
-        if !force && !self.lead() {
+        let mut pass: Pass = Pass::split(force);
+        if self.run(&mut pass, View::Registry(None), claims) == Passed::Busy {
             return None;
         }
-        self.claim(None, claims);
         self.park_point();
         if claims.is_empty() {
-            if !force {
-                self.combiner_busy.store(false, Ordering::Release);
-            }
+            // Nothing to seal: the machine only releases the flag.
+            self.run(&mut pass, View::Registry(None), claims);
             return None;
         }
         Some(CombinePass {
+            pass,
             claimed: std::mem::take(claims),
-            forced: force,
         })
     }
 
-    /// Execute-and-distribute phase of a split-phase pass (see
-    /// [`Self::execute`]), then, with no lock held, the WAL I/O the pass
-    /// left due. The emptied claim list goes back to `claims` for the
-    /// caller's next pass. Returns whether any ops were drained.
+    /// The rest of a split-phase pass ([`Self::execute`], then the WAL
+    /// I/O it left due); the emptied claim list goes back to `claims`.
+    /// Returns whether any ops were drained.
     pub(crate) fn finish_combine(&self, pass: CombinePass, claims: &mut Vec<Claim>) -> bool {
-        let CombinePass {
-            mut claimed,
-            forced,
-        } = pass;
-        let drained = self.execute(&mut claimed, None).is_some();
-        claimed.clear();
+        let CombinePass { mut pass, claimed } = pass;
         *claims = claimed;
-        self.end_pass(forced);
+        let drained = self.execute(&mut pass, claims, None).is_some();
+        claims.clear();
+        self.settle();
         drained
     }
 
-    /// The one routine every pass runs, direct or split-phase. Under
-    /// the replica lock it seals each claim with a CAS on its
-    /// exact `(CLAIMED, e)` word — a failed seal means the owner
-    /// reclaimed the op, which is someone else's to apply now, so it
-    /// leaves the batch — appends the sealed units, with `own` at its
-    /// registry position, as one batched log record, and delivers every
-    /// response before the lock is released, so a pass that runs at all
-    /// runs to delivery. Returns `None` when nothing was left to run,
-    /// otherwise whether the shard's log holds divergence evidence.
-    fn execute(&self, claimed: &mut Vec<Claim>, mut own: Option<OwnUnit<'_>>) -> Option<bool> {
+    /// The one routine every pass runs from its park point on: the
+    /// machine seals the claims (a unit whose owner reclaimed it leaves
+    /// the batch); under the replica lock the sealed units, with a
+    /// direct pass's own `(ops, out)` at its registry position, run as
+    /// one batched record and their responses are written; then the
+    /// machine delivers and releases the flag. `None` when nothing was
+    /// left to run, else whether the log holds divergence evidence.
+    fn execute(
+        &self,
+        pass: &mut Pass,
+        claimed: &mut Vec<Claim>,
+        mut own: Option<(&[u64], &mut Vec<u64>)>,
+    ) -> Option<bool> {
+        let Passed::Execute { own_at } = self.run(pass, View::Registry(None), claimed) else {
+            return None;
+        };
+        let own_at = own_at.unwrap_or(usize::MAX);
         let mut replica = self.replica.lock();
         let CoreReplica {
             handle,
@@ -763,36 +626,11 @@ impl ShardCore {
             counts,
             resps,
         } = &mut *replica;
-        // Seal, moving the owner's position down past dropped claims.
-        let mut index = 0;
-        let mut dropped_before = 0;
-        let own_at = own.as_ref().map_or(usize::MAX, |o| o.at);
-        claimed.retain(|(s, e)| {
-            let sealed = s
-                .state
-                .compare_exchange(
-                    pack(CLAIMED, *e),
-                    pack(SEALED, *e),
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                )
-                .is_ok();
-            if !sealed && index < own_at {
-                dropped_before += 1;
-            }
-            index += 1;
-            sealed
-        });
-        if let Some(own) = &mut own {
-            own.at -= dropped_before;
-        } else if claimed.is_empty() {
-            return None;
-        }
         words.clear();
         counts.clear();
         for k in 0..=claimed.len() {
-            if let Some(own) = own.as_ref().filter(|o| o.at == k) {
-                words.extend_from_slice(own.ops);
+            if let Some((ops, _)) = own.as_ref().filter(|_| own_at == k) {
+                words.extend_from_slice(ops);
             }
             if let Some((s, _)) = claimed.get(k) {
                 let ops = s.ops.lock();
@@ -807,57 +645,42 @@ impl ShardCore {
         self.applied.store(handle.applied_to(), Ordering::Release);
         let diverged = self.log.divergence_detected();
         self.stats.record_pass(self.shard, words.len());
-        // Distribute, still under the lock: a sealed op is always
-        // delivered by the pass that sealed it.
         let mut off = 0;
         for k in 0..=claimed.len() {
-            if let Some(own) = own.as_mut().filter(|o| o.at == k) {
-                let n = own.ops.len();
-                own.out.clear();
-                own.out.extend_from_slice(&resps[off..off + n]);
-                off += n;
+            if let Some((ops, out)) = own.as_mut().filter(|_| own_at == k) {
+                out.clear();
+                out.extend_from_slice(&resps[off..off + ops.len()]);
+                off += ops.len();
             }
-            if let (Some((s, e)), Some(&n)) = (claimed.get(k), counts.get(k)) {
-                {
-                    let mut out = s.results.lock();
-                    out.clear();
-                    out.extend_from_slice(&resps[off..off + n]);
-                }
+            if let (Some((s, _)), Some(&n)) = (claimed.get(k), counts.get(k)) {
+                let mut out = s.results.lock();
+                out.clear();
+                out.extend_from_slice(&resps[off..off + n]);
                 off += n;
-                s.state.store(
-                    pack(if diverged { FAILED } else { DONE }, *e),
-                    Ordering::Release,
-                );
             }
         }
+        drop(replica);
+        pass.executed(diverged);
+        // Deliver: a sealed op is always delivered by the pass that
+        // sealed it.
+        self.run(pass, View::Registry(None), claimed);
         Some(diverged)
     }
 
-    /// Close a pass: release the advisory flag (a forced pass never
-    /// took it), then do the group commit and rotation the pass left
-    /// due with the replica, the claims and the flag all released — the
-    /// shard keeps deciding (and answering) ops while this thread
-    /// waits for the disk.
-    fn end_pass(&self, forced: bool) {
-        if !forced {
-            self.combiner_busy.store(false, Ordering::Release);
-        }
+    /// The group commit and rotation a pass left due, with the replica,
+    /// the claims and the flag all released — the shard keeps deciding
+    /// (and answering) ops while this thread waits for the disk.
+    fn settle(&self) {
         if let Some(wal) = &self.wal {
             wal.settle();
         }
     }
 
     /// Run `ops` as one unit and wait until it is delivered: one
-    /// response word per op in `out`, or the shard index on
-    /// divergence. `claims` is the caller's reusable claim list.
-    ///
-    /// A caller that takes the advisory flag runs a direct pass: it
-    /// claims the other pending units and runs its own at its registry
-    /// position, without publishing it — its slot stays `EMPTY`, and
-    /// no other combiner can see the unit, claim it or seal it. A
-    /// caller that finds the flag held publishes and waits on the same
-    /// publish/poll/begin/finish primitives the split-phase
-    /// (simulation-drivable) API exposes.
+    /// response word per op in `out`, or the shard index on divergence.
+    /// A caller that takes the flag runs a direct pass (its slot stays
+    /// `EMPTY`); one that finds it held publishes and waits on the
+    /// split-phase primitives.
     pub(crate) fn submit(
         &self,
         mine: &Arc<Slot>,
@@ -865,12 +688,12 @@ impl ShardCore {
         ops: &[u64],
         out: &mut Vec<u64>,
     ) -> Result<(), usize> {
-        if self.lead() {
-            let at = self.claim(Some(mine), claims);
+        let mut pass: Pass = Pass::direct();
+        if self.run(&mut pass, View::Registry(Some(mine)), claims) == Passed::Park {
             self.park_point();
-            let diverged = self.execute(claims, Some(OwnUnit { at, ops, out }));
+            let diverged = self.execute(&mut pass, claims, Some((ops, out)));
             claims.clear();
-            self.end_pass(false);
+            self.settle();
             return if diverged == Some(false) {
                 Ok(())
             } else {
@@ -881,23 +704,22 @@ impl ShardCore {
         let mut spins = 0u32;
         loop {
             match self.poll(mine, spins, out) {
-                SlotPoll::Ready => return Ok(()),
-                SlotPoll::Failed => return Err(self.shard),
+                Polled::Ready => return Ok(()),
+                Polled::Failed => return Err(self.shard),
                 // Unclaimed: try to combine it ourselves — advisory
                 // first, forced once the current combiner has had
                 // ample time (it may have stalled after claiming a
                 // disjoint set, or died holding the advisory flag; our
                 // op is still up for grabs).
-                SlotPoll::Pending => {
+                Polled::Pending | Polled::Reclaimed
                     if self.combine(false, claims)
-                        || (spins > FORCE_AFTER && self.combine(true, claims))
-                    {
-                        continue;
-                    }
+                        || (spins > FORCE_AFTER && self.combine(true, claims)) =>
+                {
+                    continue
                 }
                 // Claimed: a combiner owns it and will deliver (or the
                 // poll above reclaims once `spins` passes the bound).
-                SlotPoll::Claimed => {}
+                _ => {}
             }
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(64) {
@@ -908,9 +730,8 @@ impl ShardCore {
         }
     }
 
-    /// One full split-phase pass (claim + execute + distribute) over
-    /// published units. Returns whether any ops were drained. `force`
-    /// bypasses the advisory flag (the stalled-combiner takeover path).
+    /// One full split-phase pass; `force` skips the flag (the takeover
+    /// path). Returns whether any ops were drained.
     fn combine(&self, force: bool, claims: &mut Vec<Claim>) -> bool {
         match self.begin_combine(force, claims) {
             Some(pass) => self.finish_combine(pass, claims),
@@ -922,8 +743,9 @@ impl ShardCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot::state_of;
     use crate::{Backend, Kv, KvOp, Store, StoreConfig, StoreError};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Barrier;
 
     fn combining_store(backend: Backend, shards: usize) -> Store {
@@ -1138,10 +960,7 @@ mod tests {
             let (mut claims, mut out, mut peer_out) = (Vec::new(), Vec::new(), Vec::new());
             core.submit(&mine, &mut claims, &[KvMap::put_op(5, 2)], &mut out)
                 .unwrap();
-            assert!(matches!(
-                core.poll(&peer, 0, &mut peer_out),
-                SlotPoll::Ready
-            ));
+            assert!(matches!(core.poll(&peer, 0, &mut peer_out), Polled::Ready));
             let answers = (
                 KvMap::decode_response(peer_out[0]),
                 KvMap::decode_response(out[0]),

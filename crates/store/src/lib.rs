@@ -39,10 +39,12 @@
 #![forbid(unsafe_code)]
 
 pub mod combine;
+pub mod combining;
 pub mod kv;
 pub mod map;
 pub mod metrics;
 pub mod recover;
+mod slot;
 pub mod soak;
 pub mod substrate;
 pub mod wal;
@@ -761,18 +763,6 @@ pub struct PendingCombined {
     n_ops: usize,
 }
 
-impl PendingCombined {
-    /// The shard the unit was published to.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Polls spent waiting so far.
-    pub fn polls(&self) -> u32 {
-        self.polls
-    }
-}
-
 /// A claimed-but-not-yet-executed combine pass (see
 /// [`StoreClient::combine_begin`]). Deliberately has no `Drop` cleanup:
 /// abandoning a ticket leaves its claims `CLAIMED`, which is exactly
@@ -780,13 +770,6 @@ impl PendingCombined {
 pub struct CombineTicket {
     shard: usize,
     pass: combine::CombinePass,
-}
-
-impl CombineTicket {
-    /// The shard this pass claimed on.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
 }
 
 impl Drop for StoreClient {
@@ -875,13 +858,11 @@ impl StoreClient {
         if words.is_empty() {
             return Err(StoreError::Protocol("empty publication".to_string()));
         }
-        let core = &self.layer.cores[shard];
-        if core.in_flight(&self.slots[shard]) {
+        if !self.layer.cores[shard].publish(&self.slots[shard], &words) {
             return Err(StoreError::Protocol(format!(
                 "shard {shard} already has a unit in flight"
             )));
         }
-        core.publish(&self.slots[shard], &words);
         Ok(PendingCombined {
             shard,
             polls: 0,
@@ -904,7 +885,7 @@ impl StoreClient {
         let waited = pending.polls;
         pending.polls = pending.polls.saturating_add(1);
         match core.poll(&self.slots[pending.shard], waited, &mut self.resps) {
-            combine::SlotPoll::Ready => {
+            slot::Polled::Ready => {
                 debug_assert_eq!(self.resps.len(), pending.n_ops);
                 Ok(Some(
                     self.resps
@@ -913,10 +894,10 @@ impl StoreClient {
                         .collect(),
                 ))
             }
-            combine::SlotPoll::Failed => Err(StoreError::Divergence {
+            slot::Polled::Failed => Err(StoreError::Divergence {
                 shard: pending.shard,
             }),
-            combine::SlotPoll::Pending | combine::SlotPoll::Claimed => Ok(None),
+            _ => Ok(None),
         }
     }
 

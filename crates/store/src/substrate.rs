@@ -600,11 +600,6 @@ impl Backend {
         Backend::builtin("naive")
     }
 
-    /// CAS from consensus-number-1 primitives, nothing injected.
-    pub fn kw_cas() -> Backend {
-        Backend::builtin("kw-cas")
-    }
-
     /// The robust constructions composed over faulty KW cells.
     pub fn kw_robust() -> Backend {
         Backend::builtin("kw-robust")

@@ -880,11 +880,6 @@ impl UniversalLog {
         let cut = snap.slot;
         ckpt.boundary_digests.retain(|(s, _)| *s >= cut);
     }
-
-    /// The factory's label.
-    pub fn cell_label(&self) -> &'static str {
-        self.factory.name()
-    }
 }
 
 /// The record a decided-but-never-announced opid is applied as: an
