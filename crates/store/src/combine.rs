@@ -56,7 +56,7 @@
 use crate::map::{KvMap, KvTable};
 use crate::metrics::Histogram;
 use crate::slot::{
-    Machine, Owner, Pass, Passed, Polled, Protocol, Rule, SlotOp, Step, Word, EMPTY, END, MINE,
+    Machine, Owner, Pass, Passed, Polled, Protocol, Rule, SlotOp, Step, Word, END, MINE,
 };
 use crate::wal::ShardWal;
 use ff_universal::{Handle, UniversalLog};
@@ -73,7 +73,9 @@ const FORCE_AFTER: u32 = 4096;
 /// One client's announce slot on one shard: the word the slot machines
 /// step on, and the unit's buffers. Only the owner writes `ops` and only
 /// the pass that claimed the unit reads them, so the mutexes are
-/// uncontended in time; `state` carries the release/acquire edges.
+/// uncontended in time; `state` carries the release/acquire edges. A
+/// new slot is `EMPTY` at epoch 0, the zero word.
+#[derive(Default)]
 pub(crate) struct Slot {
     state: AtomicU32,
     ops: Mutex<Vec<u64>>,
@@ -94,17 +96,6 @@ impl OwnedCounter {
     fn bump(&self) {
         self.0
             .store(self.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-}
-
-impl Slot {
-    fn new() -> Arc<Self> {
-        Arc::new(Slot {
-            state: AtomicU32::new(EMPTY),
-            ops: Mutex::new(Vec::new()),
-            results: Mutex::new(Vec::new()),
-            hits: OwnedCounter::default(),
-        })
     }
 }
 
@@ -296,7 +287,7 @@ pub(crate) struct ShardCore {
     /// The shard's WAL writer, when durability is on: the log's sink
     /// buffers under the replica lock; a pass settles the I/O after.
     wal: Option<Arc<ShardWal>>,
-    /// Test-only combiner stall, fired at the machine's park point.
+    /// Test-only combiner stall, fired before a pass seals.
     #[cfg(test)]
     park: Mutex<Option<ParkHook>>,
 }
@@ -308,20 +299,7 @@ pub(crate) type Claim = (Arc<Slot>, u32);
 /// [`ShardCore::finish_combine`]. Dropping it without finishing models
 /// a combiner crash exactly: the claims stay `CLAIMED` (no `Drop`
 /// cleanup on purpose) until their owners reclaim them.
-pub(crate) struct CombinePass {
-    pass: Pass,
-    claimed: Vec<Claim>,
-}
-
-/// The slots a machine's [`Word::Slot`] steps index.
-#[derive(Clone, Copy)]
-enum View<'a> {
-    /// The owner's own slot.
-    Own(&'a Arc<Slot>),
-    /// The shard's registry, locked at the first step there; a direct
-    /// pass reads its caller's slot as [`MINE`].
-    Registry(Option<&'a Arc<Slot>>),
-}
+pub(crate) struct CombinePass(Pass, Vec<Claim>);
 
 /// Test-only hook parked between claim and execute (takes the shard).
 #[cfg(test)]
@@ -361,7 +339,7 @@ impl ShardCore {
 
     /// Register a new client's announce slot.
     pub(crate) fn register(&self) -> Arc<Slot> {
-        let slot = Slot::new();
+        let slot = Arc::<Slot>::default();
         self.slots.lock().push(Arc::clone(&slot));
         slot
     }
@@ -487,16 +465,15 @@ impl ShardCore {
     /// writing nothing, when the slot still holds a unit in flight.
     pub(crate) fn publish(&self, mine: &Arc<Slot>, ops: &[u64]) -> bool {
         debug_assert!(!ops.is_empty());
-        let mut owner = Owner::publish(0);
-        if self.run(&mut owner, View::Own(mine), &mut Vec::new()) == Polled::Busy {
-            return false;
-        }
-        {
-            let mut slot_ops = mine.ops.lock();
+        // Held across the `PENDING` store: a pass that claims the unit
+        // reads its ops only once they are written.
+        let mut slot_ops = mine.ops.lock();
+        let published = self.run(&mut Owner::publish(), Some(mine), &mut Vec::new());
+        if published == Polled::Published {
             slot_ops.clear();
             slot_ops.extend_from_slice(ops);
         }
-        self.run(&mut owner, View::Own(mine), &mut Vec::new()) == Polled::Published
+        published == Polled::Published
     }
 
     /// One non-blocking look at a published slot; past `reclaim_after`
@@ -505,8 +482,8 @@ impl ShardCore {
     /// capacity (only the owner republishes, so the slot's buffer is
     /// still the delivered one).
     pub(crate) fn poll(&self, mine: &Arc<Slot>, waited: u32, out: &mut Vec<u64>) -> Polled {
-        let mut owner = Owner::poll(0, self.lease && waited >= self.reclaim_after);
-        let polled = self.run(&mut owner, View::Own(mine), &mut Vec::new());
+        let mut owner = Owner::poll(self.lease && waited >= self.reclaim_after);
+        let polled = self.run(&mut owner, Some(mine), &mut Vec::new());
         match polled {
             Polled::Ready => std::mem::swap(out, &mut *mine.results.lock()),
             Polled::Reclaimed => self.stats.record_reclaim(self.shard),
@@ -517,12 +494,14 @@ impl ShardCore {
 
     /// Run `m` over the slot words and the combiner flag until it
     /// yields: the one loop in the store that touches them. Loads
-    /// acquire, stores release, compare-exchanges do both.
+    /// acquire, stores release, compare-exchanges do both. `mine` is the
+    /// [`Word::Own`] slot, which a scan reads as [`MINE`]; the registry
+    /// stays locked from a pass's first scan step to its yield.
     #[inline(always)]
     fn run<M: Machine<Arc<Slot>>>(
         &self,
         m: &mut M,
-        view: View<'_>,
+        mine: Option<&Arc<Slot>>,
         claims: &mut Vec<Claim>,
     ) -> M::Yield {
         let mut registry = None;
@@ -532,11 +511,11 @@ impl ShardCore {
                 Step::Yield(y) => return y,
             };
             let mut from = None;
-            let word = match (op.word(), view) {
-                (Word::Flag, _) => &self.combiner_busy,
-                (Word::Claim(k), _) => &claims[k].0.state,
-                (Word::Slot(_), View::Own(mine)) => &mine.state,
-                (Word::Slot(i), View::Registry(mine)) => {
+            let word = match op.word() {
+                Word::Flag => &self.combiner_busy,
+                Word::Claim(k) => &claims[k].0.state,
+                Word::Own => &mine.expect("an owner names its slot").state,
+                Word::Slot(i) => {
                     match registry.get_or_insert_with(|| self.slots.lock()).get(i) {
                         Some(s) if !mine.is_some_and(|m| Arc::ptr_eq(s, m)) => {
                             from = Some(s);
@@ -575,47 +554,44 @@ impl ShardCore {
         claims: &mut Vec<Claim>,
     ) -> Option<CombinePass> {
         let mut pass: Pass = Pass::split(force);
-        if self.run(&mut pass, View::Registry(None), claims) == Passed::Busy {
+        if self.run(&mut pass, None, claims) != Passed::Park {
             return None;
         }
-        self.park_point();
-        if claims.is_empty() {
-            // Nothing to seal: the machine only releases the flag.
-            self.run(&mut pass, View::Registry(None), claims);
-            return None;
-        }
-        Some(CombinePass {
-            pass,
-            claimed: std::mem::take(claims),
-        })
+        Some(CombinePass(pass, std::mem::take(claims)))
     }
 
     /// The rest of a split-phase pass ([`Self::execute`], then the WAL
     /// I/O it left due); the emptied claim list goes back to `claims`.
     /// Returns whether any ops were drained.
     pub(crate) fn finish_combine(&self, pass: CombinePass, claims: &mut Vec<Claim>) -> bool {
-        let CombinePass { mut pass, claimed } = pass;
+        let CombinePass(mut pass, claimed) = pass;
         *claims = claimed;
-        let drained = self.execute(&mut pass, claims, None).is_some();
+        let drained = self.execute(&mut pass, Passed::Park, claims, None);
         claims.clear();
         self.settle();
-        drained
+        drained.is_some()
     }
 
-    /// The one routine every pass runs from its park point on: the
-    /// machine seals the claims (a unit whose owner reclaimed it leaves
-    /// the batch); under the replica lock the sealed units, with a
-    /// direct pass's own `(ops, out)` at its registry position, run as
-    /// one batched record and their responses are written; then the
-    /// machine delivers and releases the flag. `None` when nothing was
-    /// left to run, else whether the log holds divergence evidence.
+    /// The one routine every pass runs once its claim scan yielded
+    /// `passed`: past the park point the machine seals the claims (a
+    /// unit whose owner reclaimed it leaves the batch); under the
+    /// replica lock the sealed units, with a direct pass's own `(ops,
+    /// out)` at its registry position, run as one batched record and
+    /// their responses are written; then the machine delivers and
+    /// releases the flag. `None` when nothing was left to run, else
+    /// whether the log holds divergence evidence.
     fn execute(
         &self,
         pass: &mut Pass,
+        mut passed: Passed,
         claimed: &mut Vec<Claim>,
         mut own: Option<(&[u64], &mut Vec<u64>)>,
     ) -> Option<bool> {
-        let Passed::Execute { own_at } = self.run(pass, View::Registry(None), claimed) else {
+        self.park_point();
+        if passed == Passed::Park {
+            passed = self.run(pass, None, claimed);
+        }
+        let Passed::Execute { own_at } = passed else {
             return None;
         };
         let own_at = own_at.unwrap_or(usize::MAX);
@@ -663,7 +639,7 @@ impl ShardCore {
         pass.executed(diverged);
         // Deliver: a sealed op is always delivered by the pass that
         // sealed it.
-        self.run(pass, View::Registry(None), claimed);
+        self.run(pass, None, claimed);
         Some(diverged)
     }
 
@@ -689,9 +665,9 @@ impl ShardCore {
         out: &mut Vec<u64>,
     ) -> Result<(), usize> {
         let mut pass: Pass = Pass::direct();
-        if self.run(&mut pass, View::Registry(Some(mine)), claims) == Passed::Park {
-            self.park_point();
-            let diverged = self.execute(&mut pass, claims, Some((ops, out)));
+        let passed = self.run(&mut pass, Some(mine), claims);
+        if passed != Passed::Busy {
+            let diverged = self.execute(&mut pass, passed, claims, Some((ops, out)));
             claims.clear();
             self.settle();
             return if diverged == Some(false) {
@@ -700,7 +676,8 @@ impl ShardCore {
                 Err(self.shard)
             };
         }
-        self.publish(mine, ops);
+        let published = self.publish(mine, ops);
+        debug_assert!(published, "publish into a non-empty slot");
         let mut spins = 0u32;
         loop {
             match self.poll(mine, spins, out) {
@@ -743,7 +720,7 @@ impl ShardCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slot::state_of;
+    use crate::slot::{state_of, EMPTY};
     use crate::{Backend, Kv, KvOp, Store, StoreConfig, StoreError};
     use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Barrier;

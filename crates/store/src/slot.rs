@@ -21,10 +21,10 @@
 //! applies it once its owner has republished it under a fresh epoch.
 //!
 //! Each step is one load, store or compare-exchange ([`SlotOp`]) on one
-//! [`Word`]. The rest happens at the yields: writing a unit's ops, the
-//! crash window between claim and seal, and the execute under the
-//! replica lock. `ShardCore` runs the machines over its atomics;
-//! [`crate::combining`] explores them over plain words (E18).
+//! [`Word`]. The rest happens at a pass's two yields: the crash window
+//! between claim and seal, and the execute under the replica lock.
+//! `ShardCore` runs the machines over its atomics; [`crate::combining`]
+//! explores them over plain words (E18).
 
 use std::marker::PhantomData;
 
@@ -63,11 +63,12 @@ pub fn epoch_of(word: u32) -> u32 {
 }
 
 /// A word the protocol coordinates through: the advisory flag (0 free,
-/// 1 held), the slot at a registry index, or the slot of a pass's
-/// `k`-th claim.
+/// 1 held), the running owner's own slot, the slot at a registry index,
+/// or the slot of a pass's `k`-th claim.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Word {
     Flag,
+    Own,
     Slot(usize),
     Claim(usize),
 }
@@ -112,25 +113,17 @@ pub trait Machine<S> {
 /// runs [`Protocol`]; the model's tests substitute mutated rules.
 pub trait Rule: Copy + Eq + std::hash::Hash + std::fmt::Debug {
     /// Whether a pass executes a claim whose seal `won`.
-    #[inline]
     fn keeps(won: bool) -> bool {
         won
     }
     /// Whether a direct pass also publishes its caller's unit.
-    #[inline]
     fn publishes_own() -> bool {
         false
     }
     /// Whether a read that sampled the log's tail may answer from a
-    /// replica that published `applied`.
-    #[inline]
+    /// replica that published `applied` (`fast_get`'s check).
     fn fresh(applied: usize, tail: usize) -> bool {
         applied >= tail
-    }
-    /// Whether an execute publishes `applied` only after applying.
-    #[inline]
-    fn applies_first() -> bool {
-        true
     }
 }
 
@@ -140,14 +133,12 @@ pub struct Protocol;
 impl Rule for Protocol {}
 
 /// What an [`Owner`] hands its driver. `Busy`: publish found a unit in
-/// flight and wrote nothing. `Write`: the slot is `EMPTY`, write the
-/// unit's ops and resume. `Ready`/`Failed`: delivered and consumed.
+/// flight and wrote nothing. `Ready`/`Failed`: delivered and consumed.
 /// `Pending`: unclaimed, the owner may combine it. `Reclaimed`: taken
 /// back and republished. `Claimed`: a pass holds it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Polled {
     Busy,
-    Write,
     Published,
     Ready,
     Failed,
@@ -159,33 +150,29 @@ pub enum Polled {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum OwnerPc {
     Publish,
-    Write(u32),
-    Mark(u32),
     Poll(bool),
-    Consume(u32, Polled),
+    /// Store the word, then yield.
+    Store(u32, Polled),
     Reclaim(u32),
     Over(Polled),
 }
 
-/// The owner's side of slot `me`: one publish or one poll.
+/// The owner's side of its slot ([`Word::Own`]): one publish or one
+/// poll. A publish marks the slot `PENDING`; the driver writes the
+/// unit's ops where no pass reads them before that store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Owner {
-    me: usize,
-    pub(crate) pc: OwnerPc,
-}
+pub struct Owner(pub(crate) OwnerPc);
 
 impl Owner {
     #[inline]
-    pub fn publish(me: usize) -> Self {
-        let pc = OwnerPc::Publish;
-        Owner { me, pc }
+    pub fn publish() -> Self {
+        Owner(OwnerPc::Publish)
     }
 
     /// Look once; `reclaim` lets the lease take a claimed unit back.
     #[inline]
-    pub fn poll(me: usize, reclaim: bool) -> Self {
-        let pc = OwnerPc::Poll(reclaim);
-        Owner { me, pc }
+    pub fn poll(reclaim: bool) -> Self {
+        Owner(OwnerPc::Poll(reclaim))
     }
 }
 
@@ -194,16 +181,10 @@ impl<S> Machine<S> for Owner {
 
     #[inline(always)]
     fn next(&mut self, _: &mut Vec<(S, u32)>) -> Step<Polled> {
-        let me = Word::Slot(self.me);
-        Step::Op(match self.pc {
-            OwnerPc::Publish | OwnerPc::Poll(_) => SlotOp::Load(me),
-            OwnerPc::Write(e) => {
-                self.pc = OwnerPc::Mark(e);
-                return Step::Yield(Polled::Write);
-            }
-            OwnerPc::Mark(e) => SlotOp::Store(me, pack(PENDING, e)),
-            OwnerPc::Consume(e, _) => SlotOp::Store(me, pack(EMPTY, e)),
-            OwnerPc::Reclaim(w) => SlotOp::Cas(me, w, pack(PENDING, epoch_of(w).wrapping_add(1))),
+        Step::Op(match self.0 {
+            OwnerPc::Publish | OwnerPc::Poll(_) => SlotOp::Load(Word::Own),
+            OwnerPc::Store(w, _) => SlotOp::Store(Word::Own, w),
+            OwnerPc::Reclaim(w) => SlotOp::Cas(Word::Own, w, pack(PENDING, epoch_of(w) + 1)),
             OwnerPc::Over(y) => return Step::Yield(y),
         })
     }
@@ -211,15 +192,14 @@ impl<S> Machine<S> for Owner {
     #[inline(always)]
     fn apply(&mut self, word: u32, _: Option<&S>, _: &mut Vec<(S, u32)>) {
         let e = epoch_of(word);
-        self.pc = match (self.pc, state_of(word)) {
-            (OwnerPc::Publish, EMPTY) => OwnerPc::Write(e),
+        self.0 = match (self.0, state_of(word)) {
+            (OwnerPc::Publish, EMPTY) => OwnerPc::Store(pack(PENDING, e), Polled::Published),
             (OwnerPc::Publish, _) => OwnerPc::Over(Polled::Busy),
-            (OwnerPc::Mark(_), _) => OwnerPc::Over(Polled::Published),
-            (OwnerPc::Poll(_), DONE) => OwnerPc::Consume(e, Polled::Ready),
-            (OwnerPc::Poll(_), FAILED) => OwnerPc::Consume(e, Polled::Failed),
+            (OwnerPc::Poll(_), DONE) => OwnerPc::Store(pack(EMPTY, e), Polled::Ready),
+            (OwnerPc::Poll(_), FAILED) => OwnerPc::Store(pack(EMPTY, e), Polled::Failed),
             (OwnerPc::Poll(_), PENDING) => OwnerPc::Over(Polled::Pending),
             (OwnerPc::Poll(true), CLAIMED) => OwnerPc::Reclaim(word),
-            (OwnerPc::Consume(_, y), _) => OwnerPc::Over(y),
+            (OwnerPc::Store(_, y), _) => OwnerPc::Over(y),
             (OwnerPc::Reclaim(w), _) if word == w => OwnerPc::Over(Polled::Reclaimed),
             _ => OwnerPc::Over(Polled::Claimed),
         };
@@ -227,10 +207,11 @@ impl<S> Machine<S> for Owner {
 }
 
 /// What a [`Pass`] hands its driver. `Busy`: the flag was held, no pass
-/// ran. `Park`: claimed, the crash window before the seal. `Execute`:
-/// sealed — run the claims as one batch, a direct pass's own unit after
-/// the first `own_at` of them, report through [`Pass::executed`] and
-/// resume to deliver. `Done`: over, the flag (if taken) released.
+/// ran. `Park`: claimed, the crash window before the seal (a pass that
+/// claimed nothing skips it). `Execute`: sealed — run the claims as one
+/// batch, a direct pass's own unit after the first `own_at` of them,
+/// report through [`Pass::executed`] and resume to deliver. `Done`:
+/// over, the flag (if taken) released.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Passed {
     Busy,
@@ -246,9 +227,11 @@ pub(crate) enum PassPc {
     Claim(usize, u32),
     PublishOwn(usize),
     Park,
-    Seal(usize),
+    /// Seal the `k`-th claim, `kept` sealed so far.
+    Seal(usize, usize),
     Execute,
-    Deliver(usize),
+    /// Deliver the `k`-th claim, `FAILED` if the log diverged.
+    Deliver(usize, bool),
     Release,
     Over(Passed),
 }
@@ -261,22 +244,17 @@ pub struct Pass<R = Protocol> {
     /// A direct pass's claims ahead of its caller's unit (`usize::MAX`
     /// until the scan passes the caller's slot).
     pub(crate) own: Option<usize>,
-    kept: usize,
-    failed: bool,
     rule: PhantomData<R>,
 }
 
 impl<R: Rule> Pass<R> {
     #[inline]
     fn start(pc: PassPc, own: Option<usize>) -> Self {
-        let (leads, kept, failed, rule) = (pc == PassPc::Lead, 0, false, PhantomData);
         Pass {
             pc,
-            leads,
+            leads: pc == PassPc::Lead,
             own,
-            kept,
-            failed,
-            rule,
+            rule: PhantomData,
         }
     }
 
@@ -295,7 +273,7 @@ impl<R: Rule> Pass<R> {
     /// Report the execute: deliver `FAILED` when the log diverged.
     #[inline]
     pub fn executed(&mut self, diverged: bool) {
-        self.failed = diverged;
+        self.pc = PassPc::Deliver(0, diverged);
     }
 }
 
@@ -311,37 +289,33 @@ impl<S: Clone, R: Rule> Machine<S> for Pass<R> {
                 PassPc::Claim(i, w) => SlotOp::Cas(Word::Slot(i), w, pack(CLAIMED, epoch_of(w))),
                 PassPc::PublishOwn(i) => SlotOp::Store(Word::Slot(i), pack(PENDING, 0)),
                 PassPc::Park => {
-                    self.pc = PassPc::Seal(0);
+                    self.pc = PassPc::Seal(0, 0);
                     return Step::Yield(Passed::Park);
                 }
-                PassPc::Seal(k) => {
+                PassPc::Seal(k, kept) => {
                     // The own unit moves down past dropped claims; once
                     // placed, `own <= kept <= k` never matches again.
                     if self.own == Some(k) {
-                        self.own = Some(self.kept);
+                        self.own = Some(kept);
                     }
                     if let Some(&(_, e)) = claims.get(k) {
                         SlotOp::Cas(Word::Claim(k), pack(CLAIMED, e), pack(SEALED, e))
                     } else {
-                        claims.truncate(self.kept);
-                        let idle = self.kept == 0 && self.own.is_none();
-                        self.pc = if idle {
-                            PassPc::Release
-                        } else {
-                            PassPc::Execute
+                        claims.truncate(kept);
+                        self.own = self.own.map(|own| own.min(kept));
+                        self.pc = match self.own {
+                            None if kept == 0 => PassPc::Release,
+                            _ => PassPc::Execute,
                         };
                         continue;
                     }
                 }
-                PassPc::Execute => {
-                    self.pc = PassPc::Deliver(0);
-                    return Step::Yield(Passed::Execute { own_at: self.own });
-                }
-                PassPc::Deliver(k) if k < claims.len() => {
-                    let state = if self.failed { FAILED } else { DONE };
+                PassPc::Execute => return Step::Yield(Passed::Execute { own_at: self.own }),
+                PassPc::Deliver(k, failed) if k < claims.len() => {
+                    let state = if failed { FAILED } else { DONE };
                     SlotOp::Store(Word::Claim(k), pack(state, claims[k].1))
                 }
-                PassPc::Deliver(_) => {
+                PassPc::Deliver(..) => {
                     self.pc = PassPc::Release;
                     continue;
                 }
@@ -360,12 +334,8 @@ impl<S: Clone, R: Rule> Machine<S> for Pass<R> {
         self.pc = match self.pc {
             PassPc::Lead if word != 0 => PassPc::Over(Passed::Busy),
             PassPc::Lead => PassPc::Scan(0),
-            PassPc::Scan(_) if word == END => {
-                if self.own == Some(usize::MAX) {
-                    self.own = Some(claims.len());
-                }
-                PassPc::Park
-            }
+            PassPc::Scan(_) if word == END && claims.is_empty() => PassPc::Seal(0, 0),
+            PassPc::Scan(_) if word == END => PassPc::Park,
             PassPc::Scan(i) if word == MINE => {
                 self.own = Some(claims.len());
                 if R::publishes_own() {
@@ -382,14 +352,15 @@ impl<S: Clone, R: Rule> Machine<S> for Pass<R> {
                 PassPc::Scan(i + 1)
             }
             PassPc::Scan(i) | PassPc::PublishOwn(i) => PassPc::Scan(i + 1),
-            PassPc::Seal(k) => {
+            PassPc::Seal(k, kept) => {
                 if R::keeps(word == pack(CLAIMED, claims[k].1)) {
-                    claims.swap(self.kept, k);
-                    self.kept += 1;
+                    claims.swap(kept, k);
+                    PassPc::Seal(k + 1, kept + 1)
+                } else {
+                    PassPc::Seal(k + 1, kept)
                 }
-                PassPc::Seal(k + 1)
             }
-            PassPc::Deliver(k) => PassPc::Deliver(k + 1),
+            PassPc::Deliver(k, failed) => PassPc::Deliver(k + 1, failed),
             _ => PassPc::Over(Passed::Done),
         };
     }
