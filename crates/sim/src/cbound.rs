@@ -15,11 +15,13 @@
 //! blocks is free (non-preemptive). Fault branching is not charged — the
 //! budget limits scheduling nondeterminism only, mirroring the original
 //! technique.
+//!
+//! The search is the explorer's one depth-first walk ([`crate::explorer`])
+//! with `(last pid, preemptions used)` in each state's key, skipping the
+//! choices over the bound.
 
-use crate::explorer::{ExploreReport, ExplorerConfig, Witness};
-use crate::state::{Choice, SimState};
-use ff_spec::{check_consensus, ProcessId};
-use std::collections::HashSet;
+use crate::explorer::{ExploreReport, ExplorerConfig, Walk};
+use crate::state::SimState;
 
 /// Explore every execution from `initial` with at most `max_preemptions`
 /// preemptive context switches. The report's `truncated` flag is set
@@ -30,131 +32,12 @@ pub fn explore_context_bounded(
     config: ExplorerConfig,
     max_preemptions: u32,
 ) -> ExploreReport {
-    let mut report = ExploreReport::default();
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-
-    if initial.is_terminal() {
-        report.terminals = 1;
-        let outcomes = initial.outcomes();
-        let verdict = check_consensus(&outcomes, None);
-        if let Some(agreed) = verdict.agreed {
-            report.agreed_values.insert(agreed.0);
-        }
-        if !verdict.ok() {
-            report.violation_counts.absorb(&verdict.violations);
-            report.violation = Some(Witness {
-                choices: Vec::new(),
-                outcomes,
-                violations: verdict.violations,
-            });
-        }
-        return report;
+    Walk {
+        config,
+        preemptions: Some(max_preemptions),
+        stop_at_cycle: false,
     }
-
-    struct Frame {
-        state: SimState,
-        choices: Vec<Choice>,
-        next: usize,
-        leading: Option<Choice>,
-        /// The process that took the step leading here (None at root).
-        last: Option<ProcessId>,
-        /// Preemptions consumed on this path.
-        used: u32,
-    }
-
-    let key_of = |state: &SimState, last: Option<ProcessId>, used: u32| -> Vec<u64> {
-        let mut k = state.key();
-        k.push(match last {
-            None => u64::MAX,
-            Some(p) => p.0 as u64,
-        });
-        k.push(used as u64);
-        k
-    };
-
-    let root_key = key_of(&initial, None, 0);
-    visited.insert(root_key);
-    report.states_expanded = 1;
-    let mut stack = vec![Frame {
-        choices: initial.choices(),
-        state: initial,
-        next: 0,
-        leading: None,
-        last: None,
-        used: 0,
-    }];
-
-    while let Some(frame) = stack.last_mut() {
-        if frame.next >= frame.choices.len() {
-            stack.pop();
-            continue;
-        }
-        let choice = frame.choices[frame.next];
-        frame.next += 1;
-
-        // Charge a preemption when we switch away from a still-runnable
-        // process.
-        let preempts = match frame.last {
-            Some(last) if last != choice.pid => frame.state.runnable().contains(&last),
-            _ => false,
-        };
-        let used = frame.used + preempts as u32;
-        if used > max_preemptions {
-            continue; // pruned by the bound — by design, not truncation
-        }
-
-        let succ = frame.state.successor(choice);
-        let depth = stack.len();
-        report.max_depth_seen = report.max_depth_seen.max(depth);
-
-        if succ.is_terminal() {
-            report.terminals += 1;
-            let outcomes = succ.outcomes();
-            let verdict = check_consensus(&outcomes, None);
-            if let Some(agreed) = verdict.agreed {
-                report.agreed_values.insert(agreed.0);
-            }
-            if !verdict.ok() {
-                report.violation_counts.absorb(&verdict.violations);
-            }
-            if !verdict.ok() && report.violation.is_none() {
-                let mut choices: Vec<Choice> = stack.iter().filter_map(|f| f.leading).collect();
-                choices.push(choice);
-                report.violation = Some(Witness {
-                    choices,
-                    outcomes,
-                    violations: verdict.violations,
-                });
-                if config.stop_at_first_violation {
-                    return report;
-                }
-            }
-            continue;
-        }
-
-        let key = key_of(&succ, Some(choice.pid), used);
-        if !visited.insert(key) {
-            continue;
-        }
-        report.states_expanded += 1;
-        if report.states_expanded >= config.max_states {
-            report.truncated = true;
-            return report;
-        }
-        if depth >= config.max_depth {
-            report.truncated = true;
-            continue;
-        }
-        stack.push(Frame {
-            choices: succ.choices(),
-            state: succ,
-            next: 0,
-            leading: Some(choice),
-            last: Some(choice.pid),
-            used,
-        });
-    }
-    report
+    .explore(initial)
 }
 
 /// Iterative context bounding: run [`explore_context_bounded`] with
@@ -165,15 +48,14 @@ pub fn iterative_context_bounding(
     config: ExplorerConfig,
     max_bound: u32,
 ) -> (u32, ExploreReport) {
-    let mut last = (0, ExploreReport::default());
-    for bound in 0..=max_bound {
+    let mut bound = 0;
+    loop {
         let report = explore_context_bounded(make_initial(), config, bound);
-        if report.violation.is_some() {
+        if report.violation.is_some() || bound == max_bound {
             return (bound, report);
         }
-        last = (bound, report);
+        bound += 1;
     }
-    last
 }
 
 #[cfg(test)]
@@ -183,7 +65,7 @@ mod tests {
     use crate::heap::Heap;
     use crate::ops::{Op, OpResult};
     use crate::process::{Process, Status};
-    use ff_spec::{Bound, Input, ObjectId, BOTTOM};
+    use ff_spec::{check_consensus, Bound, Input, ObjectId, BOTTOM};
 
     /// The Herlihy one-shot (as in the explorer tests).
     #[derive(Clone)]

@@ -13,6 +13,15 @@
 //! graph — which witness possible nontermination, e.g. unbounded silent
 //! faults starving the Herlihy protocol (Section 3.4) — are detected and
 //! reported.
+//!
+//! Every depth-first search over the graph is one private loop,
+//! `Walk::run`, which alone holds the frame stack, the on-path set (back
+//! edges set `cycle_found`), truncation and the witness path: [`explore`]
+//! walks over a local visited set, [`crate::explore_parallel`] over its
+//! shared claim map, and [`crate::explore_context_bounded`] with `(last
+//! pid, preemptions used)` in the key. [`explore_bfs`] keeps its own
+//! queue, as a shortest witness needs breadth-first order; both tally
+//! terminals through one verdict.
 
 use crate::executor::{run, RunConfig, RunReport};
 use crate::fault_ctl::{FaultPlan, ScriptedFault};
@@ -20,7 +29,7 @@ use crate::heap::Heap;
 use crate::process::Process;
 use crate::scheduler::Scripted;
 use crate::state::{Choice, SimState};
-use ff_spec::{check_consensus, ConsensusViolation, Outcome};
+use ff_spec::{check_consensus, ConsensusViolation, Outcome, ProcessId};
 use std::collections::{BTreeSet, HashSet};
 
 /// Per-kind counts of violating terminal states — the raw material of
@@ -180,119 +189,241 @@ impl ExploreReport {
     pub fn verified(&self) -> bool {
         !self.truncated && self.violation.is_none() && !self.cycle_found
     }
-}
 
-struct Frame {
-    state: SimState,
-    choices: Vec<Choice>,
-    next: usize,
-    /// The choice that produced this frame's state (`None` for the root).
-    leading: Option<Choice>,
-    key: Vec<u64>,
-}
-
-/// Exhaustively explore all executions from `initial`.
-pub fn explore(initial: SimState, config: ExplorerConfig) -> ExploreReport {
-    let mut report = ExploreReport::default();
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-    let mut on_stack: HashSet<Vec<u64>> = HashSet::new();
-
-    if initial.is_terminal() {
-        report.terminals = 1;
-        let outcomes = initial.outcomes();
+    /// Tally one terminal state: its outcomes, its verdict and, for the
+    /// first violation, the witness `path()` leads to it. Returns whether
+    /// it violates consensus.
+    fn terminal(&mut self, state: &SimState, path: impl FnOnce() -> Vec<Choice>) -> bool {
+        self.terminals += 1;
+        let outcomes = state.outcomes();
         let verdict = check_consensus(&outcomes, None);
-        if let Some(agreed) = verdict.agreed {
-            report.agreed_values.insert(agreed.0);
-        }
-        if !verdict.ok() {
-            report.violation_counts.absorb(&verdict.violations);
-            report.violation = Some(Witness {
-                choices: Vec::new(),
+        self.agreed_values.extend(verdict.agreed.map(|a| a.0));
+        let violates = !verdict.ok();
+        if violates {
+            self.violation_counts.absorb(&verdict.violations);
+            self.violation.get_or_insert_with(|| Witness {
+                choices: path(),
                 outcomes,
                 violations: verdict.violations,
             });
         }
-        return report;
+        violates
+    }
+}
+
+/// Exhaustively explore all executions from `initial`.
+pub fn explore(initial: SimState, config: ExplorerConfig) -> ExploreReport {
+    Walk {
+        config,
+        ..Walk::default()
+    }
+    .explore(initial)
+}
+
+/// A claimed state a walk starts from, its key, and the choices that
+/// reach it.
+pub(crate) type Root = (SimState, Vec<u64>, Vec<Choice>);
+
+/// What [`Memo::claim`] found: a state claimed now, for this walk to
+/// expand; one claimed before; or one claimed before that is unfinished
+/// or dirty, so the edge to it taints its frame.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Claim {
+    Fresh,
+    Seen,
+    Dirty,
+}
+
+/// Where a walk claims states: a local set, or a parallel explorer's
+/// shared claim map.
+pub(crate) trait Memo {
+    /// Claim `key`, the key of `state`.
+    fn claim(&mut self, key: &[u64], state: &SimState) -> Claim;
+    /// Count one fresh state; returns the exploration's total so far.
+    fn count(&mut self, report: &mut ExploreReport) -> u64 {
+        report.states_expanded += 1;
+        report.states_expanded
+    }
+    /// `key`'s scan is over; `dirty` if it reached unfinished states.
+    fn finish(&mut self, _key: &[u64], _dirty: bool) {}
+    /// Offer a fresh state, reached by `path()`, to another walk; returns
+    /// it when none takes it.
+    fn offer(
+        &mut self,
+        state: SimState,
+        key: Vec<u64>,
+        _path: impl FnOnce() -> Vec<Choice>,
+    ) -> Option<(SimState, Vec<u64>)> {
+        Some((state, key))
+    }
+    /// Whether another walk has ended the exploration.
+    fn stopped(&self) -> bool {
+        false
+    }
+}
+
+impl Memo for HashSet<Vec<u64>> {
+    fn claim(&mut self, key: &[u64], _: &SimState) -> Claim {
+        if self.insert(key.to_vec()) {
+            Claim::Fresh
+        } else {
+            Claim::Seen
+        }
+    }
+}
+
+/// The one depth-first walk over a state graph, and the small argument
+/// that tells its callers apart.
+#[derive(Default)]
+pub(crate) struct Walk {
+    pub(crate) config: ExplorerConfig,
+    /// Context bounding: key states on `(last pid, preemptions used)` as
+    /// well, and skip the choices that would use more preemptions.
+    pub(crate) preemptions: Option<u32>,
+    /// End at the first back edge.
+    pub(crate) stop_at_cycle: bool,
+}
+
+struct Frame {
+    state: SimState,
+    key: Vec<u64>,
+    choices: Vec<Choice>,
+    next: usize,
+    /// The choice that produced this frame's state (`None` for the root).
+    leading: Option<Choice>,
+    /// Preemptions used on the path here.
+    used: u32,
+    /// Some edge of this frame's region reached an unfinished state.
+    dirty: bool,
+}
+
+impl Frame {
+    fn new(state: SimState, key: Vec<u64>, leading: Option<Choice>, used: u32) -> Frame {
+        Frame {
+            choices: state.choices(),
+            state,
+            key,
+            next: 0,
+            leading,
+            used,
+            dirty: false,
+        }
+    }
+}
+
+/// The choices from the initial state through the stack to `choice`.
+fn path(prefix: &[Choice], stack: &[Frame], choice: Choice) -> Vec<Choice> {
+    let leading = stack.iter().filter_map(|f| f.leading).chain([choice]);
+    prefix.iter().copied().chain(leading).collect()
+}
+
+impl Walk {
+    /// The key of `state`, reached by a step of `last` with `used`
+    /// preemptions on its path.
+    fn key(&self, state: &SimState, last: Option<ProcessId>, used: u32) -> Vec<u64> {
+        let mut key = state.key();
+        if self.preemptions.is_some() {
+            key.push(last.map_or(u64::MAX, |p| p.0 as u64));
+            key.push(used as u64);
+        }
+        key
     }
 
-    let root_key = initial.key();
-    visited.insert(root_key.clone());
-    on_stack.insert(root_key.clone());
-    report.states_expanded = 1;
-    let mut stack = vec![Frame {
-        choices: initial.choices(),
-        state: initial,
-        next: 0,
-        leading: None,
-        key: root_key,
-    }];
-
-    while let Some(frame) = stack.last_mut() {
-        if frame.next >= frame.choices.len() {
-            on_stack.remove(&frame.key);
-            stack.pop();
-            continue;
-        }
-        let choice = frame.choices[frame.next];
-        frame.next += 1;
-
-        let succ = frame.state.successor(choice);
-        let depth = stack.len(); // steps taken to reach succ
-        report.max_depth_seen = report.max_depth_seen.max(depth);
-
-        if succ.is_terminal() {
-            report.terminals += 1;
-            let outcomes = succ.outcomes();
-            let verdict = check_consensus(&outcomes, None);
-            if let Some(agreed) = verdict.agreed {
-                report.agreed_values.insert(agreed.0);
-            }
-            if !verdict.ok() {
-                report.violation_counts.absorb(&verdict.violations);
-            }
-            if !verdict.ok() && report.violation.is_none() {
-                let mut choices: Vec<Choice> = stack.iter().filter_map(|f| f.leading).collect();
-                choices.push(choice);
-                report.violation = Some(Witness {
-                    choices,
-                    outcomes,
-                    violations: verdict.violations,
-                });
-                if config.stop_at_first_violation {
-                    return report;
-                }
-            }
-            continue;
-        }
-
-        let key = succ.key();
-        if on_stack.contains(&key) {
-            report.cycle_found = true;
-            continue;
-        }
-        if !visited.insert(key.clone()) {
-            continue;
-        }
-        report.states_expanded += 1;
-        if report.states_expanded >= config.max_states {
-            report.truncated = true;
+    /// A sequential exploration from `initial` over a local memo.
+    pub(crate) fn explore(&self, initial: SimState) -> ExploreReport {
+        let mut report = ExploreReport::default();
+        if initial.is_terminal() {
+            report.terminal(&initial, Vec::new);
             return report;
         }
-        if depth >= config.max_depth {
-            report.truncated = true;
-            continue;
-        }
-        on_stack.insert(key.clone());
-        stack.push(Frame {
-            choices: succ.choices(),
-            state: succ,
-            next: 0,
-            leading: Some(choice),
-            key,
-        });
+        let key = self.key(&initial, None, 0);
+        let mut visited = HashSet::from([key.clone()]);
+        report.states_expanded = 1;
+        self.run(&mut visited, &mut report, (initial, key, Vec::new()));
+        report
     }
 
-    report
+    /// Walk depth-first from a claimed root, tallying into `report`; `true`
+    /// when cut short (a violation under `stop_at_first_violation`,
+    /// `max_states`, a back edge under `stop_at_cycle`, [`Memo::stopped`]).
+    pub(crate) fn run<M: Memo>(
+        &self,
+        memo: &mut M,
+        report: &mut ExploreReport,
+        (state, key, prefix): Root,
+    ) -> bool {
+        let mut on_path = HashSet::from([key.clone()]);
+        let mut stack = vec![Frame::new(state, key, None, 0)];
+
+        while let Some(top) = stack.last_mut() {
+            let Some(&choice) = top.choices.get(top.next) else {
+                let done = stack.pop().expect("the top frame");
+                on_path.remove(&done.key);
+                memo.finish(&done.key, done.dirty);
+                if let Some(parent) = stack.last_mut() {
+                    parent.dirty |= done.dirty;
+                }
+                continue;
+            };
+            top.next += 1;
+            if memo.stopped() {
+                return true;
+            }
+            let mut used = top.used;
+            if let Some(bound) = self.preemptions {
+                // A preemption switches away from a still-runnable process.
+                let last = top.leading.map(|c| c.pid);
+                used += last.is_some_and(|l| l != choice.pid && top.state.runnable().contains(&l))
+                    as u32;
+                if used > bound {
+                    continue;
+                }
+            }
+            let succ = top.state.successor(choice);
+            let depth = prefix.len() + stack.len();
+            report.max_depth_seen = report.max_depth_seen.max(depth);
+
+            if succ.is_terminal() {
+                let violates = report.terminal(&succ, || path(&prefix, &stack, choice));
+                if violates && self.config.stop_at_first_violation {
+                    return true;
+                }
+                continue;
+            }
+            let key = self.key(&succ, Some(choice.pid), used);
+            if on_path.contains(&key) {
+                report.cycle_found = true;
+                if self.stop_at_cycle {
+                    return true;
+                }
+                continue;
+            }
+            match memo.claim(&key, &succ) {
+                Claim::Seen => continue,
+                Claim::Dirty => {}
+                Claim::Fresh => {
+                    if memo.count(report) >= self.config.max_states {
+                        report.truncated = true;
+                        return true;
+                    }
+                    if depth >= self.config.max_depth {
+                        // Claimed but never expanded: finished, not clean.
+                        report.truncated = true;
+                        memo.finish(&key, true);
+                    } else if let Some((succ, key)) =
+                        memo.offer(succ, key, || path(&prefix, &stack, choice))
+                    {
+                        on_path.insert(key.clone());
+                        stack.push(Frame::new(succ, key, Some(choice), used));
+                        continue;
+                    }
+                }
+            }
+            // The edge leaves this walk's finished region: not clean.
+            stack.last_mut().expect("the scanning frame").dirty = true;
+        }
+        false
+    }
 }
 
 /// Breadth-first exploration: like [`explore`], but visits states in
@@ -303,17 +434,15 @@ pub fn explore(initial: SimState, config: ExplorerConfig) -> ExploreReport {
 pub fn explore_bfs(initial: SimState, config: ExplorerConfig) -> ExploreReport {
     use std::collections::VecDeque;
 
-    let mut report = ExploreReport::default();
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-
     if initial.is_terminal() {
         return explore(initial, config); // degenerate case: same handling
     }
-
-    visited.insert(initial.key());
-    report.states_expanded = 1;
-    let mut frontier: VecDeque<(SimState, Vec<Choice>)> = VecDeque::new();
-    frontier.push_back((initial, Vec::new()));
+    let mut visited = HashSet::from([initial.key()]);
+    let mut report = ExploreReport {
+        states_expanded: 1,
+        ..ExploreReport::default()
+    };
+    let mut frontier = VecDeque::from([(initial, Vec::new())]);
 
     while let Some((state, path)) = frontier.pop_front() {
         if path.len() >= config.max_depth {
@@ -327,29 +456,9 @@ pub fn explore_bfs(initial: SimState, config: ExplorerConfig) -> ExploreReport {
             // enqueued — contribute, matching the DFS explorer.
             report.max_depth_seen = report.max_depth_seen.max(path.len() + 1);
             if succ.is_terminal() {
-                report.terminals += 1;
-                let outcomes = succ.outcomes();
-                let verdict = check_consensus(&outcomes, None);
-                if let Some(agreed) = verdict.agreed {
-                    report.agreed_values.insert(agreed.0);
-                }
-                if !verdict.ok() {
-                    // Counted for every violating terminal, not just the
-                    // first: full-scan reports (stop_at_first_violation:
-                    // false) depend on complete counts, same as `explore`.
-                    report.violation_counts.absorb(&verdict.violations);
-                }
-                if !verdict.ok() && report.violation.is_none() {
-                    let mut choices = path.clone();
-                    choices.push(choice);
-                    report.violation = Some(Witness {
-                        choices,
-                        outcomes,
-                        violations: verdict.violations,
-                    });
-                    if config.stop_at_first_violation {
-                        return report;
-                    }
+                let violates = report.terminal(&succ, || [&path[..], &[choice]].concat());
+                if violates && config.stop_at_first_violation {
+                    return report;
                 }
                 continue;
             }
@@ -365,9 +474,7 @@ pub fn explore_bfs(initial: SimState, config: ExplorerConfig) -> ExploreReport {
                 report.truncated = true;
                 return report;
             }
-            let mut next_path = path.clone();
-            next_path.push(choice);
-            frontier.push_back((succ, next_path));
+            frontier.push_back((succ, [&path[..], &[choice]].concat()));
         }
     }
     report

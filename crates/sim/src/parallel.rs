@@ -1,64 +1,42 @@
-//! Parallel exhaustive exploration: a work-sharing variant of
-//! [`explore`] that partitions the state space across
-//! worker threads while keeping the report **exact**.
+//! Parallel exhaustive exploration: [`explore`] across worker threads,
+//! with a report that stays **exact**.
 //!
 //! # Design
 //!
-//! Workers run independent depth-first searches over disjoint regions of
-//! the state graph, coordinated through two shared structures:
-//!
-//! * a **sharded claim map** keyed on exact [`SimState::key`]s (the same
-//!   lossless keys the sequential explorer memoizes on — no fingerprints,
-//!   so pruning can never collide two distinct states). Claiming a state
-//!   is an atomic insert; exactly one worker ever expands each reachable
-//!   non-terminal state, so `states_expanded`, `terminals`,
-//!   `agreed_values` and `violation_counts` are *partition-independent*:
-//!   every edge out of every reachable non-terminal state is scanned
-//!   exactly once globally, which is precisely what the sequential DFS
-//!   does.
-//! * a **shared task queue** of unexplored subtree roots. A worker that
-//!   discovers a fresh state while the queue is hungry donates it (with
-//!   its root-path prefix) instead of descending locally, so idle workers
-//!   always find work near the frontier.
+//! Each worker runs the explorer's one depth-first walk (see
+//! [`crate::explorer`]) from roots on a **shared queue**, claiming states
+//! in a **sharded claim map** keyed on exact [`SimState::key`]s (no
+//! fingerprints, so pruning never merges two states). Exactly one worker
+//! expands each reachable non-terminal state, so every edge is scanned
+//! once, as in the sequential DFS, and `states_expanded`, `terminals`,
+//! `agreed_values` and `violation_counts` do not depend on the partition.
+//! A walk that finds a fresh state while the queue is hungry donates it,
+//! with its path prefix, instead of descending into it.
 //!
 //! # Exact cycle detection
 //!
-//! Each worker keeps the DFS `on_path` set for its local stack, so a back
-//! edge within one worker's region is caught exactly as in the sequential
-//! explorer. A cycle that *crosses* regions cannot be seen locally, but it
-//! also cannot hide: around any cycle every edge `u → v` scanned while
-//! `v` was already **finished** strictly decreases finish time, and an
-//! edge into a state the scanner itself put on its path is a detected
-//! back edge — so an undetected cycle must contain an edge whose target
-//! was claimed but *unfinished* (in progress on another worker, or parked
-//! in the queue) at scan time. Workers record every such edge target as
-//! *suspended*. After the main phase, a sequential post-pass runs DFS from
-//! the suspended targets with exact back-edge detection, pruning at
-//! states that finished **clean** — a clean state's entire reachable
-//! region finished clean (dirtiness is inherited from every edge into
-//! unfinished or dirty territory), and finish times strictly decrease
-//! along all its out-edges, so no cycle passes through it. The post-pass
-//! therefore only walks the contaminated neighborhood of cross-worker
-//! boundaries, which stays small when donation is rare.
+//! A back edge inside one walk is caught as in the sequential explorer.
+//! Around any cycle, every edge `u → v` scanned after `v` **finished**
+//! strictly decreases finish time, so a cycle no walk saw has an edge
+//! whose target was claimed but *unfinished* (in progress elsewhere, or
+//! queued) when scanned. Workers record such targets as *suspended*, and
+//! a post-pass runs the same walk from them, ending at the first back
+//! edge and pruning at states that finished **clean**: dirtiness is
+//! inherited along every edge into unfinished or dirty territory, so a
+//! clean state reaches only clean states, along edges of decreasing
+//! finish time, and lies on no cycle.
 //!
 //! # Determinism
 //!
-//! For untruncated full scans (`stop_at_first_violation: false`) every
-//! aggregate field of the merged report equals the sequential explorer's,
-//! regardless of thread count or scheduling. The witness is made
-//! deterministic by re-deriving it with a sequential first-violation
-//! search (cheap: it stops at the first hit), so it is *identical* to the
-//! witness [`explore`] returns. Two fields are inherently
-//! schedule-dependent and documented as such: `max_depth_seen` reports
-//! the deepest path *this run* happened to walk (claim order decides the
-//! path by which a shared state is first reached), and in
-//! early-stopping/truncated runs the partial counts depend on where the
-//! race stopped — exactly as the sequential explorer's partial report
-//! depends on its own traversal order.
+//! Untruncated full scans (`stop_at_first_violation: false`) merge to the
+//! sequential report whatever the thread count, witness included: it is
+//! re-derived by a sequential first-violation search. Two things depend
+//! on the schedule: `max_depth_seen` (claim order decides the path that
+//! first reaches a shared state), and the partial counts of an
+//! early-stopped or truncated run.
 
-use crate::explorer::{explore, ExploreReport, ExplorerConfig, Witness};
+use crate::explorer::{explore, Claim, ExploreReport, ExplorerConfig, Memo, Root, Walk, Witness};
 use crate::state::{Choice, SimState};
-use ff_spec::check_consensus;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -71,23 +49,15 @@ pub fn default_threads() -> usize {
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Claim-map entry lifecycle: claimed → finished (clean or dirty).
+/// Claim-map entry lifecycle: claimed, then finished clean (its whole
+/// region finished clean, so no cycle passes through it) or dirty.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum EntryState {
-    /// Claimed; its subtree scan has not completed.
     InProgress,
-    /// Scan complete; every out-edge led into certifiably finished-clean
-    /// territory (no cycle can pass through this state).
     DoneClean,
-    /// Scan complete, but some edge touched unfinished or dirty territory
-    /// (donated children, in-progress targets, dirty successors).
     DoneDirty,
 }
 
@@ -95,13 +65,6 @@ enum EntryState {
 struct ClaimMap {
     shards: Vec<Mutex<HashMap<Vec<u64>, EntryState>>>,
     mask: usize,
-}
-
-/// What a claim attempt found.
-enum Claimed {
-    /// We inserted the key: the caller now owns this state's expansion.
-    Fresh,
-    Seen(EntryState),
 }
 
 impl ClaimMap {
@@ -124,27 +87,21 @@ impl ClaimMap {
         &self.shards[(h as usize) & self.mask]
     }
 
-    fn claim(&self, key: &[u64]) -> Claimed {
+    /// Claim `key`: `None` when we inserted it (the caller now owns its
+    /// expansion), otherwise the entry found.
+    fn claim(&self, key: &[u64]) -> Option<EntryState> {
         let mut shard = lock(self.shard(key));
-        match shard.get(key) {
-            Some(&e) => Claimed::Seen(e),
-            None => {
-                shard.insert(key.to_vec(), EntryState::InProgress);
-                Claimed::Fresh
-            }
+        let seen = shard.get(key).copied();
+        if seen.is_none() {
+            shard.insert(key.to_vec(), EntryState::InProgress);
         }
+        seen
     }
 
     fn finish(&self, key: &[u64], dirty: bool) {
-        let mut shard = lock(self.shard(key));
-        shard.insert(
-            key.to_vec(),
-            if dirty {
-                EntryState::DoneDirty
-            } else {
-                EntryState::DoneClean
-            },
-        );
+        if let Some(entry) = lock(self.shard(key)).get_mut(key) {
+            *entry = [EntryState::DoneClean, EntryState::DoneDirty][dirty as usize];
+        }
     }
 
     fn is_done_clean(&self, key: &[u64]) -> bool {
@@ -152,48 +109,27 @@ impl ClaimMap {
     }
 }
 
-/// An unexplored subtree root: an already-claimed state plus the choice
-/// path that first reached it (witness prefixes and depth accounting).
-struct Task {
-    state: SimState,
-    key: Vec<u64>,
-    prefix: Vec<Choice>,
-}
-
 /// Shared work queue with idle-count termination detection.
+#[derive(Default)]
 struct WorkQueue {
     inner: Mutex<QueueInner>,
     available: Condvar,
     threads: usize,
-    /// Approximate queue length + idle count, readable without the lock:
-    /// `is_hungry` runs once per discovered state, so it must stay off
-    /// the mutex.
+    /// Queue length and idle count for `is_hungry`, which runs once per
+    /// fresh state and so reads them without the lock.
     approx_len: AtomicU64,
     approx_idle: AtomicU64,
 }
 
+#[derive(Default)]
 struct QueueInner {
-    tasks: VecDeque<Task>,
+    tasks: VecDeque<Root>,
     idle: usize,
     shutdown: bool,
 }
 
 impl WorkQueue {
-    fn new(threads: usize) -> Self {
-        WorkQueue {
-            inner: Mutex::new(QueueInner {
-                tasks: VecDeque::new(),
-                idle: 0,
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            threads,
-            approx_len: AtomicU64::new(0),
-            approx_idle: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, task: Task) {
+    fn push(&self, task: Root) {
         lock(&self.inner).tasks.push_back(task);
         self.approx_len.fetch_add(1, Ordering::Relaxed);
         self.available.notify_one();
@@ -209,7 +145,7 @@ impl WorkQueue {
 
     /// Blocks until a task is available or every worker is idle with an
     /// empty queue (global completion). `None` means "done".
-    fn pop(&self) -> Option<Task> {
+    fn pop(&self) -> Option<Root> {
         let mut inner = lock(&self.inner);
         loop {
             if inner.shutdown {
@@ -226,10 +162,10 @@ impl WorkQueue {
                 self.available.notify_all();
                 return None;
             }
-            inner = match self.available.wait(inner) {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            inner = self
+                .available
+                .wait(inner)
+                .unwrap_or_else(|p| p.into_inner());
             inner.idle -= 1;
             self.approx_idle.fetch_sub(1, Ordering::Relaxed);
         }
@@ -246,154 +182,150 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Flags every worker polls.
+/// What every worker shares.
 struct Shared {
     claims: ClaimMap,
     queue: WorkQueue,
     states: AtomicU64,
     stop: AtomicBool,
-    truncated: AtomicBool,
-    cycle_found: AtomicBool,
-    config: ExplorerConfig,
+    walk: Walk,
 }
 
-/// One worker's private accumulation, merged after the join.
-#[derive(Default)]
-struct WorkerReport {
-    report: ExploreReport,
-    /// First violating witness this worker found (racy identity; replaced
-    /// by a deterministic re-search in full-scan mode).
-    witness: Option<Witness>,
-    /// Targets of edges into unfinished territory: cycle-certification
-    /// roots for the post-pass, deduplicated by key.
-    suspended: Vec<(Vec<u64>, SimState)>,
+/// Targets of edges into unfinished territory: the post-pass's roots.
+type Suspended = HashMap<Vec<u64>, SimState>;
+
+/// One worker's memo: the shared claim map and queue, plus the targets
+/// it suspended.
+struct Worker<'a> {
+    shared: &'a Shared,
+    suspended: Suspended,
 }
 
-struct WorkerFrame {
-    state: SimState,
-    key: Vec<u64>,
-    choices: Vec<Choice>,
-    next: usize,
-    leading: Option<Choice>,
-    dirty: bool,
+impl Memo for Worker<'_> {
+    fn claim(&mut self, key: &[u64], state: &SimState) -> Claim {
+        match self.shared.claims.claim(key) {
+            None => Claim::Fresh,
+            Some(EntryState::DoneClean) => Claim::Seen,
+            Some(EntryState::DoneDirty) => Claim::Dirty,
+            Some(EntryState::InProgress) => {
+                // Cross-worker boundary: the target may close a cycle.
+                self.suspended
+                    .entry(key.to_vec())
+                    .or_insert_with(|| state.clone());
+                Claim::Dirty
+            }
+        }
+    }
+
+    fn count(&mut self, _: &mut ExploreReport) -> u64 {
+        self.shared.states.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    fn finish(&mut self, key: &[u64], dirty: bool) {
+        self.shared.claims.finish(key, dirty);
+    }
+
+    fn offer(
+        &mut self,
+        state: SimState,
+        key: Vec<u64>,
+        path: impl FnOnce() -> Vec<Choice>,
+    ) -> Option<(SimState, Vec<u64>)> {
+        if !self.shared.queue.is_hungry() {
+            return Some((state, key));
+        }
+        // Fresh, so not suspended yet; its region leaves this walk.
+        self.suspended.insert(key.clone(), state.clone());
+        self.shared.queue.push((state, key, path()));
+        None
+    }
+
+    fn stopped(&self) -> bool {
+        self.shared.stop.load(Ordering::Relaxed)
+    }
 }
 
 /// Exhaustively explore all executions from `initial` on
-/// `config.threads` worker threads.
-///
-/// With `threads <= 1` this is exactly [`explore`]. With
-/// more threads, untruncated full scans produce a report identical to the
-/// sequential one (including the witness; see the module docs for the two
-/// schedule-dependent caveats: `max_depth_seen`, and partial counts in
-/// early-stopped runs).
+/// `config.threads` worker threads: exactly [`explore`] with one thread,
+/// and with more the same report in untruncated full scans, witness
+/// included (see the module docs for what depends on the schedule).
 pub fn explore_parallel(initial: SimState, config: ExplorerConfig) -> ExploreReport {
-    if config.threads <= 1 {
-        return explore(initial, config);
-    }
-    if initial.is_terminal() {
+    if config.threads <= 1 || initial.is_terminal() {
         return explore(initial, config);
     }
 
     let shared = Shared {
         claims: ClaimMap::new(config.threads),
-        queue: WorkQueue::new(config.threads),
+        queue: WorkQueue {
+            threads: config.threads,
+            ..WorkQueue::default()
+        },
         states: AtomicU64::new(1),
         stop: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-        cycle_found: AtomicBool::new(false),
-        config,
+        walk: Walk {
+            config,
+            ..Walk::default()
+        },
     };
-
-    let root_key = initial.key();
-    // Claim the root and seed the queue. In full-scan mode a witness is
-    // re-derived sequentially, which needs the initial state back — keep a
-    // clone only when that can happen.
+    // Claim the root and seed the queue; a full scan re-derives its
+    // witness from the initial state.
     let reseed = initial.clone();
-    match shared.claims.claim(&root_key) {
-        Claimed::Fresh => {}
-        Claimed::Seen(_) => unreachable!("claim map starts empty"),
-    }
-    shared.queue.push(Task {
-        state: initial,
-        key: root_key,
-        prefix: Vec::new(),
-    });
+    let key = initial.key();
+    shared.claims.claim(&key);
+    shared.queue.push((initial, key, Vec::new()));
 
-    let mut worker_reports: Vec<WorkerReport> = Vec::new();
-    std::thread::scope(|scope| {
+    let workers: Vec<(ExploreReport, Suspended)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
             .map(|_| scope.spawn(|| worker(&shared)))
             .collect();
-        for h in handles {
-            match h.join() {
-                Ok(r) => worker_reports.push(r),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
 
     let mut report = ExploreReport {
-        states_expanded: shared
-            .states
-            .load(Ordering::SeqCst)
-            .min(shared.config.max_states),
-        truncated: shared.truncated.load(Ordering::SeqCst),
-        cycle_found: shared.cycle_found.load(Ordering::SeqCst),
+        states_expanded: shared.states.load(Ordering::SeqCst).min(config.max_states),
         ..ExploreReport::default()
     };
     let mut witnesses: Vec<Witness> = Vec::new();
-    let mut suspended: Vec<(Vec<u64>, SimState)> = Vec::new();
-    let mut suspended_keys: HashSet<Vec<u64>> = HashSet::new();
-    for w in worker_reports {
-        report.terminals += w.report.terminals;
-        report.max_depth_seen = report.max_depth_seen.max(w.report.max_depth_seen);
-        report.agreed_values.extend(w.report.agreed_values);
-        report.violation_counts.merge(&w.report.violation_counts);
-        witnesses.extend(w.witness);
-        for (key, state) in w.suspended {
-            if suspended_keys.insert(key.clone()) {
-                suspended.push((key, state));
-            }
-        }
+    let mut suspended = Suspended::new();
+    for (w, s) in workers {
+        report.terminals += w.terminals;
+        report.max_depth_seen = report.max_depth_seen.max(w.max_depth_seen);
+        report.agreed_values.extend(w.agreed_values);
+        report.violation_counts.merge(&w.violation_counts);
+        report.truncated |= w.truncated;
+        report.cycle_found |= w.cycle_found;
+        witnesses.extend(w.violation);
+        suspended.extend(s);
     }
 
-    // Witness. Full-scan mode: re-derive deterministically with a
-    // sequential first-violation search — it visits states in the same
-    // order as `explore`, so the witness is identical to the sequential
-    // full scan's and stable across runs and thread counts. Early-stop
-    // mode: the search raced, so return the lexicographically smallest
-    // candidate found before the stop.
-    if !witnesses.is_empty() {
-        report.violation = if shared.config.stop_at_first_violation {
-            witnesses.into_iter().min_by_key(witness_rank)
-        } else {
-            let refind = explore(
-                reseed,
-                ExplorerConfig {
-                    stop_at_first_violation: true,
-                    ..shared.config
-                },
-            );
-            debug_assert!(refind.violation.is_some());
-            // The re-search cannot miss (a violating terminal exists), but
-            // fall back to a raced candidate rather than dropping the
-            // violation if it ever did.
-            refind
-                .violation
-                .or_else(|| witnesses.into_iter().min_by_key(witness_rank))
-        };
-    }
+    // Full scans re-derive the witness with a sequential first-violation
+    // search, so it is `explore`'s; an early stop raced, so it takes the
+    // least candidate found (as does a truncated scan whose re-search
+    // found none).
+    let refind = !config.stop_at_first_violation && !witnesses.is_empty();
+    report.violation = refind
+        .then(|| {
+            let first = ExplorerConfig {
+                stop_at_first_violation: true,
+                ..config
+            };
+            explore(reseed, first).violation
+        })
+        .flatten()
+        .or_else(|| witnesses.into_iter().min_by_key(witness_rank));
 
-    // Cycle certification post-pass (see module docs). Only meaningful
-    // when the exploration actually completed and no cycle is known yet.
-    if !report.truncated
-        && !report.cycle_found
-        && !shared.stop.load(Ordering::SeqCst)
-        && !suspended.is_empty()
-        && cycle_reachable_from(&suspended, &shared.claims)
-    {
-        report.cycle_found = true;
-    }
+    // The cycle post-pass (see module docs), for a run that completed
+    // with no cycle known yet.
+    report.cycle_found = report.cycle_found
+        || (!report.truncated
+            && !shared.stop.load(Ordering::SeqCst)
+            && cycle_reachable_from(suspended, &shared.claims));
 
     report
 }
@@ -401,238 +333,73 @@ pub fn explore_parallel(initial: SimState, config: ExplorerConfig) -> ExploreRep
 /// Total order on witnesses for deterministic tie-breaking: compare the
 /// choice sequences lexicographically (shorter prefixes first).
 fn witness_rank(w: &Witness) -> Vec<(u32, u8, u8, u64)> {
-    w.choices.iter().map(choice_rank).collect()
-}
-
-fn choice_rank(c: &Choice) -> (u32, u8, u8, u64) {
-    use crate::fault_ctl::StepDecision;
-    use ff_spec::FaultDecision;
-    let (kind, payload) = match c.decision {
-        StepDecision::Apply(FaultDecision::Correct) => (0u8, 0u64),
-        StepDecision::Apply(FaultDecision::Override) => (1, 0),
-        StepDecision::Apply(FaultDecision::Silent) => (2, 0),
-        StepDecision::Apply(FaultDecision::Invisible { returned }) => (3, returned),
-        StepDecision::Apply(FaultDecision::Arbitrary { written }) => (4, written),
-        StepDecision::Hang => (5, 0),
+    use crate::fault_ctl::StepDecision::{Apply, Hang};
+    use ff_spec::FaultDecision::*;
+    let rank = |c: &Choice| {
+        let (kind, payload) = match c.decision {
+            Apply(Correct) => (0u8, 0u64),
+            Apply(Override) => (1, 0),
+            Apply(Silent) => (2, 0),
+            Apply(Invisible { returned }) => (3, returned),
+            Apply(Arbitrary { written }) => (4, written),
+            Hang => (5, 0),
+        };
+        (c.pid.0 as u32, c.had_opportunity as u8, kind, payload)
     };
-    (c.pid.0 as u32, c.had_opportunity as u8, kind, payload)
+    w.choices.iter().map(rank).collect()
 }
 
-fn worker(shared: &Shared) -> WorkerReport {
-    let mut out = WorkerReport::default();
-    let mut suspended_keys: HashSet<Vec<u64>> = HashSet::new();
-    while let Some(task) = shared.queue.pop() {
-        run_task(shared, task, &mut out, &mut suspended_keys);
-        if shared.stop.load(Ordering::Relaxed) {
+/// One worker: walk donated roots until the queue drains or a walk ends
+/// the exploration. Returns its tallies and suspended targets.
+fn worker(shared: &Shared) -> (ExploreReport, Suspended) {
+    let mut memo = Worker {
+        shared,
+        suspended: Suspended::new(),
+    };
+    let mut report = ExploreReport::default();
+    while let Some(root) = shared.queue.pop() {
+        // Frames abandoned by a cut-short walk stay InProgress; the
+        // post-pass is skipped in stopped runs, so nothing reads them.
+        if shared.walk.run(&mut memo, &mut report, root) || shared.stop.load(Ordering::Relaxed) {
+            shared.stop.store(true, Ordering::SeqCst);
             shared.queue.cancel();
             break;
         }
     }
-    out
+    (report, memo.suspended)
 }
 
-/// Depth-first exploration of one claimed subtree root, mirroring the
-/// sequential explorer's per-edge accounting exactly.
-fn run_task(
-    shared: &Shared,
-    task: Task,
-    out: &mut WorkerReport,
-    suspended_keys: &mut HashSet<Vec<u64>>,
-) {
-    let config = &shared.config;
-    let prefix_len = task.prefix.len();
-    let mut on_path: HashSet<Vec<u64>> = HashSet::new();
-    on_path.insert(task.key.clone());
-    let mut stack = vec![WorkerFrame {
-        choices: task.state.choices(),
-        state: task.state,
-        key: task.key,
-        next: 0,
-        leading: None,
-        dirty: false,
-    }];
-
-    while !stack.is_empty() {
-        let choice = {
-            let frame = stack.last_mut().expect("nonempty");
-            if frame.next >= frame.choices.len() {
-                let finished = stack.pop().expect("nonempty");
-                on_path.remove(&finished.key);
-                shared.claims.finish(&finished.key, finished.dirty);
-                if let Some(parent) = stack.last_mut() {
-                    parent.dirty |= finished.dirty;
-                }
-                continue;
-            }
-            let c = frame.choices[frame.next];
-            frame.next += 1;
-            c
-        };
-        if shared.stop.load(Ordering::Relaxed) {
-            // Abandoned frames stay InProgress; the post-pass is skipped
-            // in stopped runs, so nothing reads them again.
-            return;
+/// The post-pass's memo: a state certified clean by the main phase is
+/// pruned, any other is walked once.
+impl Memo for (&ClaimMap, HashSet<Vec<u64>>) {
+    fn claim(&mut self, key: &[u64], _: &SimState) -> Claim {
+        if self.0.is_done_clean(key) || !self.1.insert(key.to_vec()) {
+            Claim::Seen
+        } else {
+            Claim::Fresh
         }
-
-        let succ = stack.last().expect("nonempty").state.successor(choice);
-        let depth = prefix_len + stack.len();
-        out.report.max_depth_seen = out.report.max_depth_seen.max(depth);
-
-        if succ.is_terminal() {
-            out.report.terminals += 1;
-            let outcomes = succ.outcomes();
-            let verdict = check_consensus(&outcomes, None);
-            if let Some(agreed) = verdict.agreed {
-                out.report.agreed_values.insert(agreed.0);
-            }
-            if !verdict.ok() {
-                out.report.violation_counts.absorb(&verdict.violations);
-                if out.witness.is_none() {
-                    let mut choices = task.prefix.clone();
-                    choices.extend(path_choices(&stack));
-                    choices.push(choice);
-                    out.witness = Some(Witness {
-                        choices,
-                        outcomes,
-                        violations: verdict.violations,
-                    });
-                }
-                if config.stop_at_first_violation {
-                    shared.stop.store(true, Ordering::SeqCst);
-                    shared.queue.cancel();
-                    return;
-                }
-            }
-            continue;
-        }
-
-        let key = succ.key();
-        if on_path.contains(&key) {
-            // Exact back edge within this worker's path: a certain cycle.
-            shared.cycle_found.store(true, Ordering::SeqCst);
-            continue;
-        }
-        match shared.claims.claim(&key) {
-            Claimed::Seen(EntryState::DoneClean) => continue,
-            Claimed::Seen(EntryState::DoneDirty) => {
-                stack.last_mut().expect("nonempty").dirty = true;
-                continue;
-            }
-            Claimed::Seen(EntryState::InProgress) => {
-                // Cross-worker boundary: the target might complete a cycle
-                // back into territory that is still open. Remember it for
-                // the certification post-pass.
-                stack.last_mut().expect("nonempty").dirty = true;
-                if suspended_keys.insert(key.clone()) {
-                    out.suspended.push((key, succ));
-                }
-                continue;
-            }
-            Claimed::Fresh => {}
-        }
-        let n = shared.states.fetch_add(1, Ordering::SeqCst) + 1;
-        if n >= config.max_states {
-            shared.truncated.store(true, Ordering::SeqCst);
-            shared.stop.store(true, Ordering::SeqCst);
-            shared.queue.cancel();
-            return;
-        }
-        if depth >= config.max_depth {
-            // Claimed but never expanded: not certifiable, and the run is
-            // truncated anyway (which disables the post-pass).
-            shared.truncated.store(true, Ordering::SeqCst);
-            shared.claims.finish(&key, true);
-            stack.last_mut().expect("nonempty").dirty = true;
-            continue;
-        }
-        if shared.queue.is_hungry() {
-            // Donate the fresh subtree instead of descending: its
-            // exploration leaves this worker's certified region.
-            stack.last_mut().expect("nonempty").dirty = true;
-            if suspended_keys.insert(key.clone()) {
-                out.suspended.push((key.clone(), succ.clone()));
-            }
-            let mut prefix = task.prefix.clone();
-            prefix.extend(path_choices(&stack));
-            prefix.push(choice);
-            shared.queue.push(Task {
-                state: succ,
-                key,
-                prefix,
-            });
-            continue;
-        }
-        on_path.insert(key.clone());
-        stack.push(WorkerFrame {
-            choices: succ.choices(),
-            state: succ,
-            key,
-            next: 0,
-            leading: Some(choice),
-            dirty: false,
-        });
-    }
-
-    /// Leading choices of the live stack (root frame's `leading` is
-    /// `None`: the task prefix covers everything above it).
-    fn path_choices(stack: &[WorkerFrame]) -> Vec<Choice> {
-        stack.iter().filter_map(|f| f.leading).collect()
     }
 }
 
 /// Post-pass: exact sequential cycle search from the suspended targets,
 /// pruning at states certified clean by the main phase.
-fn cycle_reachable_from(suspended: &[(Vec<u64>, SimState)], claims: &ClaimMap) -> bool {
-    let mut visited: HashSet<Vec<u64>> = HashSet::new();
-    let mut on_path: HashSet<Vec<u64>> = HashSet::new();
-
-    struct PpFrame {
-        state: SimState,
-        key: Vec<u64>,
-        choices: Vec<Choice>,
-        next: usize,
-    }
-
-    for (root_key, root_state) in suspended {
-        if claims.is_done_clean(root_key) || !visited.insert(root_key.clone()) {
-            continue;
-        }
-        on_path.insert(root_key.clone());
-        let mut stack = vec![PpFrame {
-            choices: root_state.choices(),
-            state: root_state.clone(),
-            key: root_key.clone(),
-            next: 0,
-        }];
-        while let Some(frame) = stack.last_mut() {
-            if frame.next >= frame.choices.len() {
-                on_path.remove(&frame.key);
-                stack.pop();
-                continue;
-            }
-            let choice = frame.choices[frame.next];
-            frame.next += 1;
-            let succ = frame.state.successor(choice);
-            if succ.is_terminal() {
-                continue;
-            }
-            let key = succ.key();
-            if on_path.contains(&key) {
-                return true;
-            }
-            if claims.is_done_clean(&key) || !visited.insert(key.clone()) {
-                continue;
-            }
-            on_path.insert(key.clone());
-            stack.push(PpFrame {
-                choices: succ.choices(),
-                state: succ,
-                key,
-                next: 0,
-            });
-        }
-    }
-    false
+fn cycle_reachable_from(suspended: Suspended, claims: &ClaimMap) -> bool {
+    let walk = Walk {
+        config: ExplorerConfig {
+            max_states: u64::MAX,
+            max_depth: usize::MAX,
+            stop_at_first_violation: false,
+            threads: 1,
+        },
+        preemptions: None,
+        stop_at_cycle: true,
+    };
+    let mut memo = (claims, HashSet::new());
+    let mut report = ExploreReport::default();
+    suspended.into_iter().any(|(key, state)| {
+        memo.claim(&key, &state) == Claim::Fresh
+            && walk.run(&mut memo, &mut report, (state, key, Vec::new()))
+    })
 }
 
 #[cfg(test)]
@@ -642,7 +409,7 @@ mod tests {
     use crate::heap::Heap;
     use crate::ops::{Op, OpResult};
     use crate::process::{Process, SoloDecider, Status};
-    use ff_spec::{Bound, Input, ObjectId, BOTTOM};
+    use ff_spec::{check_consensus, Bound, Input, ObjectId, BOTTOM};
 
     /// The naive Herlihy one-shot (same as the sequential explorer's test
     /// process): CAS(O0, ⊥, input), adopt the winner.
@@ -698,6 +465,34 @@ mod tests {
             .iter()
             .map(|&v| Box::new(OneShot::new(v)) as Box<dyn Process>)
             .collect()
+    }
+
+    /// A process that writes its phase forever: a 2-cycle in the state
+    /// graph.
+    #[derive(Clone)]
+    struct Flipper {
+        phase: u8,
+    }
+    impl Process for Flipper {
+        fn next_op(&self) -> Op {
+            Op::Write(crate::heap::RegId(0), (self.phase as u64) % 2)
+        }
+        fn apply(&mut self, _r: OpResult) -> Status {
+            self.phase = (self.phase + 1) % 2;
+            Status::Running
+        }
+        fn status(&self) -> Status {
+            Status::Running
+        }
+        fn input(&self) -> Input {
+            Input(0)
+        }
+        fn snapshot(&self) -> Vec<u64> {
+            vec![self.phase as u64]
+        }
+        fn box_clone(&self) -> Box<dyn Process> {
+            Box::new(self.clone())
+        }
     }
 
     fn full_cfg(threads: usize) -> ExplorerConfig {
@@ -776,31 +571,6 @@ mod tests {
     fn parallel_detects_cross_worker_cycles() {
         // The Flipper graph (a 2-cycle) from the sequential explorer's
         // cycle test: every thread count must flag it.
-        #[derive(Clone)]
-        struct Flipper {
-            phase: u8,
-        }
-        impl Process for Flipper {
-            fn next_op(&self) -> Op {
-                Op::Write(crate::heap::RegId(0), (self.phase as u64) % 2)
-            }
-            fn apply(&mut self, _r: OpResult) -> Status {
-                self.phase = (self.phase + 1) % 2;
-                Status::Running
-            }
-            fn status(&self) -> Status {
-                Status::Running
-            }
-            fn input(&self) -> Input {
-                Input(0)
-            }
-            fn snapshot(&self) -> Vec<u64> {
-                vec![self.phase as u64]
-            }
-            fn box_clone(&self) -> Box<dyn Process> {
-                Box::new(self.clone())
-            }
-        }
         for threads in [1, 2, 4] {
             let state = SimState::new(
                 vec![
@@ -820,6 +590,45 @@ mod tests {
             assert!(report.cycle_found, "threads={threads}: {report:?}");
             assert!(!report.verified());
         }
+    }
+
+    #[test]
+    fn post_pass_finds_a_cycle_through_unfinished_states() {
+        // One Flipper: s0 → s1 → s2 → s1. Each claim-map entry below is
+        // what the main phase leaves when the cycle crosses workers: no
+        // walk saw a back edge, and s1 was suspended.
+        let s0 = SimState::new(
+            vec![Box::new(Flipper { phase: 0 })],
+            Heap::new(0, 1),
+            FaultPlan::none(),
+        );
+        let s1 = s0.successor(s0.choices()[0]);
+        let s2 = s1.successor(s1.choices()[0]);
+        assert_eq!(s2.successor(s2.choices()[0]).key(), s1.key());
+        let suspended = Suspended::from([(s1.key(), s1.clone())]);
+        let claims_with = |dirty1: Option<bool>, dirty2: Option<bool>| {
+            let claims = ClaimMap::new(2);
+            for (state, dirty) in [(&s1, dirty1), (&s2, dirty2)] {
+                claims.claim(&state.key());
+                if let Some(dirty) = dirty {
+                    claims.finish(&state.key(), dirty);
+                }
+            }
+            claims
+        };
+        for (e1, e2) in [
+            (None, None),
+            (None, Some(true)),
+            (Some(true), None),
+            (Some(true), Some(true)),
+        ] {
+            let claims = claims_with(e1, e2);
+            let found = cycle_reachable_from(suspended.clone(), &claims);
+            assert!(found, "{e1:?} {e2:?}");
+        }
+        // States certified clean are pruned, so no walk starts.
+        let clean = claims_with(Some(false), Some(false));
+        assert!(!cycle_reachable_from(suspended, &clean));
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl JsonValue {
     /// Parse a JSON document (must consume the whole input).
     pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
-            src: s.as_bytes(),
+            src: s,
             pos: 0,
             depth: 0,
         };
@@ -314,7 +314,7 @@ use JsonValue as Value;
 const MAX_DEPTH: usize = 512;
 
 struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
@@ -329,7 +329,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.src.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -339,7 +339,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -352,7 +352,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, value: Value) -> Result<Value, JsonError> {
-        if self.src[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -399,8 +399,8 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.src[start..self.pos])
-            .ok()
+        self.src
+            .get(start..self.pos)
             .and_then(|s| s.parse::<f64>().ok())
             .map(Value::Number)
             .ok_or_else(|| self.err("malformed number"))
@@ -428,11 +428,16 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: no sign, no space.
                             let hex = self
                                 .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(|h| {
+                                    h.iter().try_fold(0, |n, &b| {
+                                        Some(n * 16 + (b as char).to_digit(16)?)
+                                    })
+                                })
                                 .ok_or_else(|| self.err("malformed \\u escape"))?;
                             // Surrogate pairs are not produced by our
                             // serializer; reject rather than mis-decode.
@@ -446,12 +451,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.src[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash: both
+                    // are ASCII, so the run ends on a char boundary (as
+                    // `pos` always sits on one).
+                    let rest = self
+                        .src
+                        .get(self.pos..)
+                        .ok_or_else(|| self.err("inside a character"))?;
+                    let run = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -685,6 +697,22 @@ mod tests {
     }
 
     #[test]
+    fn a_megabyte_string_parses() {
+        // Plain runs, multi-byte characters and escapes, ≈ 1 MB in all.
+        let v = JsonValue::String("ab⊥🦀\"\\\n".repeat(90_000));
+        assert_eq!(JsonValue::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let ok = JsonValue::parse(r#""\u0041\u00e9""#).unwrap();
+        assert_eq!(ok, JsonValue::from("Aé"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u41""#] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn nesting_is_bounded() {
         let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
         assert!(JsonValue::parse(&deep(MAX_DEPTH)).is_ok());
@@ -771,8 +799,54 @@ mod proptests {
         }
     }
 
+    /// One character from the grammar's alphabet (structure, literal
+    /// letters, number characters, escapes, whitespace, multi-byte text)
+    /// or, one time in four, any scalar value.
+    fn syntax_char(seed: &mut u64) -> char {
+        const SYNTAX: &[char] = &[
+            '{', '}', '[', ']', ':', ',', '"', '\\', 'u', 't', 'r', 'e', 'f', 'a', 'l', 's', 'n',
+            '0', '9', 'F', '-', '+', '.', 'E', ' ', '\n', '⊥', '🦀', '\u{0}',
+        ];
+        match mix(seed) % 4 {
+            0 => char::from_u32((mix(seed) % 0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            _ => SYNTAX[(mix(seed) % SYNTAX.len() as u64) as usize],
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_text_parses_or_errs(seed in any::<u64>(), len in 0usize..64) {
+            let mut s = seed;
+            let text: String = (0..len).map(|_| syntax_char(&mut s)).collect();
+            let _ = JsonValue::parse(&text);
+        }
+
+        #[test]
+        fn damaged_documents_parse_or_err(seed in any::<u64>(), depth in 0usize..5) {
+            let mut s = seed;
+            let doc = tree(&mut s, depth).render();
+            let bounds: Vec<usize> = doc.char_indices().map(|(i, _)| i).collect();
+            let pick = |s: &mut u64| bounds.get((mix(s) % (bounds.len() as u64 + 1)) as usize);
+            for _ in 0..32 {
+                // Truncated at a char boundary...
+                let cut = pick(&mut s).copied().unwrap_or(doc.len());
+                let _ = JsonValue::parse(&doc[..cut]);
+                // ...and with one char inserted, deleted or replaced.
+                let mut edited = doc.clone();
+                match (pick(&mut s).copied(), mix(&mut s) % 3) {
+                    (Some(at), 0) => edited.insert(at, syntax_char(&mut s)),
+                    (Some(at), 1) => drop(edited.remove(at)),
+                    (Some(at), _) => {
+                        edited.remove(at);
+                        edited.insert(at, syntax_char(&mut s));
+                    }
+                    (None, _) => edited.push(syntax_char(&mut s)),
+                }
+                let _ = JsonValue::parse(&edited);
+            }
+        }
 
         #[test]
         fn arbitrary_trees_round_trip(seed in any::<u64>(), depth in 0usize..5) {

@@ -3,6 +3,13 @@
 //! (`explore_parallel`) — must agree on every schedule-independent report
 //! field over a grid of protocol × fault-plan configurations.
 //!
+//! `explore` and the parallel workers run ff-sim's one depth-first walk
+//! over different memos (a local set, a shared claim map with donation
+//! and a cycle post-pass); `explore_bfs` is a separate queue-driven
+//! search that shares only the terminal verdict. So BFS is the
+//! independent oracle for the walk, and any reduction added to the walk
+//! (sleep sets, symmetry) is checked here against the unreduced runs.
+//!
 //! Fields compared: `states_expanded`, `terminals`, `agreed_values`,
 //! `violation_counts` (all four counters), `truncated`, and `verified()`.
 //! `max_depth_seen` is traversal-dependent by design (each memoized
